@@ -193,15 +193,30 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
 def _validate(cfg: SuiteConfig) -> None:
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
-    if not isinstance(cfg.seed, int):
-        raise ConfigError("seed must be an integer")
+    # config files carry JSON types: true is an int to Python, and
+    # strings or NaN would only fail deep inside a suite
+    for name in ("d", "N_rho", "K", "M", "seed"):
+        v = getattr(cfg, name)
+        if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+            raise ConfigError(f"{name} must be an integer")
+    for name in ("alpha", "p", "q", "tol", "L_rho"):
+        v = getattr(cfg, name)
+        if v is None:
+            continue
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"{name} must be a real number")
+        if name in ("p", "q"):
+            if not v >= 1.0:        # Lebesgue exponents: inf is allowed
+                raise ConfigError(f"{name} must be >= 1 (inf allowed)")
+        elif not math.isfinite(v):
+            raise ConfigError(f"{name} must be finite")
     for name in ("tol", "L_rho"):
         v = getattr(cfg, name)
         if v is not None and v <= 0:
             raise ConfigError(f"{name} must be positive")
     for name in ("d", "N_rho", "K", "M"):
         v = getattr(cfg, name)
-        if v is not None and (not isinstance(v, int) or v < 0):
+        if v is not None and v < 0:
             raise ConfigError(f"{name} must be a nonnegative integer")
     if cfg.d is not None and cfg.d < 1:
         raise ConfigError("d must be >= 1")
@@ -363,10 +378,8 @@ def _suite_riesz(cfg: SuiteConfig) -> Report:
                          "seed": cfg.seed})
     rep.extend(inverse_riesz_check(fam.members(g)[0], cfg.p))
     for j in (0, 1):
-        sub = riesz_on_potential_check(j, cfg.alpha, cfg.p, g, fam)
-        for m in sub.metrics:
-            rep.add(f"j{j}_{m.name}", m.value, m.tolerance, m.passed,
-                    m.note)
+        rep.extend(riesz_on_potential_check(j, cfg.alpha, cfg.p, g, fam),
+                   prefix=f"j{j}_")
     return rep
 
 
@@ -397,15 +410,13 @@ def _suite_symbols(cfg: SuiteConfig) -> Report:
                  params={"alpha": cfg.alpha, "d": cfg.d, "cap": dom.cap,
                          "seed": cfg.seed})
     rep.extend(symbol_decay_report(cfg.alpha, cfg.d, dom))
-    sub = gm_bound_estimate(sigma_symbol_fn(cfg.alpha, cfg.d),
-                            2.0 * cfg.alpha, dom, r=2)
-    for m in sub.metrics:
-        rep.add(f"deriv_{m.name}", m.value, m.tolerance, m.passed, m.note)
+    rep.extend(gm_bound_estimate(sigma_symbol_fn(cfg.alpha, cfg.d),
+                                 2.0 * cfg.alpha, dom, r=2),
+               prefix="deriv_")
     for j in (0, 1):
-        sub = gm_bound_estimate(riesz_symbol_fn(j, cfg.d), 0.0, dom, r=0)
-        for m in sub.metrics:
-            rep.add(f"riesz{j}_{m.name}", m.value, m.tolerance, m.passed,
-                    m.note)
+        rep.extend(gm_bound_estimate(riesz_symbol_fn(j, cfg.d), 0.0, dom,
+                                     r=0),
+                   prefix=f"riesz{j}_")
     return rep
 
 
@@ -418,10 +429,7 @@ def _suite_sobolev(cfg: SuiteConfig) -> Report:
                  params={"d": cfg.d, "pairs": [list(pr) for pr in pairs],
                          "seed": cfg.seed})
     for k, p in pairs:
-        sub = equivalence_report(g, fam, k, p)
-        for m in sub.metrics:
-            rep.add(f"k{k}p{p:g}_{m.name}", m.value, m.tolerance, m.passed,
-                    m.note)
+        rep.extend(equivalence_report(g, fam, k, p), prefix=f"k{k}p{p:g}_")
     return rep
 
 
@@ -432,10 +440,8 @@ def _suite_inclusions(cfg: SuiteConfig) -> Report:
         for control in (False, True):
             sub = strict_inclusion_demo(which, cfg.alpha, cfg.p,
                                         control=control)
-            stem = f"{which}_control_" if control else f"{which}_"
-            for m in sub.metrics:
-                rep.add(stem + m.name, m.value, m.tolerance, m.passed,
-                        m.note)
+            rep.extend(sub, prefix=f"{which}_control_" if control
+                       else f"{which}_")
     return rep
 
 

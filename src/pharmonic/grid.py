@@ -275,30 +275,22 @@ def resample(field: Field, box: UniformBox, tail_tol: float = 1e-6) -> np.ndarra
     Hermite shell or the top rho-frequency ring exceeds tail_tol, since
     the series truncation then limits off-grid accuracy.
     """
-    from .spectral import forward  # layering: transform lives one level up
+    # layering: the transform lives one level up
+    from .spectral import _to_cube, forward, tail_energy
 
     g = field.grid
     if box.ndim != g.d + 1:
         raise InvalidParameterError("box dimension must be d + 1")
     coeffs = forward(field)
-    c = coeffs.data
-    total = float(np.sum(np.abs(c) ** 2))
-    if total > 0:
-        top_shell = float(np.sum(np.abs(c[:, g.mu_abs == g.K]) ** 2))
-        nyq = np.abs(np.fft.fftfreq(g.N_rho, d=1.0 / g.N_rho)) >= g.N_rho // 2 - 1
-        top_freq = float(np.sum(np.abs(c[nyq, :]) ** 2))
-        tail = (top_shell + top_freq) / total
-        if tail > tail_tol:
-            warnings.warn(
-                f"coefficient tail energy {tail:.3e} exceeds {tail_tol:.1e}; "
-                "resampled values limited by series truncation",
-                TruncationWarning, stacklevel=2)
+    tail = tail_energy(coeffs)
+    if tail > tail_tol:
+        warnings.warn(
+            f"coefficient tail energy {tail:.3e} exceeds {tail_tol:.1e}; "
+            "resampled values limited by series truncation",
+            TruncationWarning, stacklevel=2)
     axes = box.axes()
     # scatter to the dense degree cube, then contract axis by axis
-    cube_shape = (g.N_rho,) + (g.K + 1,) * g.d
-    cube = np.zeros(cube_shape, dtype=np.complex128)
-    cube[(slice(None),) + tuple(g.mu.T)] = c
-    out = cube
+    out = _to_cube(g, coeffs.data)
     for axis in range(g.d):
         h_tab = hermite_all(g.K, axes[axis + 1])      # (K+1, n_axis)
         # consumes the leftmost remaining degree axis, appends the point axis,

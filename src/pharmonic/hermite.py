@@ -26,7 +26,6 @@ The closed form is evaluated in log space so that moderately large
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iterproduct
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -231,7 +230,3 @@ def mehler_partial_sum(K_sum: int, r: float, x, xp, d: int) -> np.ndarray:
         acc = acc + (r ** k) * shell
     return acc
 
-
-def _all_tuples(d: int, kmax: int):
-    """Iterate over N^d tuples with every entry <= kmax (grid order)."""
-    return _iterproduct(range(kmax + 1), repeat=d)

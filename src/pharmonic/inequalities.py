@@ -26,13 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concurrency import map_ordered
 from .errors import (DomainError, InvalidParameterError, QuadratureError,
                      ResolutionWarning)
 from .grid import (Field, Grid, UniformBox, box_lp_norm, lp_norm, make_grid,
                    resample)
 from .heat_kernel import frac_power_kernel, k_alpha, t_quadrature
-from .ladder import grad_H
+from .ladder import _grad_components
 from .report import Report
 from .sobolev import TestFamily, potential_norm
 from .spectral import spectral_frac_power
@@ -150,6 +149,14 @@ def _measured_box(members: list[Field], counts: tuple[int, ...],
     return UniformBox(tuple(half), tuple(counts))
 
 
+def _split_members(family: TestFamily,
+                   g: Grid) -> tuple[list[Field], list[Field]]:
+    """The base members and the rest of the four-fold family, built
+    once: member i depends only on (seed, i)."""
+    members = family.resized(4 * family.count).members(g)
+    return members[:family.count], members[family.count:]
+
+
 def _refined(box: UniformBox) -> UniformBox:
     return UniformBox(box.half_widths, tuple(2 * n for n in box.counts))
 
@@ -173,7 +180,10 @@ def _sup_stats(rep: Report, name: str, base: list[float],
 
 
 def _grad_norm(f: Field, p: float) -> float:
-    return sum(lp_norm(c, p) for c in grad_H(f))
+    # streamed: the 2d+1 components of a d = 3 member are ~118 MB when
+    # held together, and freeing that much at once lets the allocator
+    # return it to the OS, to be faulted back in for the next member
+    return sum(lp_norm(c, p) for c in _grad_components(f))
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +219,11 @@ def _hls_core(alpha: float, p: float, q: float, d: int, shift: float,
     g = grid if grid is not None else _default_grid(d)
     if g.d != d:
         raise InvalidParameterError("grid dimension does not match d")
-    base = family.members(g)
-    extra = family.resized(4 * family.count).members(g)[family.count:]
+    base, extra = _split_members(family, g)
     box = _measured_box(base, counts or _default_counts(d))
     fine = _refined(box)
-    got = map_ordered(
-        lambda f: _ratio_hls(f, alpha, p, q, box, fine, shift), base)
-    got_e = map_ordered(
-        lambda f: _ratio_hls(f, alpha, p, q, box, None, shift), extra)
+    got = [_ratio_hls(f, alpha, p, q, box, fine, shift) for f in base]
+    got_e = [_ratio_hls(f, alpha, p, q, box, None, shift) for f in extra]
     worst = max(r for r, _, _ in got + got_e)
     rep = Report(suite="hls",
                  params={"alpha": alpha, "p": p, "q": q, "d": d,
@@ -298,12 +305,11 @@ def gns_check(p: float, q: float, d: int, family: TestFamily,
     g = grid if grid is not None else _default_grid(d)
     if g.d != d:
         raise InvalidParameterError("grid dimension does not match d")
-    base = family.members(g)
-    extra = family.resized(4 * family.count).members(g)[family.count:]
+    base, extra = _split_members(family, g)
     box = _measured_box(base, counts or _default_counts(d))
     fine = _refined(box)
-    got = map_ordered(lambda f: _ratio_gns(f, p, q, box, fine), base)
-    got_e = map_ordered(lambda f: _ratio_gns(f, p, q, box, None), extra)
+    got = [_ratio_gns(f, p, q, box, fine) for f in base]
+    got_e = [_ratio_gns(f, p, q, box, None) for f in extra]
     rep = Report(suite="gns",
                  params={"p": p, "q": q, "d": d, "kind": family.kind,
                          "count": family.count, "seed": family.seed})
@@ -357,8 +363,7 @@ def hardy_check(alpha: float, p: float, d: int, family: TestFamily,
     g = grid if grid is not None else _default_grid(d)
     if g.d != d:
         raise InvalidParameterError("grid dimension does not match d")
-    base = family.members(g)
-    extra = family.resized(4 * family.count).members(g)[family.count:]
+    base, extra = _split_members(family, g)
     box = _measured_box(base, counts or _default_counts(d))
     fine = _refined(box)
     w0 = _singular_weight(box, alpha)
@@ -376,8 +381,8 @@ def hardy_check(alpha: float, p: float, d: int, family: TestFamily,
         gden = _grad_norm(f, p) if grad_variant else math.inf
         return num0, num1, den, gden
 
-    got = map_ordered(lambda f: worker(f, True), base)
-    got_e = map_ordered(lambda f: worker(f, False), extra)
+    got = [worker(f, True) for f in base]
+    got_e = [worker(f, False) for f in extra]
     rep = Report(suite="hardy",
                  params={"alpha": alpha, "p": p, "d": d,
                          "kind": family.kind, "count": family.count,
@@ -580,8 +585,7 @@ def hls_endpoint_demo(which: str, alpha: float, d: int, exponent: float,
         sigs = [1.0] * levels if control \
             else [2.0 ** -n for n in range(levels)]
         t, w = t_quadrature(0.5 * alpha, 0.0, d).nodes()
-        norms = map_ordered(
-            lambda s: _l1_image_q_norm(s, alpha, q, t, w), sigs)
+        norms = [_l1_image_q_norm(s, alpha, q, t, w) for s in sigs]
         expected_divergent = (not control) and q >= q_star - 1e-12
         notes = [f"sigma = {s:g}, q = {q:g}" for s in sigs]
         _trend(rep, norms, "norm_level_", notes, expected_divergent,
@@ -599,10 +603,9 @@ def hls_endpoint_demo(which: str, alpha: float, d: int, exponent: float,
             img = spectral_frac_power(f, -0.5 * alpha)
             return lp_norm(img, np.inf) / lp_norm(f, p)
 
-        base = map_ordered(ratio, fam.members(g))
-        ext = map_ordered(ratio, fam.resized(32).members(g)[8:])
-        sup_b = max(base)
-        sup_a = max([sup_b] + ext)
+        base, extra = _split_members(fam, g)
+        sup_b = max(ratio(f) for f in base)
+        sup_a = max([sup_b] + [ratio(f) for f in extra])
         growth = sup_a / sup_b
         rep.add("bounded_sup", sup_a, None, bool(np.isfinite(sup_a)),
                 note=f"sup |H^(-a/2)f|_inf / |f|_p, p > p* = {p_star:g}")
@@ -623,7 +626,7 @@ def hls_endpoint_demo(which: str, alpha: float, d: int, exponent: float,
                 True, note=f"witness membership |f|_p, p = {p:g} <= "
                            f"p* = {p_star:g}, eps = {_PROFILE_EPS:g}")
     deltas = [2.0 ** -(m + 2) for m in range(levels)]
-    vals = map_ordered(lambda dl: _center_value(fr, dl, alpha), deltas)
+    vals = [_center_value(fr, dl, alpha) for dl in deltas]
     notes = [f"inner cutoff {dl:g}" for dl in deltas]
     _trend(rep, vals, "value_level_", notes, not control,
            _LINF_RATIO_FLOOR, f"p* = {p_star:.6g}")

@@ -19,6 +19,8 @@ F(H + 2) A_{-j}; A_0 commutes with the calculus outright.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from .errors import (
@@ -30,6 +32,7 @@ from .grid import Field, Grid, inner, lp_norm
 from .report import Report
 from .spectral import (
     SpectralCoeffs,
+    _to_cube,
     apply_multiplier,
     forward,
     inverse,
@@ -49,13 +52,6 @@ __all__ = [
 
 # input energy allowed on the top shell before raising is meaningless
 _RAISE_TAIL_TOL = 1e-8
-
-
-def _to_cube(coeffs: SpectralCoeffs) -> np.ndarray:
-    g = coeffs.grid
-    cube = np.zeros((g.N_rho,) + (g.K + 1,) * g.d, dtype=np.complex128)
-    cube[(slice(None),) + tuple(g.mu.T)] = coeffs.data
-    return cube
 
 
 def _from_cube(grid: Grid, cube: np.ndarray) -> SpectralCoeffs:
@@ -82,7 +78,7 @@ def apply_A(j: int, coeffs: SpectralCoeffs) -> SpectralCoeffs:
             raise TruncationError(
                 f"top degree shell carries {top / total:.3e} of the energy; "
                 "raising would drop it (refine K)")
-    cube = _to_cube(coeffs)
+    cube = _to_cube(g, coeffs.data)
     axis = abs(j)                       # cube axis for x_j is axis j
     out = np.zeros_like(cube)
     k = np.arange(g.K + 1)
@@ -120,12 +116,19 @@ def riesz_multi(jj: tuple[int, int], field: Field) -> Field:
     return inverse(apply_A(j1, apply_A(j2, c)))
 
 
-def grad_H(field: Field) -> list[Field]:
-    """The 2d+1 first-order components (A_0 f, A_1..A_d f, A_{-1}..A_{-d} f)."""
+def _grad_components(field: Field) -> Iterator[Field]:
+    """The components of grad_H one at a time, so a caller that only
+    reduces them holds one field-sized array, not 2d+1."""
     c = forward(field)
     order = [0] + list(range(1, field.grid.d + 1)) \
         + [-j for j in range(1, field.grid.d + 1)]
-    return [inverse(apply_A(j, c)) for j in order]
+    for j in order:
+        yield inverse(apply_A(j, c))
+
+
+def grad_H(field: Field) -> list[Field]:
+    """The 2d+1 first-order components (A_0 f, A_1..A_d f, A_{-1}..A_{-d} f)."""
+    return list(_grad_components(field))
 
 
 def _rel_residual(a: Field, b: Field) -> float:

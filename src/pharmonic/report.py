@@ -8,7 +8,7 @@ CSV/JSON lives in the command line front end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,10 @@ class Report:
     def failures(self) -> list[Metric]:
         return [m for m in self.metrics if not m.passed]
 
-    def extend(self, other: "Report") -> None:
-        self.metrics.extend(other.metrics)
+    def extend(self, other: "Report", prefix: str = "") -> None:
+        """Append other's metrics, each name prefixed with prefix."""
+        self.metrics.extend(replace(m, name=prefix + m.name)
+                            for m in other.metrics)
 
     def validate_finite(self) -> None:
         """Reports must never carry NaN values."""

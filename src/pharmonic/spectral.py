@@ -58,6 +58,15 @@ def _alt_sign(grid: Grid) -> np.ndarray:
     return (1 - 2 * (n & 1)).astype(np.float64)[:, None]
 
 
+def _to_cube(grid: Grid, data: np.ndarray) -> np.ndarray:
+    """Scatter (N_rho, n_mu) coefficients to the dense degree cube
+    (N_rho, K+1, ..., K+1), zero off the admissible multi-indices."""
+    cube = np.zeros((grid.N_rho,) + (grid.K + 1,) * grid.d,
+                    dtype=np.complex128)
+    cube[(slice(None),) + tuple(grid.mu.T)] = data
+    return cube
+
+
 def forward(field: Field) -> SpectralCoeffs:
     """Project onto the eigenbasis.
 
@@ -83,9 +92,7 @@ def inverse(coeffs: SpectralCoeffs) -> Field:
     """Evaluate the series back on the grid points."""
     g = coeffs.grid
     u = g.N_rho * np.fft.ifft(_alt_sign(g) * coeffs.data, axis=0)
-    cube = np.zeros((g.N_rho,) + (g.K + 1,) * g.d, dtype=np.complex128)
-    cube[(slice(None),) + tuple(g.mu.T)] = u
-    out = cube
+    out = _to_cube(g, u)
     for _ in range(g.d):
         out = np.tensordot(out, g.hermite_table, axes=([1], [0]))
     return Field(g, out)

