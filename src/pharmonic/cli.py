@@ -193,6 +193,9 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
 def _validate(cfg: SuiteConfig) -> None:
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
+    # open() takes an integer as a file descriptor to write and close
+    if cfg.out is not None and (not isinstance(cfg.out, str) or not cfg.out):
+        raise ConfigError("out must be a non-empty file path")
     # config files carry JSON types: true is an int to Python, and
     # strings or NaN would only fail deep inside a suite
     for name in ("d", "N_rho", "K", "M", "seed"):
@@ -376,7 +379,8 @@ def _suite_riesz(cfg: SuiteConfig) -> Report:
     rep = Report(suite="riesz",
                  params={"alpha": cfg.alpha, "p": cfg.p, "d": cfg.d,
                          "seed": cfg.seed})
-    rep.extend(inverse_riesz_check(fam.members(g)[0], cfg.p))
+    # member 0 depends only on (seed, 0): build it alone
+    rep.extend(inverse_riesz_check(fam.resized(1).members(g)[0], cfg.p))
     for j in (0, 1):
         rep.extend(riesz_on_potential_check(j, cfg.alpha, cfg.p, g, fam),
                    prefix=f"j{j}_")
@@ -428,8 +432,11 @@ def _suite_sobolev(cfg: SuiteConfig) -> Report:
     rep = Report(suite="sobolev-equivalence",
                  params={"d": cfg.d, "pairs": [list(pr) for pr in pairs],
                          "seed": cfg.seed})
+    # every pair scores the same enlarged family: build it once
+    members = fam.resized(4 * fam.count).members(g)
     for k, p in pairs:
-        rep.extend(equivalence_report(g, fam, k, p), prefix=f"k{k}p{p:g}_")
+        rep.extend(equivalence_report(g, fam, k, p, members=members),
+                   prefix=f"k{k}p{p:g}_")
     return rep
 
 

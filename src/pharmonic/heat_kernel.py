@@ -326,20 +326,27 @@ def _rho_heat_matrix(grid: Grid, t: float) -> np.ndarray:
     """Periodized free heat kernel matrix on the rho grid, weights folded in.
 
     Images beyond the window replicate the DFT's periodic continuation;
-    enough are taken that the truncation error is below 1e-15.
+    enough are taken that the truncation error is below 1e-15.  Entry
+    (i, j) depends only on the offset (i - j) mod N_rho, so the images
+    are summed once for the N_rho offsets k drho, k in [-N/2, N/2),
+    and the circulant matrix is indexed out of that row.
     """
     L = grid.L_rho
+    n = grid.N_rho
     m_max = int(np.ceil(np.sqrt(4.0 * t * 40.0) / (2 * L))) + 1
     if m_max > 32:
         warnings.warn(
             f"diffusion length at t = {t} needs {m_max} window images; "
             "capping at 32", TruncationWarning, stacklevel=3)
         m_max = 32
-    diff = grid.rho[:, None] - grid.rho[None, :]
-    acc = np.zeros_like(diff)
+    offsets = np.fft.fftfreq(n, d=1.0 / n)      # 0, 1, .., -N/2, .., -1
+    diff = offsets * grid.drho
+    row = np.zeros_like(diff)
     for m in range(-m_max, m_max + 1):
-        acc += np.exp(-(diff + 2.0 * L * m) ** 2 / (4.0 * t))
-    return acc * grid.drho / np.sqrt(4.0 * math.pi * t)
+        row += np.exp(-(diff + 2.0 * L * m) ** 2 / (4.0 * t))
+    row = row * grid.drho / np.sqrt(4.0 * math.pi * t)
+    k = np.arange(n)
+    return row[(k[:, None] - k[None, :]) % n]
 
 
 def _x_heat_matrix(grid: Grid, t: float) -> np.ndarray:
@@ -353,22 +360,48 @@ def _x_heat_matrix(grid: Grid, t: float) -> np.ndarray:
     return pref * np.exp(expo) * grid.weights_x[None, :]
 
 
+def _contract_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    """mat applied along one axis of a C-contiguous real array, in place
+    of that axis: one matmul on the (pre, n, post) view, no transpose."""
+    shape = arr.shape
+    n = shape[axis]
+    pre = math.prod(shape[:axis])
+    post = math.prod(shape[axis + 1:])
+    if post == 1:
+        return (arr.reshape(pre, n) @ mat.T).reshape(shape)
+    return np.matmul(mat, arr.reshape(pre, n, post)).reshape(shape)
+
+
 def heat_apply_kernel(field: Field, t: float) -> Field:
     """e^(-tH) f by physical-space quadrature of the kernel.
 
     rho by trapezoid with periodic images, each x axis by the
     compensated Gauss-Hermite rule; the kernel factorizes, so the cost
     is a matrix per axis rather than a dense (d+1)-dimensional one.
+    The kernel matrices are real, so they act on real arrays: the real
+    part alone when the imaginary part is zero (band-limited and
+    sampled Gaussian fields), otherwise the real and imaginary parts
+    stacked as two planes.  Axes are contracted in order rho, x_1, ..,
+    x_d, each by one matmul on a contiguous view.  A real-dtype field
+    gives a real-dtype result.
     """
     if t <= 0:
         raise InvalidParameterError("t must be positive")
     g = field.grid
-    out = np.tensordot(_rho_heat_matrix(g, t), field.values, axes=([1], [0]))
+    vals = field.values
+    parts = [vals.real]
+    if np.iscomplexobj(vals) and vals.imag.any():
+        parts.append(vals.imag)
+    out = _contract_axis(np.stack(parts), _rho_heat_matrix(g, t), 1)
     mx = _x_heat_matrix(g, t)
-    for _ in range(g.d):
-        # consume leading x axis, append transformed axis at the end
-        out = np.tensordot(out, mx, axes=([1], [1]))
-    return Field(g, out)
+    for axis in range(2, g.d + 2):
+        out = _contract_axis(out, mx, axis)
+    if not np.iscomplexobj(vals):
+        return Field(g, out[0])
+    res = np.empty(g.shape, dtype=np.complex128)
+    res.real = out[0]
+    res.imag = out[1] if len(parts) == 2 else 0.0
+    return Field(g, res)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +504,10 @@ def frac_power_kernel(field: Field, alpha: float, shift: float = 0.0) -> Field:
             - (tf ** (gamma_ + 3) / (6 * (gamma_ + 3))) * h3f
         acc = head.values.copy()
         for ti, wi in zip(t, w):
-            acc += wi * ti ** (gamma_ - 1.0) * math.exp(-ti * shift) \
-                * heat_apply_kernel(field, ti).values
+            # each apply returns a fresh array: scale it in place
+            term = heat_apply_kernel(field, ti).values
+            term *= wi * ti ** (gamma_ - 1.0) * math.exp(-ti * shift)
+            acc += term
         return Field(g, acc / math.gamma(gamma_))
 
     # 0 < alpha < 1: int_0^tf t^(-alpha) H e^(-tH) f dt termwise

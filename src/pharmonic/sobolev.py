@@ -192,15 +192,24 @@ def _nonzero(value: float) -> bool:
 
 def equivalence_report(grid: Grid, family: TestFamily, k: int, p: float,
                        enlarged: int | None = None,
-                       growth_limit: float = 2.0) -> Report:
+                       growth_limit: float = 2.0,
+                       members: list[Field] | None = None) -> Report:
     """Bracket of ladder_norm / potential_norm over the family.
 
     PASS iff the ratios stay in (0, inf) and the bracket width grows by
     less than growth_limit when the family is enlarged (default 4x the
-    base count).
+    base count).  A caller scoring several (k, p) pairs may pass the
+    enlarged family's members, built once; they are built here
+    otherwise.
     """
     if enlarged is None:
         enlarged = 4 * family.count
+    n_members = max(family.count, enlarged)
+    if members is None:
+        members = family.resized(n_members).members(grid)
+    elif len(members) < n_members:
+        raise InvalidParameterError(
+            f"{len(members)} members given, {n_members} needed")
     rep = Report(suite="sobolev-equivalence",
                  params={"d": grid.d, "k": k, "p": p, "kind": family.kind,
                          "count": family.count, "enlarged": enlarged,
@@ -214,8 +223,7 @@ def equivalence_report(grid: Grid, family: TestFamily, k: int, p: float,
 
     # member i depends only on (seed, i), so both families are heads of
     # the larger one: score it once and slice
-    members = family.resized(max(family.count, enlarged)).members(grid)
-    vals = np.array([one(f) for f in members])
+    vals = np.array([one(f) for f in members[:n_members]])
     base = vals[:family.count][np.isfinite(vals[:family.count])]
     wide = vals[:enlarged][np.isfinite(vals[:enlarged])]
     lo, hi = float(wide.min()), float(wide.max())

@@ -131,8 +131,8 @@ class TestExitCodes:
             main(["--suite", "mehler", "--format", "yaml"])
         assert exc.value.code == 2
 
-    # config files bypass argparse's typing: JSON strings, true and NaN
-    # must be refused before any suite runs
+    # config files bypass argparse's typing: JSON strings, true, NaN and
+    # non-string paths must be refused before any suite runs
     @pytest.mark.parametrize("config", [
         '{"suite": "hls", "alpha": "x"}',
         '{"suite": "inclusions", "p": "2"}',
@@ -140,6 +140,11 @@ class TestExitCodes:
         '{"suite": "mehler", "tol": NaN}',
         '{"suite": "semigroup", "d": true}',
         '{"suite": "mehler", "seed": true}',
+        # an integer out would be opened as a file descriptor
+        '{"suite": "mehler", "out": 99}',
+        '{"suite": "mehler", "out": 2}',
+        '{"suite": "mehler", "out": ["a"]}',
+        '{"suite": "mehler", "out": ""}',
     ])
     def test_mistyped_config_value_exits_two(self, config, tmp_path,
                                              capsys):

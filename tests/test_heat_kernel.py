@@ -6,10 +6,13 @@ B = coth(2t)(|x|^2+|x'|^2)/2 - x.x'/sinh(2t) + (rho-rho')^2/(4t) as an
 independent path to the quadratic form.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pharmonic import (
     DomainError,
@@ -25,6 +28,7 @@ from pharmonic import (
     kernel_bound_report,
     lp_norm,
     make_grid,
+    mode_field,
     psi_alpha,
     sample,
     sample_pairs,
@@ -33,7 +37,7 @@ from pharmonic import (
     t_quadrature,
 )
 from pharmonic.grid import Field
-from pharmonic.heat_kernel import _gl_panels, log_heat_kernel_E
+from pharmonic.heat_kernel import _gl_panels, _x_heat_matrix, log_heat_kernel_E
 
 B_PAIR_ORACLE = 0.8439639393033420      # t=0.5, z=(0.3,1.2), z'=(-0.4,0.5)
 E_PAIR_ORACLE = 0.06312990531165657
@@ -147,29 +151,53 @@ class TestKernelFormula:
             assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
+def dense_apply(field, t, images):
+    """e^(-tH) f as one dense quadrature of heat_kernel_E over the grid,
+    summing the rho images m = -images..images of the periodic window."""
+    g = field.grid
+    mesh = np.stack(np.meshgrid(g.rho, *([g.nodes_x] * g.d), indexing="ij"),
+                    axis=-1).reshape(-1, g.d + 1)
+    dense = np.zeros((mesh.shape[0], mesh.shape[0]))
+    for m in range(-images, images + 1):
+        shifted = mesh.copy()
+        shifted[:, 0] += 2.0 * g.L_rho * m
+        dense += heat_kernel_E(t, shifted[:, None, :], mesh[None, :, :])
+    wq = np.tile((g.drho * g.x_weight()).ravel(), g.N_rho)
+    return ((dense * wq[None, :]) @ field.values.ravel()).reshape(g.shape)
+
+
+def assert_matches_dense(out, ref):
+    scale = np.abs(ref).max()
+    np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-14 * scale)
+
+
+def tensordot_apply(field, t):
+    """The apply as first written: the full N^2 image sum in rho and one
+    tensordot per axis, kept as the reference for the factored kernel."""
+    g = field.grid
+    m_max = min(int(np.ceil(np.sqrt(4.0 * t * 40.0) / (2 * g.L_rho))) + 1, 32)
+    diff = g.rho[:, None] - g.rho[None, :]
+    acc = np.zeros_like(diff)
+    for m in range(-m_max, m_max + 1):
+        acc += np.exp(-(diff + 2.0 * g.L_rho * m) ** 2 / (4.0 * t))
+    rho_mat = acc * g.drho / np.sqrt(4.0 * math.pi * t)
+    out = np.tensordot(rho_mat, field.values, axes=([1], [0]))
+    mx = _x_heat_matrix(g, t)
+    for _ in range(g.d):
+        out = np.tensordot(out, mx, axes=([1], [1]))
+    return out
+
+
 class TestHeatApply:
     def test_matches_dense_kernel_matrix(self):
         # the factorized per-axis application must equal a dense
         # quadrature of E itself (images are negligible at this t, L)
         g = make_grid(d=1, N_rho=32, L_rho=10.0, K=10, M=14)
-        rng = np.random.default_rng(3)
         f = sample(g, lambda r, x: np.exp(-0.4 * r ** 2 - 0.6 * x ** 2
                                           + 0.3 * x))
-        t = 0.3
-        mesh = np.stack(np.meshgrid(g.rho, g.nodes_x, indexing="ij"),
-                        axis=-1).reshape(-1, 2)
-        dense = np.zeros((mesh.shape[0], mesh.shape[0]))
-        for m in (-1, 0, 1):   # same periodic continuation across the cut
-            shifted = mesh.copy()
-            shifted[:, 0] += 2.0 * g.L_rho * m
-            dense += heat_kernel_E(t, shifted[:, None, :], mesh[None, :, :])
-        wq = (np.full(g.N_rho, g.drho)[:, None]
-              * g.weights_x[None, :]).ravel()
-        out_dense = (dense * wq[None, :]) @ f.values.ravel()
-        out = heat_apply_kernel(f, t)
-        scale = np.abs(out_dense).max()
-        np.testing.assert_allclose(out.values.ravel(), out_dense,
-                                   rtol=1e-12, atol=1e-14 * scale)
+        # one image each side: the same periodic continuation across the cut
+        assert_matches_dense(heat_apply_kernel(f, 0.3).values,
+                             dense_apply(f, 0.3, images=1))
 
     def test_ground_mode_eigenvalue(self):
         g = make_grid(d=1, N_rho=64, L_rho=10.0, K=6, M=24)
@@ -211,6 +239,64 @@ class TestHeatApply:
         f = sample(g, lambda r, x: np.exp(-r ** 2 - x ** 2))
         with pytest.raises(InvalidParameterError):
             heat_apply_kernel(f, 0.0)
+
+
+class TestHeatApplyFactored:
+    """The real-plane, per-axis matmul apply against independent routes."""
+
+    def test_complex_field_matches_dense(self):
+        g = make_grid(d=1, N_rho=16, L_rho=6.0, K=8, M=12)
+        f = mode_field(g, 3, (1,)) + sample(
+            g, lambda r, x: np.exp(-0.5 * r ** 2 - 0.5 * x ** 2))
+        assert np.abs(f.values.imag).max() > 0.1
+        out = heat_apply_kernel(f, 0.4)
+        assert out.values.dtype == np.complex128
+        assert_matches_dense(out.values, dense_apply(f, 0.4, images=2))
+
+    def test_large_time_short_window_matches_dense(self):
+        # t = 5 on a window of length 4 needs 9 images each side: the
+        # circulant row must carry the wrap of every one of them
+        g = make_grid(d=1, N_rho=16, L_rho=2.0, K=6, M=10)
+        f = sample(g, lambda r, x: np.exp(-r ** 2 - 0.5 * x ** 2 + 0.4 * r))
+        out = heat_apply_kernel(f, 5.0)
+        assert_matches_dense(out.values, dense_apply(f, 5.0, images=12))
+
+    def test_d2_matches_dense(self):
+        g = make_grid(d=2, N_rho=8, L_rho=5.0, K=5, M=8)
+        f = sample(g, lambda r, x, y: np.exp(-0.5 * (r ** 2 + x ** 2 + y ** 2)
+                                             + 0.3 * x * y - 0.2 * r))
+        out = heat_apply_kernel(f, 0.3)
+        assert_matches_dense(out.values, dense_apply(f, 0.3, images=2))
+
+    def test_real_dtype_kept(self):
+        g = make_grid(d=1, N_rho=16, L_rho=6.0, K=8, M=12)
+        f = Field(g, np.exp(-0.5 * g.rho[:, None] ** 2
+                            - 0.5 * g.nodes_x[None, :] ** 2))
+        out = heat_apply_kernel(f, 0.7)
+        assert out.values.dtype == np.float64
+        assert_matches_dense(out.values, dense_apply(f, 0.7, images=2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), log2_n=st.integers(1, 4),
+           m=st.integers(2, 7), L=st.floats(1.0, 10.0),
+           log_t=st.floats(-3.0, 1.3), imag=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_tensordot_reference(self, d, log2_n, m, L, log_t, imag,
+                                        seed):
+        # t <= 20 with L >= 1 keeps the image count under the cap of
+        # 32, where the periodized matrix is exactly circulant
+        g = make_grid(d=d, N_rho=2 ** log2_n, L_rho=L, K=m - 1, M=m)
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal(g.shape) + 0j
+        if imag:
+            values += 1j * rng.standard_normal(g.shape)
+        f = Field(g, values)
+        t = 10.0 ** log_t
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = heat_apply_kernel(f, t).values
+        ref = tensordot_apply(f, t)
+        assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestKAlpha:

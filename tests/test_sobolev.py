@@ -155,6 +155,16 @@ class TestEquivalence:
         vals = {m.name: m.value for m in rep.metrics}
         assert 0 < vals["ratio_min"] <= vals["ratio_max"] < 20
 
+    def test_prebuilt_members_give_the_same_report(self, g1):
+        fam = TestFamily("gaussian", 3, seed=4)
+        members = fam.resized(12).members(g1)
+        built = equivalence_report(g1, fam, 1, 2.0)
+        given = equivalence_report(g1, fam, 1, 2.0, members=members)
+        assert [(m.name, m.value) for m in given.metrics] == \
+            [(m.name, m.value) for m in built.metrics]
+        with pytest.raises(InvalidParameterError):
+            equivalence_report(g1, fam, 1, 2.0, members=members[:11])
+
     def test_ground_mode_ratio_exact(self, g1):
         f = mode_field(g1, 0, (0,))
         ratio = ladder_norm(f, 1, 2.0) / potential_norm(f, 1.0, 2.0)
