@@ -12,6 +12,7 @@ integrand that decays at least like a Gaussian.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -232,12 +233,37 @@ class UniformBox:
         return list(np.meshgrid(*self.axes(), indexing="ij"))
 
     def radius_sq(self) -> np.ndarray:
-        rr = 0.0
-        for i, ax in enumerate(self.axes()):
-            shp = [1] * self.ndim
-            shp[i] = ax.size
-            rr = rr + ax.reshape(shp) ** 2
-        return rr
+        return _sum_sq(self.axes())
+
+
+def _sum_sq(axes) -> np.ndarray:
+    """sum_i a_i^2 over the tensor grid of the 1-D arrays axes, axis i
+    of the result running along axes[i]."""
+    out = 0.0
+    for i, ax in enumerate(axes):
+        shp = [1] * len(axes)
+        shp[i] = ax.size
+        out = out + ax.reshape(shp) ** 2
+    return out
+
+
+def _contract_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    """The (m, n) matrix mat applied along one length-n axis of a
+    C-contiguous array, a length-m axis in its place: one matmul on the
+    (pre, n, post) view, a single 2-D GEMM when post = 1, no transpose.
+
+    The eigenbasis and the heat kernel both factor into one matrix per
+    axis (sum factorisation), so every transform and kernel apply on
+    the mixed grid is a sequence of these contractions.
+    """
+    shape = arr.shape
+    n = shape[axis]
+    pre = math.prod(shape[:axis])
+    post = math.prod(shape[axis + 1:])
+    out_shape = shape[:axis] + (mat.shape[0],) + shape[axis + 1:]
+    if post == 1:
+        return (arr.reshape(pre, n) @ mat.T).reshape(out_shape)
+    return np.matmul(mat, arr.reshape(pre, n, post)).reshape(out_shape)
 
 
 def box_lp_norm(values: np.ndarray, box: UniformBox, p: float,
@@ -273,7 +299,9 @@ def resample(field: Field, box: UniformBox, tail_tol: float = 1e-6) -> np.ndarra
     The box must have 1 + d axes matching the field's grid.  Warns with
     TruncationWarning when the relative coefficient energy in the top
     Hermite shell or the top rho-frequency ring exceeds tail_tol, since
-    the series truncation then limits off-grid accuracy.
+    the series truncation then limits off-grid accuracy.  The series is
+    summed one axis at a time: h_k at the box points on x_1, .., x_d,
+    then the rho plane waves.
     """
     # layering: the transform lives one level up
     from .spectral import _to_cube, forward, tail_energy
@@ -289,13 +317,8 @@ def resample(field: Field, box: UniformBox, tail_tol: float = 1e-6) -> np.ndarra
             "resampled values limited by series truncation",
             TruncationWarning, stacklevel=2)
     axes = box.axes()
-    # scatter to the dense degree cube, then contract axis by axis
     out = _to_cube(g, coeffs.data)
-    for axis in range(g.d):
-        h_tab = hermite_all(g.K, axes[axis + 1])      # (K+1, n_axis)
-        # consumes the leftmost remaining degree axis, appends the point axis,
-        # so after d passes the shape is (N_rho, n_1, ..., n_d)
-        out = np.tensordot(out, h_tab, axes=([1], [0]))
+    for axis in range(1, g.d + 1):
+        out = _contract_axis(out, hermite_all(g.K, axes[axis]).T, axis)
     phases = np.exp(1j * np.outer(axes[0], g.tau))    # (n_rho_box, N_rho)
-    out = np.tensordot(phases, out, axes=([1], [0]))
-    return out
+    return _contract_axis(out, phases, 0)

@@ -32,7 +32,7 @@ from .errors import (
     SingularPointError,
     TruncationWarning,
 )
-from .grid import Field, Grid
+from .grid import Field, Grid, _contract_axis
 from .report import Report
 
 __all__ = [
@@ -360,18 +360,6 @@ def _x_heat_matrix(grid: Grid, t: float) -> np.ndarray:
     return pref * np.exp(expo) * grid.weights_x[None, :]
 
 
-def _contract_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    """mat applied along one axis of a C-contiguous real array, in place
-    of that axis: one matmul on the (pre, n, post) view, no transpose."""
-    shape = arr.shape
-    n = shape[axis]
-    pre = math.prod(shape[:axis])
-    post = math.prod(shape[axis + 1:])
-    if post == 1:
-        return (arr.reshape(pre, n) @ mat.T).reshape(shape)
-    return np.matmul(mat, arr.reshape(pre, n, post)).reshape(shape)
-
-
 def heat_apply_kernel(field: Field, t: float) -> Field:
     """e^(-tH) f by physical-space quadrature of the kernel.
 
@@ -382,8 +370,8 @@ def heat_apply_kernel(field: Field, t: float) -> Field:
     part alone when the imaginary part is zero (band-limited and
     sampled Gaussian fields), otherwise the real and imaginary parts
     stacked as two planes.  Axes are contracted in order rho, x_1, ..,
-    x_d, each by one matmul on a contiguous view.  A real-dtype field
-    gives a real-dtype result.
+    x_d by grid._contract_axis, each in place.  A real-dtype field gives
+    a real-dtype result.
     """
     if t <= 0:
         raise InvalidParameterError("t must be positive")

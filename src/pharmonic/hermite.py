@@ -171,10 +171,6 @@ def projection_kernel(k: int, x, xp) -> np.ndarray:
     return out
 
 
-def _sum_sq(x: np.ndarray) -> np.ndarray:
-    return np.sum(x * x, axis=-1)
-
-
 def mehler_closed_form(r: float, x, xp, d: int) -> np.ndarray:
     """Closed-form value of sum_k r^k Phi_k(x, x'), 0 < r < 1.
 
@@ -188,7 +184,8 @@ def mehler_closed_form(r: float, x, xp, d: int) -> np.ndarray:
         raise InvalidParameterError("x, x' must have last axis of length d")
     one_minus = 1.0 - r * r
     log_pref = -0.5 * d * (np.log(np.pi) + np.log(one_minus))
-    quad = -0.5 * ((1.0 + r * r) / one_minus) * (_sum_sq(x) + _sum_sq(xp)) \
+    sq = np.sum(x * x, axis=-1) + np.sum(xp * xp, axis=-1)
+    quad = -0.5 * ((1.0 + r * r) / one_minus) * sq \
         + (2.0 * r / one_minus) * np.sum(x * xp, axis=-1)
     return np.exp(log_pref + quad)
 

@@ -30,7 +30,8 @@ from .errors import (DomainError, InvalidParameterError, QuadratureError,
                      ResolutionWarning)
 from .grid import (Field, Grid, UniformBox, box_lp_norm, lp_norm, make_grid,
                    resample)
-from .heat_kernel import frac_power_kernel, k_alpha, t_quadrature
+from .heat_kernel import (_gl_panels, frac_power_kernel, k_alpha,
+                          t_quadrature)
 from .ladder import _grad_components
 from .report import Report
 from .sobolev import TestFamily, potential_norm
@@ -507,11 +508,7 @@ def _polar_nodes(r_lo: float, r_hi: float, n_theta: int = 32,
                  order: int = 10):
     n_pan = max(2, int(np.ceil(np.log2(r_hi / r_lo))))
     edges = r_lo * (r_hi / r_lo) ** (np.arange(n_pan + 1) / n_pan)
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    r = np.concatenate([0.5 * (b - a) * xg + 0.5 * (a + b)
-                        for a, b in zip(edges, edges[1:])])
-    wr = np.concatenate([np.full(order, 0.5 * (b - a)) * wg
-                         for a, b in zip(edges, edges[1:])])
+    r, wr = _gl_panels(edges, order)
     th = 2.0 * np.pi * np.arange(n_theta) / n_theta
     return r, wr, th, 2.0 * np.pi / n_theta
 

@@ -28,10 +28,11 @@ from .errors import (
     SingularMultiplierError,
     TruncationError,
 )
-from .grid import Field, Grid, inner, lp_norm
+from .grid import Field, inner, lp_norm
 from .report import Report
 from .spectral import (
     SpectralCoeffs,
+    _from_cube,
     _to_cube,
     apply_multiplier,
     forward,
@@ -52,10 +53,6 @@ __all__ = [
 
 # input energy allowed on the top shell before raising is meaningless
 _RAISE_TAIL_TOL = 1e-8
-
-
-def _from_cube(grid: Grid, cube: np.ndarray) -> SpectralCoeffs:
-    return SpectralCoeffs(grid, cube[(slice(None),) + tuple(grid.mu.T)])
 
 
 def apply_A(j: int, coeffs: SpectralCoeffs) -> SpectralCoeffs:
@@ -80,25 +77,18 @@ def apply_A(j: int, coeffs: SpectralCoeffs) -> SpectralCoeffs:
                 "raising would drop it (refine K)")
     cube = _to_cube(g, coeffs.data)
     axis = abs(j)                       # cube axis for x_j is axis j
+    low = [slice(None)] * cube.ndim
+    high = [slice(None)] * cube.ndim
+    low[axis] = slice(0, g.K)
+    high[axis] = slice(1, g.K + 1)
+    # raising moves degree k-1 to k, lowering k to k-1; both scale by sqrt(2k)
+    src, dst = (low, high) if j > 0 else (high, low)
+    shape = [1] * cube.ndim
+    shape[axis] = g.K
     out = np.zeros_like(cube)
-    k = np.arange(g.K + 1)
-    if j > 0:
-        src = [slice(None)] * cube.ndim
-        dst = [slice(None)] * cube.ndim
-        src[axis] = slice(0, g.K)
-        dst[axis] = slice(1, g.K + 1)
-        shape = [1] * cube.ndim
-        shape[axis] = g.K
-        out[tuple(dst)] = np.sqrt(2.0 * k[1:]).reshape(shape) * cube[tuple(src)]
-    else:
-        src = [slice(None)] * cube.ndim
-        dst = [slice(None)] * cube.ndim
-        src[axis] = slice(1, g.K + 1)
-        dst[axis] = slice(0, g.K)
-        shape = [1] * cube.ndim
-        shape[axis] = g.K
-        out[tuple(dst)] = np.sqrt(2.0 * (k[:g.K] + 1)).reshape(shape) * cube[tuple(src)]
-    return _from_cube(g, out)
+    out[tuple(dst)] = (np.sqrt(2.0 * np.arange(1, g.K + 1)).reshape(shape)
+                       * cube[tuple(src)])
+    return SpectralCoeffs(g, _from_cube(g, out))
 
 
 def riesz(j: int, field: Field) -> Field:

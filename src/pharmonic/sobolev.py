@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import (InvalidParameterError, ResolutionWarning,
                      TruncationWarning)
-from .grid import (Field, Grid, UniformBox, box_lp_norm, inner, lp_norm,
-                   resample, sample)
+from .grid import (Field, Grid, UniformBox, _sum_sq, box_lp_norm, inner,
+                   lp_norm, resample, sample)
 from .hermite import hermite_eval
 from .ladder import apply_A
 from .report import Report
@@ -268,13 +268,7 @@ def riesz_on_potential_check(j: int, alpha: float, p: float, grid: Grid,
 
 def _space_weight(box: UniformBox, alpha: float) -> np.ndarray:
     # |x|^alpha on the box, broadcast over the rho axis
-    axes = box.axes()
-    sq = np.zeros(box.counts[1:])
-    for k in range(1, box.ndim):
-        shp = [1] * (box.ndim - 1)
-        shp[k - 1] = box.counts[k]
-        sq = sq + axes[k].reshape(shp) ** 2
-    return (sq ** (alpha / 2.0))[None, ...]
+    return (_sum_sq(box.axes()[1:]) ** (alpha / 2.0))[None, ...]
 
 
 def weighted_decay_check(alpha: float, p: float, grid: Grid,
@@ -341,11 +335,7 @@ def inclusion_chain_check(grid: Grid, family: TestFamily,
     rep = Report(suite="sobolev-equivalence",
                  params={"d": grid.d, "kind": family.kind,
                          "seed": family.seed})
-    zeta_sq = np.zeros(box.counts)
-    for k in range(box.ndim):
-        shp = [1] * box.ndim
-        shp[k] = box.counts[k]
-        zeta_sq = zeta_sq + box.freq_axes()[k].reshape(shp) ** 2
+    zeta_sq = _sum_sq(box.freq_axes())
     rho = box.axes()[0].reshape((-1,) + (1,) * (box.ndim - 1))
 
     def forms(f: Field):
@@ -384,12 +374,8 @@ def _bessel_power(values: np.ndarray, box: UniformBox,
                   alpha: float) -> np.ndarray:
     """(I - Laplacian)^(alpha/2) by the full Fourier multiplier."""
     fhat = np.fft.fftn(values)
-    mult = np.zeros(box.counts)
-    for k in range(box.ndim):
-        shp = [1] * box.ndim
-        shp[k] = box.counts[k]
-        mult = mult + box.freq_axes()[k].reshape(shp) ** 2
-    return np.fft.ifftn((1.0 + mult) ** (alpha / 2.0) * fhat)
+    return np.fft.ifftn((1.0 + _sum_sq(box.freq_axes())) ** (alpha / 2.0)
+                        * fhat)
 
 
 def strict_inclusion_demo(which: str, alpha: float, p: float,

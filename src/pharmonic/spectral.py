@@ -23,7 +23,7 @@ from .errors import (
     SingularMultiplierError,
     TruncationWarning,
 )
-from .grid import Field, Grid
+from .grid import Field, Grid, _contract_axis
 
 __all__ = [
     "SpectralCoeffs",
@@ -67,34 +67,39 @@ def _to_cube(grid: Grid, data: np.ndarray) -> np.ndarray:
     return cube
 
 
+def _from_cube(grid: Grid, cube: np.ndarray) -> np.ndarray:
+    """Gather the admissible multi-indices of a (N_rho, K+1, ..., K+1)
+    degree cube into the (N_rho, n_mu) coefficient layout."""
+    return cube[(slice(None),) + tuple(grid.mu.T)]
+
+
 def forward(field: Field) -> SpectralCoeffs:
     """Project onto the eigenbasis.
 
     Exact (to rounding) for fields that are band-limited in rho and of
     Hermite degree <= K in x: the compensated Gauss-Hermite rule with
     M >= K + 1 nodes integrates the degree <= 2K products exactly, and
-    the DFT is alias-free below the Nyquist ring.
+    the DFT is alias-free below the Nyquist ring.  Each x axis is
+    projected in place, x_1 first, then the admissible degrees are
+    gathered and the rho axis transformed by the FFT.
     """
     g = field.grid
-    u = field.values
-    # x-projections, one tensor contraction per axis: consume the leading
-    # x axis against (h_k(node) * weight), appending a degree axis at the end
     wtab = g.hermite_table * g.weights_x[None, :]     # (K+1, M)
-    for _ in range(g.d):
-        u = np.tensordot(u, wtab, axes=([1], [1]))
-    # u: (N_rho, K+1, ..., K+1); gather the admissible multi-indices
-    u = u[(slice(None),) + tuple(g.mu.T)]             # (N_rho, n_mu)
-    c = _alt_sign(g) * np.fft.fft(u, axis=0) / g.N_rho
+    u = field.values
+    for axis in range(1, g.d + 1):
+        u = _contract_axis(u, wtab, axis)
+    c = _alt_sign(g) * np.fft.fft(_from_cube(g, u), axis=0) / g.N_rho
     return SpectralCoeffs(g, c)
 
 
 def inverse(coeffs: SpectralCoeffs) -> Field:
-    """Evaluate the series back on the grid points."""
+    """Evaluate the series back on the grid points: inverse FFT in rho,
+    scatter to the degree cube, then h_k(node) on x_1, .., x_d in place."""
     g = coeffs.grid
     u = g.N_rho * np.fft.ifft(_alt_sign(g) * coeffs.data, axis=0)
     out = _to_cube(g, u)
-    for _ in range(g.d):
-        out = np.tensordot(out, g.hermite_table, axes=([1], [0]))
+    for axis in range(1, g.d + 1):
+        out = _contract_axis(out, g.hermite_table.T, axis)
     return Field(g, out)
 
 

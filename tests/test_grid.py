@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pharmonic import (
     Field,
@@ -16,6 +18,7 @@ from pharmonic import (
     resample,
     sample,
 )
+from pharmonic.grid import _sum_sq
 
 
 def test_make_grid_shapes():
@@ -115,6 +118,18 @@ def test_uniform_box_basics():
         UniformBox((4.0,), (7,))  # odd count
     with pytest.raises(InvalidParameterError):
         UniformBox((-1.0,), (8,))
+
+
+@settings(max_examples=50, deadline=None)
+@given(sizes=st.lists(st.integers(1, 7), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sum_sq_matches_meshgrid(sizes, seed):
+    rng = np.random.default_rng(seed)
+    axes = [rng.standard_normal(n) for n in sizes]
+    want = sum(m ** 2 for m in np.meshgrid(*axes, indexing="ij"))
+    out = _sum_sq(axes)
+    assert out.shape == want.shape
+    np.testing.assert_array_equal(out, want)
 
 
 def test_box_lp_norm_restrictions():
