@@ -217,7 +217,7 @@ def _validate(cfg: SuiteConfig) -> None:
         v = getattr(cfg, name)
         if v is not None and v <= 0:
             raise ConfigError(f"{name} must be positive")
-    for name in ("d", "N_rho", "K", "M"):
+    for name in ("d", "N_rho", "K", "M", "seed"):
         v = getattr(cfg, name)
         if v is not None and v < 0:
             raise ConfigError(f"{name} must be a nonnegative integer")
@@ -253,6 +253,8 @@ def _validate(cfg: SuiteConfig) -> None:
             raise ConfigError("inclusions needs 0 < alpha < 1")
         if not 1.0 < cfg.p < math.inf:
             raise ConfigError("inclusions needs 1 < p < inf")
+    if cfg.suite == "symbols" and (cfg.alpha == 0 or cfg.alpha >= 1):
+        raise ConfigError("symbols needs alpha < 0 or 0 < alpha < 1")
     if cfg.suite == "kernel-bounds" and cfg.alpha <= 0:
         raise ConfigError("kernel-bounds needs alpha > 0")
     if cfg.suite == "mehler" and cfg.K < 1:
@@ -379,10 +381,12 @@ def _suite_riesz(cfg: SuiteConfig) -> Report:
     rep = Report(suite="riesz",
                  params={"alpha": cfg.alpha, "p": cfg.p, "d": cfg.d,
                          "seed": cfg.seed})
-    # member 0 depends only on (seed, 0): build it alone
-    rep.extend(inverse_riesz_check(fam.resized(1).members(g)[0], cfg.p))
+    # both j score the same enlarged family; its head is member 0
+    members = fam.resized(4 * fam.count).members(g)
+    rep.extend(inverse_riesz_check(members[0], cfg.p))
     for j in (0, 1):
-        rep.extend(riesz_on_potential_check(j, cfg.alpha, cfg.p, g, fam),
+        rep.extend(riesz_on_potential_check(j, cfg.alpha, cfg.p, g, fam,
+                                            members=members),
                    prefix=f"j{j}_")
     return rep
 

@@ -237,9 +237,20 @@ def equivalence_report(grid: Grid, family: TestFamily, k: int, p: float,
 
 def riesz_on_potential_check(j: int, alpha: float, p: float, grid: Grid,
                              family: TestFamily,
-                             stability_limit: float = 1.5) -> Report:
-    """Empirical sup of ||R_j f||_(alpha,p) / ||f||_(alpha,p)."""
+                             stability_limit: float = 1.5,
+                             members: list[Field] | None = None) -> Report:
+    """Empirical sup of ||R_j f||_(alpha,p) / ||f||_(alpha,p).
+
+    A caller scoring several j may pass the enlarged (4x) family's
+    members, built once; they are built here otherwise.
+    """
     from .ladder import riesz
+    n_members = 4 * family.count
+    if members is None:
+        members = family.resized(n_members).members(grid)
+    elif len(members) < n_members:
+        raise InvalidParameterError(
+            f"{len(members)} members given, {n_members} needed")
     rep = Report(suite="sobolev-equivalence",
                  params={"j": j, "alpha": alpha, "p": p, "d": grid.d,
                          "kind": family.kind, "seed": family.seed})
@@ -251,7 +262,7 @@ def riesz_on_potential_check(j: int, alpha: float, p: float, grid: Grid,
         return potential_norm(riesz(j, f), alpha, p) / denom
 
     # the base family is the head of the enlarged one
-    vals = [one(f) for f in family.resized(4 * family.count).members(grid)]
+    vals = [one(f) for f in members[:n_members]]
     base = max(vals[:family.count])
     wide = max(vals)
     rep.add("operator_ratio_sup", wide, None, np.isfinite(wide),

@@ -18,10 +18,11 @@ every cross-route comparison would be off by that constant.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,7 +49,9 @@ __all__ = [
 
 
 def _broadcast_point(x, tau, xi, d: int):
-    """Normalize (x, tau, xi) to batch arrays (..., d), (...), (..., d)."""
+    """Normalize x and xi to (..., d) and tau to an array, and check that
+    the three batch shapes broadcast.  Nothing is broadcast here: the
+    evaluators keep tau apart from (x, xi)."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
     if x.shape[-1] != d:
@@ -62,10 +65,7 @@ def _broadcast_point(x, tau, xi, d: int):
         else:
             raise InvalidParameterError(f"xi must have last axis {d}")
     tau = np.asarray(tau, dtype=np.float64)
-    batch = np.broadcast_shapes(x.shape[:-1], tau.shape, xi.shape[:-1])
-    x = np.broadcast_to(x, batch + (d,))
-    xi = np.broadcast_to(xi, batch + (d,))
-    tau = np.broadcast_to(tau, batch)
+    np.broadcast_shapes(x.shape[:-1], tau.shape, xi.shape[:-1])
     return x, tau, xi
 
 
@@ -83,19 +83,13 @@ def b_symbol(t, x, tau, xi):
             + t * tau ** 2)
 
 
-def _dt_b(t, x, tau, xi):
-    """Analytic time derivative of b; the cross term simplifies because
-    sinh 2t - 2 tanh 2t sinh^2 t = tanh 2t."""
-    sq = np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1)
-    dot = np.sum(x * xi, axis=-1)
+def _dt_b_coeffs(t):
+    """Coefficients of the analytic time derivative of b,
+    db/dt = (|x|^2+|xi|^2) sech^2 2t + 2i x.xi sech 2t tanh 2t + tau^2:
+    returns (sech^2 2t, 2 sech 2t tanh 2t).  The cross term simplifies
+    because sinh 2t - 2 tanh 2t sinh^2 t = tanh 2t."""
     sech = 1.0 / np.cosh(2.0 * t)
-    return (sq * sech ** 2 + 2.0j * dot * sech * np.tanh(2.0 * t)
-            + tau ** 2)
-
-
-def _log_p_free(t, x, tau, xi, d: int):
-    """log of the prefactor-free symbol (cosh 2t)^(-d/2) e^(-b)."""
-    return -0.5 * d * np.log(np.cosh(2.0 * t)) - b_symbol(t, x, tau, xi)
+    return sech ** 2, 2.0 * sech * np.tanh(2.0 * t)
 
 
 def p_t_symbol(t, x, tau, xi, d: int):
@@ -104,11 +98,55 @@ def p_t_symbol(t, x, tau, xi, d: int):
         raise InvalidParameterError("t must be nonnegative")
     x, tau, xi = _broadcast_point(x, tau, xi, d)
     return ((2.0 * math.pi) ** (-d / 2.0)
-            * np.exp(_log_p_free(t, x, tau, xi, d)))
+            * np.exp(-0.5 * d * np.log(np.cosh(2.0 * t))
+                     - b_symbol(t, x, tau, xi)))
 
 
-def _symbol_nodes(weight_alpha: float, d: int, refine: bool = False):
-    return t_quadrature(weight_alpha, 0.0, d).nodes(refine)
+class _TimeNodes(NamedTuple):
+    """Nodes and weights of int_0^inf t^(gamma-1) F(t) dt with the
+    per-node coefficients of the prefactor-free p_t:
+    t^(gamma-1) (cosh 2t)^(-d/2) e^(-b)
+        = e^(logc - (|x|^2+|xi|^2) A - i x.xi B) e^(-t tau^2)."""
+    t: np.ndarray
+    w: np.ndarray
+    logc: np.ndarray    # (gamma-1) log t - (d/2) log cosh 2t
+    A: np.ndarray       # tanh(2t) / 2
+    B: np.ndarray       # 2 sinh^2 t / cosh 2t
+
+
+def _time_nodes(gamma_: float, d: int, refine: bool) -> _TimeNodes:
+    t, w = t_quadrature(gamma_, 0.0, d).nodes(refine)
+    cosh2 = np.cosh(2.0 * t)
+    return _TimeNodes(t, w,
+                      (gamma_ - 1.0) * np.log(t) - 0.5 * d * np.log(cosh2),
+                      0.5 * np.tanh(2.0 * t), 2.0 * np.sinh(t) ** 2 / cosh2)
+
+
+def _node_sums(nodes: _TimeNodes, x, tau, xi, factors=(None,)) -> list:
+    """sum_k w_k t_k^(gamma-1) (cosh 2t_k)^(-d/2) e^(-b(t_k)) F_k for each
+    F in factors (None stands for 1).
+
+    The tau term of b is apart from the (x, xi) terms, so each summand
+    is E_k(tau) G_k(x, xi): E_k = w_k e^(-t_k tau^2), a real array on
+    tau's own shape, and G_k = e^(logc_k - |x, xi|^2 A_k - i x.xi B_k) on
+    the broadcast shape of x and xi.  G is built in place, a factor
+    F(sq, dot) (sq = |x|^2+|xi|^2, dot = x.xi) multiplies it, and the
+    node axis is contracted last, by one broadcast (1, K) @ (K, 1)
+    matmul per point, so no (x, tau, xi, node) array exists.
+    """
+    e = np.exp(-nodes.t * tau[..., None] ** 2)
+    e *= nodes.w
+    sq = (np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1))[..., None]
+    dot = np.sum(x * xi, axis=-1)[..., None]
+    g = np.empty(np.broadcast_shapes(sq.shape, dot.shape, nodes.t.shape),
+                 dtype=np.complex128)
+    np.multiply(sq, -nodes.A, out=g.real)
+    g.real += nodes.logc
+    np.multiply(dot, -nodes.B, out=g.imag)
+    np.exp(g, out=g)
+    return [np.matmul((g if f is None else g * f(sq, dot))[..., None, :],
+                      e[..., :, None])[..., 0, 0]
+            for f in factors]
 
 
 def _check_refined(value, refined, what: str):
@@ -121,18 +159,25 @@ def _check_refined(value, refined, what: str):
 
 
 def _sigma_quad(x, tau, xi, alpha: float, d: int, refine: bool):
-    xx = x[..., None, :]
-    tt = tau[..., None]
-    xxi = xi[..., None, :]
+    """sigma_alpha by one pass of the node sum.
+
+    alpha < 0: sum_k w_k t_k^(-alpha-1) p_(t_k) / Gamma(-alpha).
+    0 < alpha < 1: the integrand t^(-alpha) p_t (d tanh 2t + db/dt) is
+    two contractions, the (x, xi) part of the polynomial and tau^2
+    times the plain sum, over Gamma(1 - alpha).
+    """
     if alpha < 0:
-        gamma_ = -alpha
-        t, w = _symbol_nodes(gamma_, d, refine)
-        logs = (gamma_ - 1.0) * np.log(t) + _log_p_free(t, xx, tt, xxi, d)
-        return np.sum(w * np.exp(logs), axis=-1) / math.gamma(gamma_)
-    t, w = _symbol_nodes(1.0 - alpha, d, refine)
-    vals = np.exp(_log_p_free(t, xx, tt, xxi, d)) \
-        * (d * np.tanh(2.0 * t) + _dt_b(t, xx, tt, xxi))
-    return np.sum(w * t ** (-alpha) * vals, axis=-1) / math.gamma(1.0 - alpha)
+        nodes = _time_nodes(-alpha, d, refine)
+        return _node_sums(nodes, x, tau, xi)[0] / math.gamma(-alpha)
+    nodes = _time_nodes(1.0 - alpha, d, refine)
+    sech2, cross = _dt_b_coeffs(nodes.t)
+    tanh2 = 2.0 * nodes.A
+
+    def poly(sq, dot):
+        return (d * tanh2 + sq * sech2) + 1.0j * (dot * cross)
+
+    plain, with_poly = _node_sums(nodes, x, tau, xi, (None, poly))
+    return (with_poly + tau ** 2 * plain) / math.gamma(1.0 - alpha)
 
 
 def sigma_alpha(x, tau, xi, alpha: float, d: int, with_error: bool = False):
@@ -156,24 +201,22 @@ def sigma_alpha(x, tau, xi, alpha: float, d: int, with_error: bool = False):
     return val
 
 
-def _dxj_b(t, x, xi, j: int):
-    """d b / d x_j = x_j tanh 2t + 2i xi_j sech 2t sinh^2 t."""
-    return (x[..., j] * np.tanh(2.0 * t)
-            + 2.0j * xi[..., j] * np.sinh(t) ** 2 / np.cosh(2.0 * t))
-
-
 def _riesz_quad(j: int, x, tau, xi, d: int, refine: bool):
-    t, w = _symbol_nodes(0.5, d, refine)
-    xx = x[..., None, :]
-    tt = tau[..., None]
-    xxi = xi[..., None, :]
-    p = np.exp(_log_p_free(t, xx, tt, xxi, d))
+    """riesz_symbol by one pass of the node sum: j = 0 multiplies the
+    plain sum by -i tau; j >= 1 puts x_j (1 + tanh 2t) - i xi_j sech 2t,
+    which is x_j - i xi_j + db/dx_j, into the (x, xi) factor."""
+    nodes = _time_nodes(0.5, d, refine)
     if j == 0:
-        factor = -1.0j * tt
-    else:
-        factor = (xx[..., j - 1] - 1.0j * xxi[..., j - 1]
-                  + _dxj_b(t, xx, xxi, j - 1))
-    return np.sum(w * t ** -0.5 * factor * p, axis=-1) / math.sqrt(math.pi)
+        return -1.0j * tau * _node_sums(nodes, x, tau, xi)[0] \
+            / math.sqrt(math.pi)
+    grow = 1.0 + 2.0 * nodes.A
+    sech = 1.0 / np.cosh(2.0 * nodes.t)
+
+    def factor(sq, dot):
+        return x[..., j - 1, None] * grow - 1.0j * (xi[..., j - 1, None]
+                                                    * sech)
+
+    return _node_sums(nodes, x, tau, xi, (factor,))[0] / math.sqrt(math.pi)
 
 
 def riesz_symbol(j: int, x, tau, xi, d: int, with_error: bool = False):
@@ -185,6 +228,9 @@ def riesz_symbol(j: int, x, tau, xi, d: int, with_error: bool = False):
     e^(izw) quantization used here: the derivative acting on e^(ixxi)
     brings down -i xi_j, acting on sigma brings up +db/dx_j.  The signs
     are convention-bound and pinned by the ladder cross-check tests.
+    Evaluated like sigma_alpha: the tau factor of p_t on tau's shape,
+    the (x, xi) factor with the j >= 1 polynomial on theirs, and one
+    contraction over the time nodes.
     """
     if not 0 <= j <= d:
         raise InvalidParameterError(f"j = {j} outside 0..{d}")
@@ -251,7 +297,12 @@ class SampleDomain:
         n = int(round(math.log2(self.cap)))
         return np.concatenate([[0.0], 2.0 ** np.arange(n + 1)])
 
+    # equal domains hash alike: every gm_bound_estimate call on a
+    # domain or its doubled() copy shares one build of the points
+    @functools.lru_cache(maxsize=8)
     def points(self):
+        """(x, tau, xi) sample arrays, built once per domain and
+        read-only."""
         mags = self.magnitudes()
         if len(mags) < 5:
             raise InvalidParameterError("domain needs >= 4 dyadic shells")
@@ -278,7 +329,10 @@ class SampleDomain:
             taus.extend([0.0, m, 0.0])
             xis.extend([np.zeros(self.d), np.zeros(self.d),
                         m * np.eye(self.d)[0]])
-        return np.array(xs), np.array(taus), np.array(xis)
+        arrays = np.array(xs), np.array(taus), np.array(xis)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
     def doubled(self) -> "SampleDomain":
         return replace(self, cap=2.0 * self.cap)
@@ -406,9 +460,11 @@ def quantize(symbol: SymbolFn, values: np.ndarray, box: UniformBox,
     """Kohn-Nirenberg quantization T_sigma f on a 2-D uniform box.
 
     T_sigma f(z) = (2 pi)^(-2) iint e^(i(z-z')w) sigma(x, w) f(z') dz' dw,
-    realized as a full FFT of f followed, for each spatial x row, by an
-    inverse transform weighted with sigma(x, tau, xi).  The constant
-    symbol reproduces f exactly up to roundoff.
+    realized as a full FFT of f, one evaluation of sigma on the whole
+    (x, tau, xi) box grid (passed as broadcastable axes, so a symbol
+    evaluator sees each variable on its own axis), one inverse FFT over
+    tau and one phase contraction over xi.  The constant symbol
+    reproduces f exactly up to roundoff.
     """
     if len(box.counts) != 2:
         raise InvalidParameterError("quantization implemented for d = 1 "
@@ -429,16 +485,13 @@ def quantize(symbol: SymbolFn, values: np.ndarray, box: UniformBox,
             f"boundary spectral energy {ring / total:.2e} exceeds "
             f"{tail_tol:.1e}; the box under-resolves the field",
             AliasingWarning, stacklevel=2)
-    out = np.empty(values.shape, dtype=np.complex128)
+    # axes (x, tau, xi), each variable with its trailing d = 1 axis
+    sig = np.broadcast_to(symbol(xs[:, None, None, None], taus[None, :, None],
+                                 xis[None, None, :, None]), (n_x, n_r, n_x))
+    col = np.fft.ifft(sig * fhat, axis=1)
     # plain index-space DFT phases on both sides: the box-offset phase
     # e^(i W w) of the forward transform cancels against the inverse,
     # sigma itself is evaluated at the true frequencies
     idx = np.arange(n_x)
-    for m, x_val in enumerate(xs):
-        sig = symbol(np.full(xis.shape, x_val)[None, :],
-                     taus[:, None], xis[None, :])
-        g = sig * fhat
-        col = np.fft.ifft(g, axis=0)
-        phase = np.exp(2.0j * math.pi * m * idx / n_x) / n_x
-        out[:, m] = col @ phase
-    return out
+    phase = np.exp(2.0j * math.pi * idx[:, None] * idx / n_x) / n_x
+    return np.ascontiguousarray(np.matmul(col, phase[..., None])[..., 0].T)

@@ -145,6 +145,11 @@ class TestExitCodes:
         '{"suite": "mehler", "out": 2}',
         '{"suite": "mehler", "out": ["a"]}',
         '{"suite": "mehler", "out": ""}',
+        # well typed but outside what the suite accepts
+        '{"suite": "symbols", "alpha": 0}',
+        '{"suite": "symbols", "alpha": 1.5}',
+        '{"suite": "symbols", "seed": -5}',
+        '{"suite": "mehler", "seed": -1}',
     ])
     def test_mistyped_config_value_exits_two(self, config, tmp_path,
                                              capsys):

@@ -211,6 +211,25 @@ class TestRieszOnPotential:
                                                   seed=13))
         assert rep.all_passed, rep.failures()
 
+    def test_prebuilt_members_give_the_same_report(self, g1):
+        fam = TestFamily("band_limited", 3, seed=14)
+        members = fam.resized(12).members(g1)
+        built = riesz_on_potential_check(1, 1.0, 2.0, g1, fam)
+        given = riesz_on_potential_check(1, 1.0, 2.0, g1, fam,
+                                         members=members)
+        assert [(m.name, m.value) for m in given.metrics] == \
+            [(m.name, m.value) for m in built.metrics]
+        # the given members are scored, in order, not rebuilt
+        other = TestFamily("gaussian", 3, seed=15)
+        swapped = riesz_on_potential_check(
+            1, 1.0, 2.0, g1, fam, members=other.resized(12).members(g1))
+        assert [m.value for m in swapped.metrics] == \
+            [m.value for m in riesz_on_potential_check(1, 1.0, 2.0, g1,
+                                                       other).metrics]
+        with pytest.raises(InvalidParameterError):
+            riesz_on_potential_check(1, 1.0, 2.0, g1, fam,
+                                     members=members[:11])
+
 
 class TestWeightedDecay:
     def test_half_power(self, g1):

@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pharmonic import (
     AliasingWarning,
@@ -33,13 +35,22 @@ from pharmonic import (
     spectral_frac_power,
     symbol_decay_report,
 )
-from pharmonic.symbols import _dt_b
+from pharmonic.heat_kernel import t_quadrature
+from pharmonic.symbols import SymbolFn, _dt_b_coeffs
 
 SIGMA_NEG_ORACLE = 0.4832342617041933     # alpha=-1/2 at (x,tau,xi)=(0,2,0)
 SIGMA_POS_ORACLE = 2.1742003677378541 - 0.0109868530931185j
 #                                         alpha=+1/2 at (0.7, 2.0, -0.4)
 RIESZ1_ORACLE = -0.7037145794219654j      # j=1 at x=0, xi=1, tau=0
 RIESZ0_ORACLE = -0.9664685234083865j      # j=0 at tau=2
+
+
+def dt_b(t, x, tau, xi):
+    """db/dt assembled from the coefficients the alpha > 0 route uses."""
+    sech2, cross = _dt_b_coeffs(t)
+    sq = np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1)
+    dot = np.sum(x * xi, axis=-1)
+    return sq * sech2 + 1.0j * dot * cross + tau ** 2
 
 
 class TestBSymbol:
@@ -63,7 +74,7 @@ class TestBSymbol:
             h = 1e-6 * max(t, 1e-2)
             fd = (b_symbol(t + h, x, tau, xi)
                   - b_symbol(t - h, x, tau, xi)) / (2.0 * h)
-            an = _dt_b(t, x, tau, xi)
+            an = dt_b(t, x, tau, xi)
             assert np.abs(fd - an).max() < 1e-6 * abs(an).max()
 
     def test_time_derivative_at_zero(self):
@@ -72,7 +83,7 @@ class TestBSymbol:
         xi = np.array([[-0.8]])
         tau = np.array([1.1])
         lim = 0.6 ** 2 + 0.8 ** 2 + 1.1 ** 2
-        val = _dt_b(1e-9, x, tau, xi)
+        val = dt_b(1e-9, x, tau, xi)
         assert val.real == pytest.approx(lim, rel=1e-12)
         assert abs(val.imag) < 1e-8
 
@@ -295,3 +306,181 @@ class TestQuantize:
         sym = constant_symbol_fn()
         assert sym(np.zeros((1, 1)), np.zeros(1), np.zeros((1, 1))).shape \
             == (1,)
+
+
+# ---------------------------------------------------------------------------
+# the node-sum evaluator against the full-broadcast formulas it replaced:
+# copies of the old bodies, which exponentiate b on the whole
+# (x, tau, xi, node) batch
+
+def broadcast_reference_point(x, tau, xi, d):
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    xi = np.atleast_1d(np.asarray(xi, dtype=np.float64))
+    if x.shape[-1] != d:
+        x = x[..., None]
+    if xi.shape[-1] != d:
+        xi = xi[..., None]
+    tau = np.asarray(tau, dtype=np.float64)
+    batch = np.broadcast_shapes(x.shape[:-1], tau.shape, xi.shape[:-1])
+    return (np.broadcast_to(x, batch + (d,)), np.broadcast_to(tau, batch),
+            np.broadcast_to(xi, batch + (d,)))
+
+
+def log_p_free_reference(t, x, tau, xi, d):
+    return -0.5 * d * np.log(np.cosh(2.0 * t)) - b_symbol(t, x, tau, xi)
+
+
+def sigma_reference(x, tau, xi, alpha, d, refine=False):
+    x, tau, xi = broadcast_reference_point(x, tau, xi, d)
+    xx, tt, xxi = x[..., None, :], tau[..., None], xi[..., None, :]
+    if alpha < 0:
+        gamma_ = -alpha
+        t, w = t_quadrature(gamma_, 0.0, d).nodes(refine)
+        logs = (gamma_ - 1.0) * np.log(t) + log_p_free_reference(
+            t, xx, tt, xxi, d)
+        return np.sum(w * np.exp(logs), axis=-1) / math.gamma(gamma_)
+    t, w = t_quadrature(1.0 - alpha, 0.0, d).nodes(refine)
+    sq = np.sum(xx * xx, axis=-1) + np.sum(xxi * xxi, axis=-1)
+    dot = np.sum(xx * xxi, axis=-1)
+    sech = 1.0 / np.cosh(2.0 * t)
+    dt_b_ = sq * sech ** 2 + 2.0j * dot * sech * np.tanh(2.0 * t) + tt ** 2
+    vals = np.exp(log_p_free_reference(t, xx, tt, xxi, d)) \
+        * (d * np.tanh(2.0 * t) + dt_b_)
+    return np.sum(w * t ** (-alpha) * vals, axis=-1) / math.gamma(1.0 - alpha)
+
+
+def riesz_reference(j, x, tau, xi, d, refine=False):
+    x, tau, xi = broadcast_reference_point(x, tau, xi, d)
+    t, w = t_quadrature(0.5, 0.0, d).nodes(refine)
+    xx, tt, xxi = x[..., None, :], tau[..., None], xi[..., None, :]
+    p = np.exp(log_p_free_reference(t, xx, tt, xxi, d))
+    if j == 0:
+        factor = -1.0j * tt
+    else:
+        dxj_b = (xx[..., j - 1] * np.tanh(2.0 * t) + 2.0j * xxi[..., j - 1]
+                 * np.sinh(t) ** 2 / np.cosh(2.0 * t))
+        factor = xx[..., j - 1] - 1.0j * xxi[..., j - 1] + dxj_b
+    return np.sum(w * t ** -0.5 * factor * p, axis=-1) / math.sqrt(math.pi)
+
+
+def reference_error(value, refined):
+    scale = max(float(np.abs(value).max()), 1e-300)
+    return float(np.abs(refined - value).max()) / scale
+
+
+def assert_elementwise_close(got, want, rel):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rel * np.abs(want)), \
+        float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)))
+
+
+def symbol_points(d, shape, seed):
+    """x, tau, xi in [-12, 12] with exact zeros sprinkled in.  shape
+    "scattered" gives (n,) batches; otherwise (n_x, n_tau, n_xi) is a
+    tensor-product grid passed as broadcastable axes."""
+    rng = np.random.default_rng(seed)
+    if shape == "scattered":
+        n = int(rng.integers(1, 24))
+        x_shape, tau_shape, xi_shape = (n, d), (n,), (n, d)
+    else:
+        nx, nt, nxi = (int(k) for k in rng.integers(1, 6, size=3))
+        x_shape, tau_shape, xi_shape = (nx, 1, 1, d), (1, nt, 1), \
+            (1, 1, nxi, d)
+    out = []
+    for sh in (x_shape, tau_shape, xi_shape):
+        v = rng.uniform(-12.0, 12.0, sh)
+        v[rng.uniform(size=sh) < 0.2] = 0.0
+        out.append(v)
+    return out
+
+
+alphas = st.one_of(st.floats(-1.99, -0.01), st.floats(0.01, 0.99))
+point_shapes = st.sampled_from(["scattered", "tensor"])
+
+
+class TestSymbolsFactored:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 3), alpha=alphas, shape=point_shapes,
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_sigma_equals_broadcast_reference(self, d, alpha, shape, seed):
+        x, tau, xi = symbol_points(d, shape, seed)
+        got, err = sigma_alpha(x, tau, xi, alpha, d, with_error=True)
+        want = sigma_reference(x, tau, xi, alpha, d)
+        assert_elementwise_close(got, want, 1e-13)
+        assert_elementwise_close(sigma_alpha(x, tau, xi, alpha, d), want,
+                                 1e-13)
+        want_err = reference_error(
+            want, sigma_reference(x, tau, xi, alpha, d, refine=True))
+        # both are roundoff-level differences of converged sums
+        assert abs(err - want_err) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 3), data=st.data(), shape=point_shapes,
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_riesz_equals_broadcast_reference(self, d, data, shape, seed):
+        j = data.draw(st.integers(0, d))
+        x, tau, xi = symbol_points(d, shape, seed)
+        got, err = riesz_symbol(j, x, tau, xi, d, with_error=True)
+        want = riesz_reference(j, x, tau, xi, d)
+        assert_elementwise_close(got, want, 1e-13)
+        want_err = reference_error(
+            want, riesz_reference(j, x, tau, xi, d, refine=True))
+        assert abs(err - want_err) <= 1e-13
+
+
+def quantize_by_rows(symbol, values, box):
+    """The per-x-row loop quantize replaced (without the aliasing check)."""
+    n_r, n_x = box.counts
+    taus, xis = box.freq_axes()
+    xs = box.axes()[1]
+    fhat = np.fft.fft2(values)
+    out = np.empty(values.shape, dtype=np.complex128)
+    idx = np.arange(n_x)
+    for m, x_val in enumerate(xs):
+        sig = symbol(np.full(xis.shape, x_val)[None, :],
+                     taus[:, None], xis[None, :])
+        col = np.fft.ifft(sig * fhat, axis=0)
+        phase = np.exp(2.0j * math.pi * m * idx / n_x) / n_x
+        out[:, m] = col @ phase
+    return out
+
+
+class TestQuantizeOneCall:
+    @pytest.mark.parametrize("symbol", [
+        constant_symbol_fn(), frequency_symbol_fn(), sigma_symbol_fn(-0.5, 1),
+        riesz_symbol_fn(0, 1), riesz_symbol_fn(1, 1)],
+        ids=lambda s: s.label)
+    def test_equals_row_loop(self, quant_setup, symbol):
+        _, _, box, fbox = quant_setup
+        got = quantize(symbol, fbox, box)
+        want = quantize_by_rows(symbol, fbox, box)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_symbol_called_once_per_box(self, quant_setup):
+        _, _, box, fbox = quant_setup
+        inner = sigma_symbol_fn(-0.5, 1)
+        shapes = []
+
+        def counted(x, tau, xi):
+            shapes.append(np.broadcast_shapes(x.shape[:-1], tau.shape,
+                                              xi.shape[:-1]))
+            return inner(x, tau, xi)
+
+        quantize(SymbolFn(counted, inner.order, inner.label), fbox, box)
+        n_r, n_x = box.counts
+        assert shapes == [(n_x, n_r, n_x)]
+
+
+class TestSampleDomainPoints:
+    def test_built_once_and_read_only(self):
+        dom = SampleDomain(d=2, cap=16.0, per_shell=2, seed=3)
+        pts = dom.points()
+        assert SampleDomain(d=2, cap=16.0, per_shell=2, seed=3).points() \
+            is pts
+        assert dom.doubled().points() is dom.doubled().points()
+        for a in pts:
+            assert not a.flags.writeable
+        # the cache hands back what a direct build draws
+        for a, b in zip(pts, SampleDomain.points.__wrapped__(dom)):
+            assert np.array_equal(a, b)
