@@ -12,6 +12,7 @@ integrand that decays at least like a Gaussian.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -76,6 +77,14 @@ class Grid:
         for _ in range(self.d - 1):
             out = np.multiply.outer(out, w)
         return out
+
+    @functools.cached_property
+    def _cell_weight(self) -> np.ndarray:
+        """x_weight() * drho, the quadrature weight of one grid cell,
+        built once per grid and read-only."""
+        w = self.x_weight() * self.drho
+        w.flags.writeable = False
+        return w
 
     def eigenvalues(self, shift: float = 0.0) -> np.ndarray:
         """lambda + shift = tau^2 + 2|mu| + d + shift, shape (N_rho, n_mu)."""
@@ -167,15 +176,18 @@ def lp_norm(field: Field, p: float) -> float:
 
     Accurate when |field|^p decays at least like exp(-|x|^2) in x; for
     heavy-tailed integrands use a UniformBox and box_lp_norm instead.
-    p = inf returns the grid maximum.
+    p = inf returns the grid maximum.  One field-sized temporary is
+    made: |f| is raised to p and weighted in place, the same operations
+    on the same contiguous shape as sum(w * |f|^p), so the bits match.
     """
     if p != np.inf and p < 1:
         raise InvalidParameterError("p must be >= 1 or inf")
-    a = np.abs(field.values)
+    a = np.abs(field.values).astype(np.float64, copy=False)
     if p == np.inf:
         return float(a.max())
-    w = field.grid.x_weight() * field.grid.drho
-    return float(np.sum(w * a ** p) ** (1.0 / p))
+    a **= p
+    a *= field.grid._cell_weight
+    return float(np.sum(a) ** (1.0 / p))
 
 
 def inner(f: Field, g: Field) -> complex:
@@ -184,7 +196,7 @@ def inner(f: Field, g: Field) -> complex:
     if ga is not gb and (ga.d, ga.N_rho, ga.L_rho, ga.K, ga.M) != \
             (gb.d, gb.N_rho, gb.L_rho, gb.K, gb.M):
         raise InvalidParameterError("fields live on different grids")
-    w = f.grid.x_weight() * f.grid.drho
+    w = f.grid._cell_weight
     return complex(np.sum(w * f.values * np.conjugate(g.values)))
 
 
@@ -277,20 +289,22 @@ def box_lp_norm(values: np.ndarray, box: UniformBox, p: float,
     if p != np.inf and p < 1:
         raise InvalidParameterError("p must be >= 1 or inf")
     values = np.asarray(values)
-    mask = np.ones(values.shape, dtype=bool)
-    if radius is not None:
-        for i, ax in enumerate(box.axes()):
-            shp = [1] * box.ndim
-            shp[i] = ax.size
-            mask &= np.broadcast_to(np.abs(ax.reshape(shp)) <= radius + 1e-12,
-                                    values.shape)
-    if exclude_origin:
-        hmin = min(box.spacings())
-        mask &= np.broadcast_to(box.radius_sq() > (0.25 * hmin) ** 2, values.shape)
-    a = np.abs(values)
+    a = np.abs(values).astype(np.float64, copy=False)
+    if radius is not None or exclude_origin:
+        mask = np.ones(values.shape, dtype=bool)
+        if radius is not None:
+            for i, ax in enumerate(box.axes()):
+                shp = [1] * box.ndim
+                shp[i] = ax.size
+                mask &= np.abs(ax.reshape(shp)) <= radius + 1e-12
+        if exclude_origin:
+            hmin = min(box.spacings())
+            mask &= box.radius_sq() > (0.25 * hmin) ** 2
+        a = a[mask]
     if p == np.inf:
-        return float(a[mask].max()) if mask.any() else 0.0
-    return float((np.sum(a[mask] ** p) * box.cell_volume) ** (1.0 / p))
+        return float(a.max()) if a.size else 0.0
+    a **= p
+    return float((np.sum(a) * box.cell_volume) ** (1.0 / p))
 
 
 def resample(field: Field, box: UniformBox, tail_tol: float = 1e-6) -> np.ndarray:

@@ -32,10 +32,10 @@ from .grid import (Field, Grid, UniformBox, box_lp_norm, lp_norm, make_grid,
                    resample)
 from .heat_kernel import (_gl_panels, frac_power_kernel, k_alpha,
                           t_quadrature)
-from .ladder import _grad_components
+from .ladder import _grad_coeffs
 from .report import Report
 from .sobolev import TestFamily, potential_norm
-from .spectral import spectral_frac_power
+from .spectral import forward, inverse, plancherel_norm, spectral_frac_power
 
 GATE_TOL = 1e-3
 _PROFILE_EPS = 0.1
@@ -181,10 +181,24 @@ def _sup_stats(rep: Report, name: str, base: list[float],
 
 
 def _grad_norm(f: Field, p: float) -> float:
-    # streamed: the 2d+1 components of a d = 3 member are ~118 MB when
-    # held together, and freeing that much at once lets the allocator
-    # return it to the OS, to be faulted back in for the next member
-    return sum(lp_norm(c, p) for c in _grad_components(f))
+    """sum_j |A_j f|_p over the 2d+1 ladder components of f.
+
+    At p = 2 each term is the coefficient norm of the ladder image
+    (plancherel_norm), with no inverse transform.  That is the grid L^2
+    norm of the image to rounding, not an approximation of it: the
+    image has Hermite degree <= K (raising drops the top shell), the
+    Gauss-Hermite rule with M >= K + 1 nodes is exact on every
+    h_k h_l with k, l <= K, and the N-point trapezoid sum in rho is
+    exact on products of two frequencies in [-N/2, N/2).  Other p
+    evaluate each component on the grid, one at a time: the 2d+1
+    components of a d = 3 member are ~118 MB when held together, and
+    freeing that much at once lets the allocator return it to the OS,
+    to be faulted back in for the next member.
+    """
+    images = _grad_coeffs(forward(f))
+    if p == 2.0:
+        return sum(plancherel_norm(c) for c in images)
+    return sum(lp_norm(inverse(c), p) for c in images)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +314,10 @@ def gns_check(p: float, q: float, d: int, family: TestFamily,
 
     Requires d >= 3 and 1/p - 1/(d+1) <= 1/q < 1/p.  The gradient norm
     is the l^1 combination of component L^p norms, computed by grid
-    quadrature; the q norm uses the auto-sized box when q != 2.
+    quadrature; at p = 2 each is read off the coefficients instead,
+    which is the same grid quadrature to rounding (Gauss-Hermite and
+    the rho trapezoid are exact on the band-limited image, see
+    _grad_norm).  The q norm uses the auto-sized box when q != 2.
     """
     IneqCase("gns", 1.0, p, q, d, family, "bounded")
     g = grid if grid is not None else _default_grid(d)

@@ -106,19 +106,18 @@ def riesz_multi(jj: tuple[int, int], field: Field) -> Field:
     return inverse(apply_A(j1, apply_A(j2, c)))
 
 
-def _grad_components(field: Field) -> Iterator[Field]:
-    """The components of grad_H one at a time, so a caller that only
+def _grad_coeffs(coeffs: SpectralCoeffs) -> Iterator[SpectralCoeffs]:
+    """The 2d+1 ladder images of coeffs one at a time, in the order of
+    grad_H: A_0, A_1..A_d, A_{-1}..A_{-d}.  A caller that inverts and
     reduces them holds one field-sized array, not 2d+1."""
-    c = forward(field)
-    order = [0] + list(range(1, field.grid.d + 1)) \
-        + [-j for j in range(1, field.grid.d + 1)]
-    for j in order:
-        yield inverse(apply_A(j, c))
+    d = coeffs.grid.d
+    for j in [0] + list(range(1, d + 1)) + list(range(-1, -d - 1, -1)):
+        yield apply_A(j, coeffs)
 
 
 def grad_H(field: Field) -> list[Field]:
     """The 2d+1 first-order components (A_0 f, A_1..A_d f, A_{-1}..A_{-d} f)."""
-    return list(_grad_components(field))
+    return [inverse(c) for c in _grad_coeffs(forward(field))]
 
 
 def _rel_residual(a: Field, b: Field) -> float:

@@ -21,6 +21,39 @@ from pharmonic import (
 from pharmonic.grid import _sum_sq
 
 
+def old_lp_norm(field, p):
+    """lp_norm as first written, three full-size temporaries and the
+    weight rebuilt per call; kept as the bit-exact reference."""
+    a = np.abs(field.values)
+    if p == np.inf:
+        return float(a.max())
+    w = field.grid.x_weight() * field.grid.drho
+    return float(np.sum(w * a ** p) ** (1.0 / p))
+
+
+def old_box_lp_norm(values, box, p, radius=None, exclude_origin=False):
+    """box_lp_norm as first written: always a mask and a gather."""
+    values = np.asarray(values)
+    mask = np.ones(values.shape, dtype=bool)
+    if radius is not None:
+        for i, ax in enumerate(box.axes()):
+            shp = [1] * box.ndim
+            shp[i] = ax.size
+            mask &= np.broadcast_to(np.abs(ax.reshape(shp)) <= radius + 1e-12,
+                                    values.shape)
+    if exclude_origin:
+        hmin = min(box.spacings())
+        mask &= np.broadcast_to(box.radius_sq() > (0.25 * hmin) ** 2,
+                                values.shape)
+    a = np.abs(values)
+    if p == np.inf:
+        return float(a[mask].max()) if mask.any() else 0.0
+    return float((np.sum(a[mask] ** p) * box.cell_volume) ** (1.0 / p))
+
+
+exponents = st.sampled_from([1, 1.5, 2, 2.0, 2.5, 4, np.inf])
+
+
 def test_make_grid_shapes():
     g = make_grid(d=1, N_rho=64, L_rho=10, K=16, M=17)
     assert g.shape == (64, 17)
@@ -136,12 +169,65 @@ def test_box_lp_norm_restrictions():
     box = UniformBox((2.0, 2.0), (8, 8))
     ones = np.ones((8, 8))
     assert box_lp_norm(ones, box, 1) == pytest.approx(16.0, rel=1e-12)
+    # integer samples, powered in place, still give a float norm
+    assert box_lp_norm(np.ones((8, 8), dtype=int), box, 2.5) == \
+        pytest.approx(16.0 ** 0.4, rel=1e-12)
     # radius 1 keeps the 5 axis points {-1,-0.5,0,0.5,1}, 25 cells of 1/4
     assert box_lp_norm(ones, box, 1, radius=1.0) == pytest.approx(6.25, rel=1e-12)
     # origin exclusion removes exactly one cell
     full = box_lp_norm(ones, box, 1)
     no0 = box_lp_norm(ones, box, 1, exclude_origin=True)
     assert full - no0 == pytest.approx(box.cell_volume, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), log2_n=st.integers(1, 5), K=st.integers(0, 6),
+       extra=st.integers(0, 3), L=st.floats(1.0, 10.0),
+       L2=st.floats(1.0, 10.0), p=exponents, real=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lp_norm_bit_equal_to_reference(d, log2_n, K, extra, L, L2, p, real,
+                                        seed):
+    # two grids of one shape that differ only in L_rho, used alternately:
+    # a weight cached across grids would go stale on the second
+    rng = np.random.default_rng(seed)
+    grids = [make_grid(d, 2 ** log2_n, L_, K, K + 1 + extra) for L_ in (L, L2)]
+    for g in grids + grids:
+        values = rng.standard_normal(g.shape)
+        if not real:
+            values = values + 1j * rng.standard_normal(g.shape)
+        f = Field(g, values)
+        assert lp_norm(f, p).hex() == old_lp_norm(f, p).hex()
+
+
+def test_lp_norm_weight_is_per_grid_and_read_only():
+    a = make_grid(2, 8, 3.0, 3, 5)
+    b = make_grid(2, 8, 5.0, 3, 5)
+    np.testing.assert_array_equal(a._cell_weight, a.x_weight() * a.drho)
+    np.testing.assert_array_equal(b._cell_weight, b.x_weight() * b.drho)
+    assert a._cell_weight is a._cell_weight
+    with pytest.raises(ValueError):
+        a._cell_weight[...] = 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(counts=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+       half=st.lists(st.floats(0.5, 8.0), min_size=4, max_size=4),
+       radius=st.one_of(st.none(), st.floats(0.05, 8.0)),
+       exclude_origin=st.booleans(), p=exponents, real=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_box_lp_norm_bit_equal_to_reference(counts, half, radius,
+                                            exclude_origin, p, real, seed):
+    box = UniformBox(tuple(half[:len(counts)]), tuple(2 * n for n in counts))
+    rng = np.random.default_rng(seed)
+    shape = box.counts
+    values = rng.standard_normal(shape)
+    if not real:
+        values = values + 1j * rng.standard_normal(shape)
+    out = box_lp_norm(values, box, p, radius=radius,
+                      exclude_origin=exclude_origin)
+    want = old_box_lp_norm(values, box, p, radius=radius,
+                           exclude_origin=exclude_origin)
+    assert out.hex() == want.hex()
 
 
 def test_resample_band_limited_exact():

@@ -15,6 +15,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pharmonic import (
     DomainError,
@@ -37,12 +39,22 @@ from pharmonic.heat_kernel import t_quadrature
 from pharmonic.inequalities import (
     _default_grid,
     _gauss_image_axes,
+    _grad_norm,
     _measured_box,
     _ratio_gns,
     _singular_weight,
 )
-from pharmonic.ladder import grad_H
-from pharmonic.spectral import spectral_frac_power
+from pharmonic.ladder import apply_A, grad_H
+from pharmonic.spectral import SpectralCoeffs, forward, inverse, \
+    spectral_frac_power
+
+
+def streamed_grad_norm(f, p):
+    """The l^1 gradient norm as first written for d = 3: every ladder
+    component inverted and normed by grid quadrature, one at a time."""
+    c = forward(f)
+    return sum(lp_norm(inverse(apply_A(j, c)), p)
+               for j in (0, 1, 2, 3, -1, -2, -3))
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +198,24 @@ class TestGnsCheck:
             den = sum(lp_norm(c, 2.0) for c in grad_H(f))
             ratio = lp_norm(f, 2.0) / den
             assert abs(ratio - 1.0 / (d * math.sqrt(2.0))) < 1e-10
+
+    @settings(max_examples=30, deadline=None)
+    @given(log2_n=st.integers(1, 4), K=st.integers(1, 5),
+           extra=st.integers(0, 3), L=st.floats(1.0, 10.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_grad_norm_matches_streamed_quadrature(self, log2_n, K, extra, L,
+                                                   seed):
+        # p = 2 reads the norms off the coefficients, which is the grid
+        # quadrature to rounding; other p run the quadrature itself
+        g = make_grid(3, 2 ** log2_n, L, K, K + 1 + extra)
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((g.N_rho, g.n_mu)) \
+            + 1j * rng.standard_normal((g.N_rho, g.n_mu))
+        data[:, g.mu_abs == g.K] = 0.0     # so raising drops nothing
+        f = inverse(SpectralCoeffs(g, data))
+        want = streamed_grad_norm(f, 2.0)
+        assert abs(_grad_norm(f, 2.0) - want) <= 1e-13 * want
+        assert _grad_norm(f, 3.0).hex() == streamed_grad_norm(f, 3.0).hex()
 
     def test_zero_field_guard(self):
         g = make_grid(3, 16, 6.0, 4, 8)

@@ -28,6 +28,7 @@ from pharmonic import (
     weighted_decay_check,
 )
 from pharmonic.grid import Field
+from pharmonic.ladder import riesz
 from pharmonic.spectral import forward, mode_field
 
 
@@ -229,6 +230,23 @@ class TestRieszOnPotential:
         with pytest.raises(InvalidParameterError):
             riesz_on_potential_check(1, 1.0, 2.0, g1, fam,
                                      members=members[:11])
+
+    def test_base_sup_is_the_head_of_the_family(self, g1):
+        # one base member, so its ratio alone is the base sup; the
+        # report's growth must divide by it, not by any other member's
+        fam = TestFamily("band_limited", 1, seed=16)
+
+        def ratio(f):
+            return (potential_norm(riesz(1, f), 1.0, 2.0)
+                    / potential_norm(f, 1.0, 2.0))
+
+        base = max(ratio(f) for f in fam.members(g1)[:fam.count])
+        wide = max(ratio(f) for f in fam.resized(4).members(g1))
+        rep = riesz_on_potential_check(1, 1.0, 2.0, g1, fam)
+        vals = {m.name: m.value for m in rep.metrics}
+        assert vals["operator_ratio_sup"] == pytest.approx(wide, rel=1e-12)
+        assert vals["refinement_growth"] == pytest.approx(wide / base,
+                                                          rel=1e-12)
 
 
 class TestWeightedDecay:

@@ -28,6 +28,7 @@ from pharmonic import (
     spectral_frac_power,
 )
 from pharmonic.hermite import hermite_all
+from pharmonic.ladder import apply_A
 from pharmonic.spectral import _alt_sign
 
 
@@ -240,3 +241,22 @@ class TestTransformsFactored:
         f = inverse(c)
         assert_rel_close(forward(f).data, c.data, 1e-13)
         assert_rel_close(inverse(forward(f)).values, f.values, 1e-13)
+
+
+@settings(max_examples=50, deadline=None)
+@given(g=grids, seed=st.integers(0, 2 ** 32 - 1))
+def test_plancherel_on_ladder_images(g, seed):
+    # the grid L^2 quadrature of a truncated series is its coefficient
+    # norm: Gauss-Hermite with M >= K + 1 is exact on h_k h_l (k, l <= K)
+    # and the rho trapezoid on two frequencies in [-N/2, N/2); so for
+    # random coefficients and each of their ladder images the two agree
+    # to rounding (raising needs an empty top shell, so it acts on c_low)
+    c = _random_coeffs(g, seed=seed)
+    low = c.data.copy()
+    low[:, g.mu_abs == g.K] = 0.0
+    c_low = SpectralCoeffs(g, low)
+    images = [c] + [apply_A(j, c_low if j > 0 else c)
+                    for j in range(-g.d, g.d + 1)]
+    for im in images:
+        want = plancherel_norm(im)
+        assert abs(lp_norm(inverse(im), 2) - want) <= 1e-13 * want
