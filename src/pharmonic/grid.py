@@ -278,29 +278,11 @@ def _contract_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     return np.matmul(mat, arr.reshape(pre, n, post)).reshape(out_shape)
 
 
-def box_lp_norm(values: np.ndarray, box: UniformBox, p: float,
-                radius: float | None = None,
-                exclude_origin: bool = False) -> float:
-    """L^p norm of samples on a uniform box, optionally restricted.
-
-    radius restricts the domain to max_i |z_i| <= radius; exclude_origin
-    drops the single cell containing z = 0 (used with singular weights).
-    """
+def box_lp_norm(values: np.ndarray, box: UniformBox, p: float) -> float:
+    """L^p norm of samples on a uniform box, as a Riemann cell sum."""
     if p != np.inf and p < 1:
         raise InvalidParameterError("p must be >= 1 or inf")
-    values = np.asarray(values)
-    a = np.abs(values).astype(np.float64, copy=False)
-    if radius is not None or exclude_origin:
-        mask = np.ones(values.shape, dtype=bool)
-        if radius is not None:
-            for i, ax in enumerate(box.axes()):
-                shp = [1] * box.ndim
-                shp[i] = ax.size
-                mask &= np.abs(ax.reshape(shp)) <= radius + 1e-12
-        if exclude_origin:
-            hmin = min(box.spacings())
-            mask &= box.radius_sq() > (0.25 * hmin) ** 2
-        a = a[mask]
+    a = np.abs(np.asarray(values)).astype(np.float64, copy=False)
     if p == np.inf:
         return float(a.max()) if a.size else 0.0
     a **= p

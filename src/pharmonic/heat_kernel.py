@@ -111,44 +111,42 @@ def _gl_panels(edges: np.ndarray, order: int):
     return nodes.ravel(), weights.ravel()
 
 
+_LOG_T_STEP = 0.15
+
+
+def _log_t_step(refine: bool) -> float:
+    return _LOG_T_STEP / (2.0 if refine else 1.0)
+
+
 @dataclass(frozen=True)
 class TQuadrature:
-    """Node/weight recipe for integrals int_0^inf t^(alpha-1) e^(-ta) g(t) dt.
+    """Node/weight rule for integrals int_0^inf t^(alpha-1) F(t) dt.
 
-    The (0, split] part substitutes t = split * u^(1/alpha_eff) with
-    alpha_eff = max(alpha, 1/4) to tame the endpoint, then uses
-    geometric Gauss-Legendre panels in u; [split, t_max] uses geometric
-    panels directly.  When d + a = 0 the integrand only decays
-    algebraically (t^(alpha-3/2), from sinh 2t ~ e^(2t)/2) and the
-    remainder past t_max is handled analytically by the caller.
+    The trapezoid rule in y = log t (exponentially convergent here;
+    Trefethen and Weideman, SIAM Rev. 56, 2014): nodes t_max e^(-k h)
+    down to t_lo <= 1e-16 and weights h t, so a caller sums
+    w t^(alpha-1) F(t).  The weight of t_lo also carries the lattice
+    continued below it with F frozen, h t_lo e^(-alpha h)/(1 - e^(-alpha h)),
+    which keeps alpha << 1 exact.  h = 0.15 (refine halves it) is the
+    coarsest step that resolves integrands with a c/t term, the Bessel-K
+    form with 2 sqrt(c lambda) <= 28, to 3e-14; 0.2 leaves 5e-9 and 0.3
+    leaves 5e-4.  When d + a = 0 the integrand only decays algebraically
+    (t^(alpha-3/2), from sinh 2t ~ e^(2t)/2) and the caller adds the
+    lattice past t_max (_algebraic_remainder).
     """
     alpha: float
     a: float
     d: int
-    split: float = 1.0
-    t_max: float = 0.0          # set by factory
+    t_max: float
     algebraic_tail: bool = False
-    n_geo: int = 36
-    gl_order: int = 16
 
     def nodes(self, refine: bool = False):
-        order = self.gl_order * (2 if refine else 1)
-        alpha_eff = max(self.alpha, 0.25)
-        # u-panels 2^-n_geo ... 1, mapped through t = split * u^(1/alpha_eff)
-        u_edges = self.split ** alpha_eff * 2.0 ** -np.arange(
-            self.n_geo, -1, -1, dtype=np.float64)
-        u, wu = _gl_panels(u_edges, order)
-        inv = 1.0 / alpha_eff
-        t_head = u ** inv
-        w_head = wu * inv * u ** (inv - 1.0)
-        # geometric panels split -> t_max, ratio 3
-        n_tail = max(2, int(np.ceil(np.log(self.t_max / self.split)
-                                    / np.log(3.0))))
-        t_edges = self.split * (self.t_max / self.split) ** (
-            np.arange(n_tail + 1) / n_tail)
-        t_tail, w_tail = _gl_panels(t_edges, 2 * order)
-        return (np.concatenate([t_head, t_tail]),
-                np.concatenate([w_head, w_tail]))
+        h = _log_t_step(refine)
+        n = math.ceil(math.log(self.t_max / 1e-16) / h)
+        t = self.t_max * np.exp(-h * np.arange(n, -1, -1, dtype=np.float64))
+        w = h * t
+        w[0] /= -math.expm1(-self.alpha * h)
+        return t, w
 
 
 def _validate_power_domain(alpha: float, a: float, d: int) -> None:
@@ -164,24 +162,25 @@ def _validate_power_domain(alpha: float, a: float, d: int) -> None:
             "needs alpha < 1/2")
 
 
-def t_quadrature(alpha: float, a: float, d: int,
-                 split: float = 1.0) -> TQuadrature:
+def t_quadrature(alpha: float, a: float, d: int) -> TQuadrature:
     _validate_power_domain(alpha, a, d)
     if d + a > 0:
-        return TQuadrature(alpha, a, d, split, t_max=max(40.0 / (d + a),
-                                                         2 * split))
+        return TQuadrature(alpha, a, d, t_max=max(40.0 / (d + a), 2.0))
     # algebraic tail: integrate far out, caller adds the remainder
-    return TQuadrature(alpha, a, d, split, t_max=200.0, algebraic_tail=True)
+    return TQuadrature(alpha, a, d, t_max=200.0, algebraic_tail=True)
 
 
-def _algebraic_remainder(alpha: float, z, zp, d: int, t0: float) -> np.ndarray:
-    """int_t0^inf t^(alpha-1) e^(2t d/2 cancollapsed) ... for d + a = 0.
+def _algebraic_remainder(alpha: float, z, zp, d: int, t0: float,
+                         refine: bool) -> np.ndarray:
+    """The lattice of TQuadrature.nodes(refine) past t0, for d + a = 0.
 
     Past t0 the kernel is E ~ (1/2) pi^(-(d+1)/2) e^(-(|x|^2+|x'|^2)/2)
     t^(-1/2) e^(-td) e^(-(rho-rho')^2/4t); with e^(-ta) = e^(td) the
-    exponential cancels and the remainder is an incomplete algebraic
-    integral, expanded in powers of c/t with c = (rho-rho')^2/4.
+    exponential cancels and the summand is expanded in powers of c/t,
+    c = (rho-rho')^2/4.  Each term t^p summed over t0 e^(j h), j >= 1,
+    is h t0^p e^(p h)/(1 - e^(p h)), with the step h of that call.
     """
+    h = _log_t_step(refine)
     rho, x = _split_z(z)
     rhop, xp = _split_z(zp)
     c = (rho - rhop) ** 2 / 4.0
@@ -190,7 +189,8 @@ def _algebraic_remainder(alpha: float, z, zp, d: int, t0: float) -> np.ndarray:
     acc = np.zeros_like(c)
     for m in range(4):
         power = alpha - 0.5 - m
-        acc = acc + (-c) ** m / math.factorial(m) * t0 ** power / (-power)
+        acc = acc + (-c) ** m / math.factorial(m) \
+            * h * t0 ** power / math.expm1(-power * h)
     return c_inf * acc
 
 
@@ -218,17 +218,14 @@ def k_alpha(z, zp, alpha: float, a: float = 0.0,
         logs = ((alpha - 1.0) * np.log(t) - a * t
                 + log_heat_kernel_E(t, z[..., None, :], zp[..., None, :], d))
         val = np.sum(w * np.exp(logs), axis=-1)
-        return val
+        if quad.algebraic_tail:
+            val = val + _algebraic_remainder(alpha, z, zp, d, quad.t_max,
+                                             refine)
+        return val / math.gamma(alpha)
 
     val = run(False)
-    if quad.algebraic_tail:
-        val = val + _algebraic_remainder(alpha, z, zp, d, quad.t_max)
-    val = val / math.gamma(alpha)
     if with_error:
         ref = run(True)
-        if quad.algebraic_tail:
-            ref = ref + _algebraic_remainder(alpha, z, zp, d, quad.t_max)
-        ref = ref / math.gamma(alpha)
         err = float(np.max(np.abs(val - ref)
                            / np.maximum(np.abs(ref), 1e-300)))
         if err > 1e-3:
@@ -422,23 +419,28 @@ def _estimate_H_powers(field: Field, t_base: float, n_powers: int = 3):
     """H f, ..., H^n f from semigroup differences only (no eigenbasis).
 
     f - e^(-tH) f = sum_m (-1)^(m+1) t^m/m! H^m f; sampling at a short
-    geometric ladder of resolvable times and solving the Vandermonde
-    system recovers the leading powers.  Columns are scaled by the top
-    node to keep the solve well conditioned.
+    geometric ladder of n + 3 resolvable times gives a Vandermonde
+    system for the leading powers.  Columns are scaled by the top node
+    to keep it well conditioned.  The system is inverted once and only
+    the n rows of the wanted powers are kept, so each difference is
+    added into the n estimates as soon as it is made and the n + 3
+    differences are never held at once.
     """
     n_nodes = n_powers + 3
     ts = t_base * 1.5 ** np.arange(n_nodes)
-    rhs = np.stack([(field.values - heat_apply_kernel(field, float(t)).values)
-                    .ravel() for t in ts])
     s = ts[-1]
-    a = np.empty((n_nodes, n_nodes))
+    m = np.arange(1, n_nodes + 1)
+    a = (-1.0) ** (m + 1) * (ts[:, None] / s) ** m / np.cumprod(m)
+    rows = np.linalg.inv(a)[:n_powers] \
+        / s ** np.arange(1, n_powers + 1)[:, None]
+    powers = np.zeros((n_powers,) + field.values.shape,
+                      dtype=field.values.dtype)
     for i, t in enumerate(ts):
-        for m in range(1, n_nodes + 1):
-            a[i, m - 1] = (-1.0) ** (m + 1) * (t / s) ** m / math.factorial(m)
-    sol = np.linalg.solve(a, rhs)
-    return [Field(field.grid,
-                  (sol[m - 1] / s ** m).reshape(field.values.shape))
-            for m in range(1, n_powers + 1)]
+        diff = heat_apply_kernel(field, float(t)).values
+        np.subtract(field.values, diff, out=diff)
+        for m in range(n_powers):
+            powers[m] += rows[m, i] * diff
+    return [Field(field.grid, p) for p in powers]
 
 
 def frac_power_kernel(field: Field, alpha: float, shift: float = 0.0) -> Field:
@@ -521,16 +523,29 @@ def frac_power_kernel(field: Field, alpha: float, shift: float = 0.0) -> Field:
 # ---------------------------------------------------------------------------
 # weighted Schur sums
 
-def _row_integral(x_sq, alpha: float, d: int) -> np.ndarray:
-    """int K_alpha(z, z') dz' = (1/Gamma(a)) int t^(a-1) (cosh 2t)^(-d/2)
-    e^(-|x|^2 tanh(2t)/2) dt; the rho direction has unit mass."""
-    quad = t_quadrature(alpha, 0.0, d)
-    t, w = quad.nodes()
+def _moment_integral(x_sq, alpha: float, d: int, order: float) -> np.ndarray:
+    """int |x|^(2 order) K_alpha(z, z') dz as a function of x_sq = |x'|^2.
+
+    The rho direction has unit mass.  In x the heat kernel is the mass
+    (cosh 2t)^(-d/2) e^(-|x'|^2 tanh(2t)/2) times a normal law with mean
+    x'/cosh 2t and variance s^2 = tanh 2t per axis, whose absolute
+    moment is (2 s^2)^order Gamma(order + d/2)/Gamma(d/2)
+    1F1(-order; d/2; -|x'|^2/sinh 4t).  K_alpha is symmetric, so order
+    0 is also the row integral int K_alpha(z, z') dz'.
+    """
+    from scipy.special import hyp1f1    # kept out of the package import
+
+    t, w = t_quadrature(alpha, 0.0, d).nodes()
     x_sq = np.asarray(x_sq, dtype=np.float64)[..., None]
+    s_sq = np.tanh(2.0 * t)
     vals = np.exp((alpha - 1.0) * np.log(t)
                   - 0.5 * d * np.log(np.cosh(2.0 * t))
-                  - 0.5 * x_sq * np.tanh(2.0 * t))
-    return np.sum(w * vals, axis=-1) / math.gamma(alpha)
+                  - 0.5 * x_sq * s_sq)
+    vals *= (2.0 * s_sq) ** order * hyp1f1(-order, 0.5 * d,
+                                           -x_sq / np.sinh(4.0 * t))
+    return np.sum(w * vals, axis=-1) \
+        * (math.gamma(order + 0.5 * d) / math.gamma(0.5 * d)) \
+        / math.gamma(alpha)
 
 
 def schur_weighted_report(alpha: float, d: int, n_samples: int = 24,
@@ -538,57 +553,28 @@ def schur_weighted_report(alpha: float, d: int, n_samples: int = 24,
                           stability_limit: float = 1.5) -> Report:
     """Schur test for the weighted operator |x|^(2 alpha) H^(-alpha).
 
-    Row side: sup_z |x(z)|^(2 alpha) int K_alpha(z, z') dz', with the
-    inner integral in closed form up to a 1-D time quadrature.  Column
-    side: sup_{z'} int |x|^(2 alpha) K_alpha(z, z') dz, by an x-space
-    Gauss-Legendre panel quadrature under the time integral.  Both must
-    be finite and stable when the sample count doubles.
+    Row side: sup_z |x(z)|^(2 alpha) int K_alpha(z, z') dz'.  Column
+    side: sup_{z'} int |x|^(2 alpha) K_alpha(z, z') dz.  Both inner
+    integrals are closed forms in space under the time integral
+    (_moment_integral of order 0 and alpha), for every d.  Each sup is
+    over x uniform in [-x_max, x_max]^d; both must be finite and stable
+    when the sample count doubles.
     """
     rep = Report(suite="weighted-decay",
                  params={"alpha": alpha, "d": d, "n": n_samples})
     rng = np.random.default_rng(seed)
-
-    def row_sup(n):
-        x = rng.uniform(-x_max, x_max, (n, d))
-        x_sq = np.sum(x ** 2, axis=-1)
-        return float(np.max(x_sq ** alpha * _row_integral(x_sq, alpha, d)))
-
-    r1 = row_sup(n_samples)
-    r2 = max(r1, row_sup(n_samples))  # doubled cumulative sample
-    rep.add("row_sup", r2, None, np.isfinite(r2), "weighted row integrals")
-    growth_r = r2 / r1 if r1 > 0 else np.inf
-    rep.add("row_refinement_growth", growth_r, stability_limit,
-            growth_r < stability_limit, "doubling the row samples")
-
-    # column side, d = 1 style dense quadrature over z = (rho, x)
-    quad = t_quadrature(alpha, 0.0, d)
-    t, w = quad.nodes()
-    xg, wxg = _gl_panels(np.linspace(-10.0, 10.0, 41), 8)
-
-    def column_value(xp_val):
-        # int |x|^(2a) K^x(t, x, xp) dx with the rho mass already 1
-        sinh2t = np.sinh(2.0 * t)[None, :]
-        coth2t = np.cosh(2.0 * t)[None, :] / sinh2t
-        kx = np.exp(-0.5 * coth2t * (xg[:, None] ** 2 + xp_val ** 2)
-                    + xg[:, None] * xp_val / sinh2t) \
-            / np.sqrt(2.0 * math.pi * sinh2t)
-        inner = np.sum((wxg * np.abs(xg) ** (2 * alpha))[:, None] * kx, axis=0)
-        return np.sum(w * t ** (alpha - 1.0) * inner) / math.gamma(alpha)
-
-    if d != 1:
-        rep.add("column_sup", float("inf"), None, False,
-                "column quadrature implemented for d = 1 only")
-        return rep
-
-    def col_sup(n):
-        xs = rng.uniform(-x_max, x_max, n)
-        return float(max(column_value(v) for v in xs))
-
-    c1 = col_sup(n_samples)
-    c2 = max(c1, col_sup(n_samples))
-    rep.add("column_sup", c2, None, np.isfinite(c2),
-            "weighted column integrals")
-    growth_c = c2 / c1 if c1 > 0 else np.inf
-    rep.add("column_refinement_growth", growth_c, stability_limit,
-            growth_c < stability_limit, "doubling the column samples")
+    for side, order in (("row", 0.0), ("column", alpha)):
+        sups = []
+        for _ in range(2):      # the second draw doubles the sample
+            x_sq = np.sum(rng.uniform(-x_max, x_max, (n_samples, d)) ** 2,
+                          axis=-1)
+            vals = x_sq ** (alpha - order) \
+                * _moment_integral(x_sq, alpha, d, order)
+            sups.append(max([float(np.max(vals))] + sups))
+        s1, s2 = sups
+        rep.add(f"{side}_sup", s2, None, np.isfinite(s2),
+                f"weighted {side} integrals")
+        growth = s2 / s1 if s1 > 0 else np.inf
+        rep.add(f"{side}_refinement_growth", growth, stability_limit,
+                growth < stability_limit, f"doubling the {side} samples")
     return rep

@@ -385,8 +385,8 @@ def _bessel_power(values: np.ndarray, box: UniformBox,
                   alpha: float) -> np.ndarray:
     """(I - Laplacian)^(alpha/2) by the full Fourier multiplier."""
     fhat = np.fft.fftn(values)
-    return np.fft.ifftn((1.0 + _sum_sq(box.freq_axes())) ** (alpha / 2.0)
-                        * fhat)
+    fhat *= (1.0 + _sum_sq(box.freq_axes())) ** (alpha / 2.0)
+    return np.fft.ifftn(fhat)
 
 
 def strict_inclusion_demo(which: str, alpha: float, p: float,
@@ -427,7 +427,8 @@ def strict_inclusion_demo(which: str, alpha: float, p: float,
 
     if which == "f1":
         box = UniformBox((half_width, half_width), (n_points, n_points))
-        rr, xx = np.meshgrid(*box.axes(), indexing="ij")
+        rho_ax, x_ax = box.axes()
+        rr, xx = rho_ax[:, None], x_ax[None, :]
         if control:
             g = np.exp(-(rr ** 2 + xx ** 2) / 2.0)
         else:

@@ -31,20 +31,10 @@ def old_lp_norm(field, p):
     return float(np.sum(w * a ** p) ** (1.0 / p))
 
 
-def old_box_lp_norm(values, box, p, radius=None, exclude_origin=False):
+def old_box_lp_norm(values, box, p):
     """box_lp_norm as first written: always a mask and a gather."""
     values = np.asarray(values)
     mask = np.ones(values.shape, dtype=bool)
-    if radius is not None:
-        for i, ax in enumerate(box.axes()):
-            shp = [1] * box.ndim
-            shp[i] = ax.size
-            mask &= np.broadcast_to(np.abs(ax.reshape(shp)) <= radius + 1e-12,
-                                    values.shape)
-    if exclude_origin:
-        hmin = min(box.spacings())
-        mask &= np.broadcast_to(box.radius_sq() > (0.25 * hmin) ** 2,
-                                values.shape)
     a = np.abs(values)
     if p == np.inf:
         return float(a[mask].max()) if mask.any() else 0.0
@@ -172,12 +162,6 @@ def test_box_lp_norm_restrictions():
     # integer samples, powered in place, still give a float norm
     assert box_lp_norm(np.ones((8, 8), dtype=int), box, 2.5) == \
         pytest.approx(16.0 ** 0.4, rel=1e-12)
-    # radius 1 keeps the 5 axis points {-1,-0.5,0,0.5,1}, 25 cells of 1/4
-    assert box_lp_norm(ones, box, 1, radius=1.0) == pytest.approx(6.25, rel=1e-12)
-    # origin exclusion removes exactly one cell
-    full = box_lp_norm(ones, box, 1)
-    no0 = box_lp_norm(ones, box, 1, exclude_origin=True)
-    assert full - no0 == pytest.approx(box.cell_volume, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -212,21 +196,16 @@ def test_lp_norm_weight_is_per_grid_and_read_only():
 @settings(max_examples=80, deadline=None)
 @given(counts=st.lists(st.integers(1, 6), min_size=1, max_size=4),
        half=st.lists(st.floats(0.5, 8.0), min_size=4, max_size=4),
-       radius=st.one_of(st.none(), st.floats(0.05, 8.0)),
-       exclude_origin=st.booleans(), p=exponents, real=st.booleans(),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_box_lp_norm_bit_equal_to_reference(counts, half, radius,
-                                            exclude_origin, p, real, seed):
+       p=exponents, real=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_box_lp_norm_bit_equal_to_reference(counts, half, p, real, seed):
     box = UniformBox(tuple(half[:len(counts)]), tuple(2 * n for n in counts))
     rng = np.random.default_rng(seed)
     shape = box.counts
     values = rng.standard_normal(shape)
     if not real:
         values = values + 1j * rng.standard_normal(shape)
-    out = box_lp_norm(values, box, p, radius=radius,
-                      exclude_origin=exclude_origin)
-    want = old_box_lp_norm(values, box, p, radius=radius,
-                           exclude_origin=exclude_origin)
+    out = box_lp_norm(values, box, p)
+    want = old_box_lp_norm(values, box, p)
     assert out.hex() == want.hex()
 
 

@@ -8,10 +8,12 @@ independent path to the quadratic form.
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
-from hypothesis import given, settings
+import scipy.special
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pharmonic import (
@@ -19,6 +21,7 @@ from pharmonic import (
     InvalidParameterError,
     SingularPointError,
     b_quadratic,
+    b_symbol,
     frac_power_kernel,
     heat_apply_kernel,
     heat_kernel_E,
@@ -33,11 +36,13 @@ from pharmonic import (
     sample,
     sample_pairs,
     schur_weighted_report,
+    sigma_alpha,
     spectral_frac_power,
     t_quadrature,
 )
 from pharmonic.grid import Field
-from pharmonic.heat_kernel import _gl_panels, _x_heat_matrix, log_heat_kernel_E
+from pharmonic.heat_kernel import (_gl_panels, _moment_integral,
+                                   _x_heat_matrix, log_heat_kernel_E)
 
 B_PAIR_ORACLE = 0.8439639393033420      # t=0.5, z=(0.3,1.2), z'=(-0.4,0.5)
 E_PAIR_ORACLE = 0.06312990531165657
@@ -302,6 +307,77 @@ class TestHeatApplyFactored:
         assert np.abs(out - ref).max() <= 1e-14 * np.abs(scale).max()
 
 
+class TestTimeRule:
+    """t_quadrature against closed forms of int t^(g-1) F(t) dt.
+
+    The rule for dimension d is built for integrands that decay at
+    least like e^(-d t), the bottom of the spectrum of H, so the decay
+    rates drawn here are at least d.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), g=st.floats(0.05, 2.5),
+           log_lam=st.floats(0.0, 5.0), refine=st.booleans())
+    def test_gamma_closed_form(self, d, g, log_lam, refine):
+        # sum w t^(g-1) e^(-lam t) / Gamma(g) = lam^(-g)
+        lam = max(10.0 ** log_lam, float(d))
+        t, w = t_quadrature(g, 0.0, d).nodes(refine)
+        got = np.sum(w * t ** (g - 1.0) * np.exp(-lam * t)) / math.gamma(g)
+        assert got == pytest.approx(lam ** -g, rel=1e-11, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), g=st.floats(0.05, 2.5),
+           log_lam=st.floats(0.0, 3.0), z=st.floats(0.01, 28.0))
+    @example(d=1, g=2.5, log_lam=1.4256, z=28.0)   # h = 0.2 errs by 5e-9
+    def test_bessel_k_closed_form(self, d, g, log_lam, z):
+        # a c/t term, as in the kernel at separation 2 sqrt(c):
+        # int t^(g-1) e^(-lam t - c/t) dt = 2 (c/lam)^(g/2) K_g(z) with
+        # z = 2 sqrt(c lam).  lam >= 2d puts the tail past t_max = 40/d
+        # below e^(-50) of the integral, so only the step is tested.
+        lam = max(10.0 ** log_lam, 2.0 * d)
+        c = z * z / (4.0 * lam)
+        t, w = t_quadrature(g, 0.0, d).nodes()
+        got = np.sum(w * t ** (g - 1.0) * np.exp(-lam * t - c / t))
+        want = 2.0 * (c / lam) ** (g / 2.0) * scipy.special.kv(g, z)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_node_budget(self, d):
+        for g in (0.05, 0.5, 2.5):
+            t, w = t_quadrature(g, 0.0, d).nodes()
+            assert t.size <= 300
+            assert t[0] <= 1e-16
+
+    def test_sigma_alpha_near_one_matches_quad(self):
+        # alpha = 0.9 puts t^(-0.9) under the integral; scipy's
+        # algebraic-weight rule takes the singularity on (0, 1]
+        alpha, d = 0.9, 1
+        x, tau, xi = 0.7, 2.0, -0.4
+
+        def minus_dt_p(t):
+            # -d/dt of (cosh 2t)^(-d/2) e^(-b)
+            db = ((x * x + xi * xi) / np.cosh(2.0 * t) ** 2
+                  + 2.0j * x * xi * np.tanh(2.0 * t) / np.cosh(2.0 * t)
+                  + tau ** 2)
+            return (np.cosh(2.0 * t) ** (-d / 2.0)
+                    * np.exp(-b_symbol(t, np.array([x]), tau, np.array([xi])))
+                    * (d * np.tanh(2.0 * t) + db))
+
+        def integral(part):
+            head = scipy.integrate.quad(
+                lambda t: part(minus_dt_p(t)), 0.0, 1.0, weight="alg",
+                wvar=(-alpha, 0.0), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            tail = scipy.integrate.quad(
+                lambda t: t ** -alpha * part(minus_dt_p(t)), 1.0, 40.0,
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            return head + tail
+
+        want = complex(integral(np.real), integral(np.imag)) \
+            / math.gamma(1.0 - alpha)
+        got = complex(sigma_alpha(x, tau, xi, alpha, d))
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+
 class TestKAlpha:
     def test_oracle_value(self):
         z = np.array([0.5, 1.0])
@@ -418,6 +494,40 @@ class TestBoundReports:
     def test_schur_weighted_report(self):
         rep = schur_weighted_report(0.5, 1, n_samples=24, seed=5)
         assert rep.all_passed, rep.failures()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_schur_weighted_report_seed_186(self, d):
+        # a column sample of seed 186 used to land next to a node of the
+        # old fixed x-quadrature, and d > 1 had no column side at all
+        rep = schur_weighted_report(0.5, d, n_samples=24, seed=186)
+        assert rep.all_passed, rep.failures()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_column_moment_against_mpmath(self, d, alpha):
+        # the x-moment of a normal law with mean x'/cosh 2t and variance
+        # tanh 2t per axis; at alpha = 1 it is the elementary second
+        # moment d s^2 + |m|^2, which pins the constants of the 1F1 form
+        xp_sq = 6.76
+        mp = mpmath.mp.clone()
+        mp.dps = 20
+
+        def integrand(t):
+            s_sq = mp.tanh(2 * t)
+            m_sq = xp_sq / mp.cosh(2 * t) ** 2
+            if alpha == 1.0:
+                moment = d * s_sq + m_sq
+            else:
+                moment = ((2 * s_sq) ** alpha * mp.gamma(alpha + d / 2.0)
+                          / mp.gamma(d / 2.0)
+                          * mp.hyp1f1(-alpha, d / 2.0, -m_sq / (2 * s_sq)))
+            return (t ** (alpha - 1) * mp.cosh(2 * t) ** (-d / 2.0)
+                    * mp.exp(-xp_sq * s_sq / 2) * moment)
+
+        want = mp.quad(integrand, [0, 1e-3, 0.1, 1, 10, mp.inf]) \
+            / mp.gamma(alpha)
+        assert float(_moment_integral(xp_sq, alpha, d, alpha)) == \
+            pytest.approx(float(want), rel=1e-12)
 
 
 class TestFracPowerKernel:
