@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Grid:
     d: int
@@ -82,9 +87,34 @@ class Grid:
     def _cell_weight(self) -> np.ndarray:
         """x_weight() * drho, the quadrature weight of one grid cell,
         built once per grid and read-only."""
-        w = self.x_weight() * self.drho
-        w.flags.writeable = False
-        return w
+        return _read_only(self.x_weight() * self.drho)
+
+    # Per-grid constants of the heat-kernel matrices (heat_kernel's
+    # _rho_heat_matrix and _x_heat_matrix), built once and read-only.
+
+    @functools.cached_property
+    def _rho_offsets(self) -> np.ndarray:
+        """The N_rho offsets k drho, k in FFT order 0, 1, .., -N/2, .., -1."""
+        return _read_only(np.fft.fftfreq(self.N_rho, d=1.0 / self.N_rho)
+                          * self.drho)
+
+    @functools.cached_property
+    def _rho_circulant(self) -> np.ndarray:
+        """(i - j) mod N_rho, the index of entry (i, j) in an offset row."""
+        k = np.arange(self.N_rho)
+        return _read_only((k[:, None] - k[None, :]) % self.N_rho)
+
+    @functools.cached_property
+    def _x_sum_sq(self) -> np.ndarray:
+        """x_i^2 + x_j^2 over pairs of nodes of one x axis."""
+        xs = self.nodes_x
+        return _read_only(xs[:, None] ** 2 + xs[None, :] ** 2)
+
+    @functools.cached_property
+    def _x_product(self) -> np.ndarray:
+        """x_i x_j over pairs of nodes of one x axis."""
+        xs = self.nodes_x
+        return _read_only(xs[:, None] * xs[None, :])
 
     def eigenvalues(self, shift: float = 0.0) -> np.ndarray:
         """lambda + shift = tau^2 + 2|mu| + d + shift, shape (N_rho, n_mu)."""
@@ -300,18 +330,27 @@ def resample(field: Field, box: UniformBox, tail_tol: float = 1e-6) -> np.ndarra
     then the rho plane waves.
     """
     # layering: the transform lives one level up
-    from .spectral import _to_cube, forward, tail_energy
+    from .spectral import forward
 
-    g = field.grid
+    return _resample_coeffs(forward(field), box, tail_tol)
+
+
+def _resample_coeffs(coeffs, box: UniformBox,
+                     tail_tol: float = 1e-6) -> np.ndarray:
+    """resample from coefficients forward(field) the caller already
+    holds, so one transform serves several boxes; same check and
+    warning as resample."""
+    from .spectral import _to_cube, tail_energy
+
+    g = coeffs.grid
     if box.ndim != g.d + 1:
         raise InvalidParameterError("box dimension must be d + 1")
-    coeffs = forward(field)
     tail = tail_energy(coeffs)
     if tail > tail_tol:
         warnings.warn(
             f"coefficient tail energy {tail:.3e} exceeds {tail_tol:.1e}; "
             "resampled values limited by series truncation",
-            TruncationWarning, stacklevel=2)
+            TruncationWarning, stacklevel=3)
     axes = box.axes()
     out = _to_cube(g, coeffs.data)
     for axis in range(1, g.d + 1):

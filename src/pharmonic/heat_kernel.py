@@ -326,35 +326,37 @@ def _rho_heat_matrix(grid: Grid, t: float) -> np.ndarray:
     enough are taken that the truncation error is below 1e-15.  Entry
     (i, j) depends only on the offset (i - j) mod N_rho, so the images
     are summed once for the N_rho offsets k drho, k in [-N/2, N/2),
-    and the circulant matrix is indexed out of that row.
+    and the circulant matrix is indexed out of that row.  The offsets
+    and the circulant index are per-grid constants (Grid._rho_offsets,
+    Grid._rho_circulant); the images are summed m = -m_max .. m_max in
+    order, one row each.
     """
     L = grid.L_rho
-    n = grid.N_rho
     m_max = int(np.ceil(np.sqrt(4.0 * t * 40.0) / (2 * L))) + 1
     if m_max > 32:
         warnings.warn(
             f"diffusion length at t = {t} needs {m_max} window images; "
             "capping at 32", TruncationWarning, stacklevel=3)
         m_max = 32
-    offsets = np.fft.fftfreq(n, d=1.0 / n)      # 0, 1, .., -N/2, .., -1
-    diff = offsets * grid.drho
-    row = np.zeros_like(diff)
-    for m in range(-m_max, m_max + 1):
-        row += np.exp(-(diff + 2.0 * L * m) ** 2 / (4.0 * t))
+    m = np.arange(-m_max, m_max + 1)
+    row = np.exp(-(grid._rho_offsets + 2.0 * L * m[:, None]) ** 2
+                 / (4.0 * t)).sum(axis=0)
     row = row * grid.drho / np.sqrt(4.0 * math.pi * t)
-    k = np.arange(n)
-    return row[(k[:, None] - k[None, :]) % n]
+    return row[grid._rho_circulant]
 
 
 def _x_heat_matrix(grid: Grid, t: float) -> np.ndarray:
-    """One-axis oscillator kernel matrix with compensated weights folded in."""
-    xs = grid.nodes_x
+    """One-axis oscillator kernel matrix with compensated weights folded
+    in, from the per-grid node constants Grid._x_sum_sq and
+    Grid._x_product."""
     sinh2t = math.sinh(2.0 * t)
     coth2t = math.cosh(2.0 * t) / sinh2t
-    expo = (-0.5 * coth2t * (xs[:, None] ** 2 + xs[None, :] ** 2)
-            + xs[:, None] * xs[None, :] / sinh2t)
-    pref = 1.0 / math.sqrt(2.0 * math.pi * sinh2t)
-    return pref * np.exp(expo) * grid.weights_x[None, :]
+    out = -0.5 * coth2t * grid._x_sum_sq
+    out += grid._x_product / sinh2t
+    np.exp(out, out=out)
+    out *= 1.0 / math.sqrt(2.0 * math.pi * sinh2t)
+    out *= grid.weights_x[None, :]
+    return out
 
 
 def heat_apply_kernel(field: Field, t: float) -> Field:
@@ -363,21 +365,26 @@ def heat_apply_kernel(field: Field, t: float) -> Field:
     rho by trapezoid with periodic images, each x axis by the
     compensated Gauss-Hermite rule; the kernel factorizes, so the cost
     is a matrix per axis rather than a dense (d+1)-dimensional one.
-    The kernel matrices are real, so they act on real arrays: the real
-    part alone when the imaginary part is zero (band-limited and
-    sampled Gaussian fields), otherwise the real and imaginary parts
-    stacked as two planes.  Axes are contracted in order rho, x_1, ..,
-    x_d by grid._contract_axis, each in place.  A real-dtype field gives
-    a real-dtype result.
+    The matrices are built per call from per-grid constants cached on
+    the Grid (node products, rho offsets, circulant index), never
+    cached per t: one run can use hundreds of distinct t.  They are real, so they act on real arrays: a
+    real-dtype field as it is, giving a real-dtype result; of a complex
+    field the real part alone when the imaginary part is zero
+    (band-limited and sampled Gaussian fields), otherwise the real and
+    imaginary parts stacked as two planes.  Axes are contracted in
+    order rho, x_1, .., x_d by grid._contract_axis.
     """
     if t <= 0:
         raise InvalidParameterError("t must be positive")
     g = field.grid
     vals = field.values
-    parts = [vals.real]
-    if np.iscomplexobj(vals) and vals.imag.any():
-        parts.append(vals.imag)
-    out = _contract_axis(np.stack(parts), _rho_heat_matrix(g, t), 1)
+    if not np.iscomplexobj(vals):
+        planes = vals[None]
+    elif vals.imag.any():
+        planes = np.stack([vals.real, vals.imag])
+    else:
+        planes = np.stack([vals.real])      # contiguous for the GEMMs
+    out = _contract_axis(planes, _rho_heat_matrix(g, t), 1)
     mx = _x_heat_matrix(g, t)
     for axis in range(2, g.d + 2):
         out = _contract_axis(out, mx, axis)
@@ -385,7 +392,7 @@ def heat_apply_kernel(field: Field, t: float) -> Field:
         return Field(g, out[0])
     res = np.empty(g.shape, dtype=np.complex128)
     res.real = out[0]
-    res.imag = out[1] if len(parts) == 2 else 0.0
+    res.imag = out[1] if len(out) == 2 else 0.0
     return Field(g, res)
 
 
@@ -458,6 +465,13 @@ def frac_power_kernel(field: Field, alpha: float, shift: float = 0.0) -> Field:
     differences, so no spectral information enters.  Accuracy requires
     comfortable Hermite headroom (M well above K) and a smooth,
     Gaussian-decaying field.
+
+    A complex field whose imaginary part is all zero (band-limited and
+    sampled Gaussian fields) is worked on as one real-dtype field: the
+    head, every apply and the accumulation are real, and the result is
+    cast to complex128 once at the end.  Every scaling multiplies by a
+    reciprocal, which is how numpy divides a complex array by a real
+    number, so the real path gives the complex path's bits.
     """
     g = field.grid
     if alpha == 0 or not (-(g.d + 1) / 2.0 < alpha < 1.0):
@@ -470,6 +484,10 @@ def frac_power_kernel(field: Field, alpha: float, shift: float = 0.0) -> Field:
         raise DomainError(
             f"d + shift = {g.d + shift:g} <= 0: (H + shift)^alpha has no "
             "decaying semigroup representation")
+    zero_imag = np.iscomplexobj(field.values) \
+        and not field.values.imag.any()
+    if zero_imag:
+        field = Field(g, field.values.real.copy())
     tf = _kernel_t_floor(g)
     t_max = 40.0 / (g.d + shift)
     hf, h2f, h3f = _estimate_H_powers(field, tf)
@@ -498,7 +516,8 @@ def frac_power_kernel(field: Field, alpha: float, shift: float = 0.0) -> Field:
             term = heat_apply_kernel(field, ti).values
             term *= wi * ti ** (gamma_ - 1.0) * math.exp(-ti * shift)
             acc += term
-        return Field(g, acc / math.gamma(gamma_))
+        acc *= 1.0 / math.gamma(gamma_)
+        return Field(g, acc.astype(np.complex128) if zero_imag else acc)
 
     # 0 < alpha < 1: int_0^tf t^(-alpha) H e^(-tH) f dt termwise
     head = (tf ** (1 - alpha) / (1 - alpha)) * hf \
@@ -513,11 +532,12 @@ def frac_power_kernel(field: Field, alpha: float, shift: float = 0.0) -> Field:
         def ddt(step):
             lo = heat_apply_kernel(field, ti - step).values
             hi = heat_apply_kernel(field, ti + step).values
-            return (lo - hi) / (2.0 * step)
+            return (lo - hi) * (1.0 / (2.0 * step))
 
-        deriv = (4.0 * ddt(h / 2.0) - ddt(h)) / 3.0
+        deriv = (4.0 * ddt(h / 2.0) - ddt(h)) * (1.0 / 3.0)
         acc += wi * ti ** (-alpha) * deriv
-    return Field(g, acc / math.gamma(1.0 - alpha))
+    acc *= 1.0 / math.gamma(1.0 - alpha)
+    return Field(g, acc.astype(np.complex128) if zero_imag else acc)
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,15 @@ import numpy as np
 
 from .errors import (DomainError, InvalidParameterError, QuadratureError,
                      ResolutionWarning)
-from .grid import (Field, Grid, UniformBox, box_lp_norm, lp_norm, make_grid,
-                   resample)
+from .grid import (Field, Grid, UniformBox, _resample_coeffs, box_lp_norm,
+                   lp_norm, make_grid, resample)
 from .heat_kernel import (_gl_panels, frac_power_kernel, k_alpha,
                           t_quadrature)
 from .ladder import _grad_coeffs
 from .report import Report
 from .sobolev import TestFamily, potential_norm
-from .spectral import forward, inverse, plancherel_norm, spectral_frac_power
+from .spectral import (SpectralCoeffs, forward, inverse, plancherel_norm,
+                       spectral_frac_power)
 
 GATE_TOL = 1e-3
 _PROFILE_EPS = 0.1
@@ -180,8 +181,8 @@ def _sup_stats(rep: Report, name: str, base: list[float],
     return sup_all
 
 
-def _grad_norm(f: Field, p: float) -> float:
-    """sum_j |A_j f|_p over the 2d+1 ladder components of f.
+def _grad_norm(c: SpectralCoeffs, p: float) -> float:
+    """sum_j |A_j f|_p over the 2d+1 ladder components of f = inverse(c).
 
     At p = 2 each term is the coefficient norm of the ladder image
     (plancherel_norm), with no inverse transform.  That is the grid L^2
@@ -195,7 +196,7 @@ def _grad_norm(f: Field, p: float) -> float:
     freeing that much at once lets the allocator return it to the OS,
     to be faulted back in for the next member.
     """
-    images = _grad_coeffs(forward(f))
+    images = _grad_coeffs(c)
     if p == 2.0:
         return sum(plancherel_norm(c) for c in images)
     return sum(lp_norm(inverse(c), p) for c in images)
@@ -221,10 +222,11 @@ def _ratio_hls(f: Field, alpha: float, p: float, q: float,
     if q == 2.0:
         r = lp_norm(k, 2.0) / den
         return rel, r, r
-    r0 = box_lp_norm(resample(k, box), box, q) / den
+    ck = forward(k)
+    r0 = box_lp_norm(_resample_coeffs(ck, box), box, q) / den
     r1 = r0
     if box_fine is not None:
-        r1 = box_lp_norm(resample(k, box_fine), box_fine, q) / den
+        r1 = box_lp_norm(_resample_coeffs(ck, box_fine), box_fine, q) / den
     return rel, r0, r1
 
 
@@ -293,16 +295,17 @@ def shifted_hls_check(alpha: float, p: float, q: float, d: int, a: float,
 
 def _ratio_gns(f: Field, p: float, q: float, box: UniformBox,
                box_fine: UniformBox | None) -> tuple[float, float]:
-    den = _grad_norm(f, p)
+    c = forward(f)
+    den = _grad_norm(c, p)
     if den == 0.0:
         raise InvalidParameterError("zero field in family")
     if q == 2.0:
         r = lp_norm(f, 2.0) / den
         return r, r
-    r0 = box_lp_norm(resample(f, box), box, q) / den
+    r0 = box_lp_norm(_resample_coeffs(c, box), box, q) / den
     r1 = r0
     if box_fine is not None:
-        r1 = box_lp_norm(resample(f, box_fine), box_fine, q) / den
+        r1 = box_lp_norm(_resample_coeffs(c, box_fine), box_fine, q) / den
     return r0, r1
 
 
@@ -392,11 +395,12 @@ def hardy_check(alpha: float, p: float, d: int, family: TestFamily,
         den = potential_norm(f, alpha, p)
         if den == 0.0:
             raise InvalidParameterError("zero field in family")
-        num0 = box_lp_norm(w0 * resample(f, box), box, p)
+        c = forward(f)
+        num0 = box_lp_norm(w0 * _resample_coeffs(c, box), box, p)
         num1 = num0
         if with_fine:
-            num1 = box_lp_norm(w1 * resample(f, fine), fine, p)
-        gden = _grad_norm(f, p) if grad_variant else math.inf
+            num1 = box_lp_norm(w1 * _resample_coeffs(c, fine), fine, p)
+        gden = _grad_norm(c, p) if grad_variant else math.inf
         return num0, num1, den, gden
 
     got = [worker(f, True) for f in base]

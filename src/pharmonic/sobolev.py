@@ -114,8 +114,12 @@ def _band_limited_coeffs(grid: Grid, rng, margin: int = 2) -> SpectralCoeffs:
 
 def _make_member(kind: str, grid: Grid, rng) -> Field:
     if kind == "band_limited":
+        # drop the rounding-level imaginary part on inverse's own array;
+        # adding +0.0 turns any -0.0 of the real part into +0.0
         f = inverse(_band_limited_coeffs(grid, rng))
-        return Field(grid, np.real(f.values) + 0.0j)
+        f.values.real += 0.0
+        f.values.imag = 0.0
+        return f
     if kind == "gaussian":
         r0 = rng.uniform(-1.5, 1.5)
         x0 = rng.uniform(-1.0, 1.0, grid.d)

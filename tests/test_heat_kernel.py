@@ -41,8 +41,10 @@ from pharmonic import (
     t_quadrature,
 )
 from pharmonic.grid import Field
+from pharmonic.errors import TruncationWarning
 from pharmonic.heat_kernel import (_gl_panels, _moment_integral,
-                                   _x_heat_matrix, log_heat_kernel_E)
+                                   _rho_heat_matrix, _x_heat_matrix,
+                                   log_heat_kernel_E)
 
 B_PAIR_ORACLE = 0.8439639393033420      # t=0.5, z=(0.3,1.2), z'=(-0.4,0.5)
 E_PAIR_ORACLE = 0.06312990531165657
@@ -305,6 +307,68 @@ class TestHeatApplyFactored:
             scale = heat_apply_kernel(Field(g, np.abs(values)), t).values
         ref = tensordot_apply(f, t)
         assert np.abs(out - ref).max() <= 1e-14 * np.abs(scale).max()
+
+
+def loop_rho_heat_matrix(grid, t):
+    """The rho kernel matrix as first written: offsets and circulant
+    index rebuilt per call, one image per loop step."""
+    L = grid.L_rho
+    n = grid.N_rho
+    m_max = min(int(np.ceil(np.sqrt(4.0 * t * 40.0) / (2 * L))) + 1, 32)
+    diff = np.fft.fftfreq(n, d=1.0 / n) * grid.drho
+    row = np.zeros_like(diff)
+    for m in range(-m_max, m_max + 1):
+        row += np.exp(-(diff + 2.0 * L * m) ** 2 / (4.0 * t))
+    row = row * grid.drho / np.sqrt(4.0 * math.pi * t)
+    k = np.arange(n)
+    return row[(k[:, None] - k[None, :]) % n]
+
+
+def direct_x_heat_matrix(grid, t):
+    """The x kernel matrix as first written, node products per call."""
+    xs = grid.nodes_x
+    sinh2t = math.sinh(2.0 * t)
+    coth2t = math.cosh(2.0 * t) / sinh2t
+    expo = (-0.5 * coth2t * (xs[:, None] ** 2 + xs[None, :] ** 2)
+            + xs[:, None] * xs[None, :] / sinh2t)
+    pref = 1.0 / math.sqrt(2.0 * math.pi * sinh2t)
+    return pref * np.exp(expo) * grid.weights_x[None, :]
+
+
+class TestKernelMatrices:
+    """The per-call matrices from per-grid constants, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3), log2_n=st.integers(1, 7),
+           L=st.floats(0.25, 10.0), m=st.integers(1, 40),
+           log_t=st.floats(-4.0, 2.5))
+    @example(d=1, log2_n=4, L=0.5, m=8, log_t=2.5)      # past the cap
+    def test_equal_to_loop_builders(self, d, log2_n, L, m, log_t):
+        g = make_grid(d=d, N_rho=2 ** log2_n, L_rho=L, K=min(m - 1, 3), M=m)
+        t = 10.0 ** log_t
+        capped = int(np.ceil(np.sqrt(160.0 * t) / (2 * L))) + 1 > 32
+        for _ in range(2):      # the warning fires on every call
+            with warnings.catch_warnings(record=True) as got:
+                warnings.simplefilter("always")
+                rho = _rho_heat_matrix(g, t)
+            assert [w.category for w in got] == \
+                [TruncationWarning] * capped
+            assert rho.tobytes() == loop_rho_heat_matrix(g, t).tobytes()
+            assert _x_heat_matrix(g, t).tobytes() == \
+                direct_x_heat_matrix(g, t).tobytes()
+
+    def test_constants_per_grid_and_read_only(self):
+        a = make_grid(d=1, N_rho=16, L_rho=4.0, K=4, M=8)
+        b = make_grid(d=1, N_rho=16, L_rho=6.0, K=4, M=8)
+        assert not np.array_equal(a._rho_offsets, b._rho_offsets)
+        assert np.array_equal(b._rho_offsets, 1.5 * a._rho_offsets)
+        for name in ("_rho_offsets", "_rho_circulant", "_x_sum_sq",
+                     "_x_product"):
+            const = getattr(a, name)
+            assert getattr(a, name) is const        # built once
+            assert not const.flags.writeable
+            with pytest.raises(ValueError):
+                const[0] = 1
 
 
 class TestTimeRule:
@@ -570,6 +634,66 @@ class TestFracPowerKernel:
         lhs = inner(frac_power_kernel(f, -0.5), h)
         rhs = inner(f, frac_power_kernel(h, -0.5))
         assert abs(lhs - rhs) / abs(lhs) < 1e-6
+
+
+class TestFracPowerRealPath:
+    """A complex field with zero imaginary part runs as a real field."""
+
+    @pytest.mark.parametrize("alpha,shift", [(-0.5, 0.0), (0.5, 0.0),
+                                             (-0.5, 2.0)])
+    def test_zero_imaginary_part_runs_real(self, alpha, shift, monkeypatch):
+        import pharmonic.heat_kernel as hk
+        g = make_grid(d=1, N_rho=32, L_rho=8.0, K=8, M=24)
+        f = sample(g, lambda r, x: np.exp(-0.5 * (r - 0.3) ** 2
+                                          - 0.6 * x ** 2) * (1 + 0.4 * x))
+        assert f.values.dtype == np.complex128
+        want = frac_power_kernel(Field(g, f.values.real.copy()), alpha,
+                                 shift=shift)
+        assert want.values.dtype == np.float64
+        seen = []
+        apply = hk.heat_apply_kernel
+
+        def spy(field, t):
+            seen.append(field.values.dtype)
+            return apply(field, t)
+
+        monkeypatch.setattr(hk, "heat_apply_kernel", spy)
+        out = frac_power_kernel(f, alpha, shift=shift)
+        assert seen and set(seen) == {np.dtype(np.float64)}
+        assert out.values.dtype == np.complex128
+        assert not out.values.imag.any()
+        assert out.values.real.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("alpha,shift", [(-0.5, 0.0), (0.5, 0.0),
+                                             (-0.5, 2.0)])
+    def test_real_path_has_the_two_plane_bits(self, alpha, shift):
+        # the two-plane path runs each plane through the same matrices,
+        # and numpy's complex * real and complex / real act on the real
+        # part as real * and * reciprocal: the real path must scale the
+        # same way to give the same bits
+        g = make_grid(d=1, N_rho=32, L_rho=8.0, K=8, M=24)
+        re = sample(g, lambda r, x: np.exp(-0.5 * r ** 2 - 0.5 * x ** 2)
+                    * (1 + 0.3 * r)).values.real.copy()
+        im = sample(g, lambda r, x: np.exp(-0.7 * (r - 0.2) ** 2
+                                           - 0.6 * x ** 2)).values.real.copy()
+        out = frac_power_kernel(Field(g, re + 1j * im), alpha, shift=shift)
+        want = frac_power_kernel(Field(g, re), alpha, shift=shift)
+        assert out.values.real.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("alpha,shift", [(-0.5, 0.0), (0.5, 0.0),
+                                             (-0.5, 2.0)])
+    def test_complex_field_is_two_real_fields(self, alpha, shift):
+        g = make_grid(d=1, N_rho=32, L_rho=8.0, K=8, M=24)
+        f = mode_field(g, 3, (1,)) + sample(
+            g, lambda r, x: np.exp(-0.5 * r ** 2 - 0.5 * x ** 2))
+        assert f.values.imag.any()
+        out = frac_power_kernel(f, alpha, shift=shift).values
+        re = frac_power_kernel(Field(g, f.values.real.copy()), alpha,
+                               shift=shift).values
+        im = frac_power_kernel(Field(g, f.values.imag.copy()), alpha,
+                               shift=shift).values
+        assert np.abs(out - (re + 1j * im)).max() \
+            <= 1e-14 * np.abs(out).max()
 
 
 class TestShiftedPower:
