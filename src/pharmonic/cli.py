@@ -20,13 +20,11 @@ deterministic.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,10 +43,6 @@ from .sobolev import (TestFamily, equivalence_report,
 from .spectral import heat_spectral, spectral_frac_power
 from .symbols import (SampleDomain, gm_bound_estimate, riesz_symbol_fn,
                       sigma_symbol_fn, symbol_decay_report)
-
-SUITES = ("mehler", "semigroup", "powers", "commute", "kernel-bounds",
-          "weighted-decay", "riesz", "duality", "symbols",
-          "sobolev-equivalence", "inclusions", "hls", "gns", "hardy")
 
 CSV_COLUMNS = ("suite", "metric", "value", "tolerance", "pass", "params",
                "provenance")
@@ -136,8 +130,7 @@ def _parser() -> argparse.ArgumentParser:
     return ap
 
 
-_CONFIG_KEYS = ("suite", "d", "N_rho", "L_rho", "K", "M", "alpha", "p",
-                "q", "tol", "seed", "out", "format")
+_CONFIG_KEYS = tuple(f.name for f in fields(SuiteConfig))
 # config files may use the flag spellings for the grid sizes
 _KEY_ALIASES = {"Nrho": "N_rho", "Lrho": "L_rho"}
 
@@ -490,6 +483,7 @@ _RUNNERS = {
     "gns": _suite_gns,
     "hardy": _suite_hardy,
 }
+SUITES = tuple(_RUNNERS)
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
@@ -528,18 +522,22 @@ def _params_cell(params: dict) -> str:
     return ";".join(f"{k}={_param_str(params[k])}" for k in sorted(params))
 
 
+def _csv_cell(s: str) -> str:
+    # RFC 4180 minimal quoting.  csv.writer quotes only the characters
+    # of its line terminator, so a bare \r would split the row.
+    if any(c in s for c in ',"\r\n'):
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
 def _to_csv(rep: Report) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
     cell = _params_cell(rep.params)
-    for m in rep.metrics:
-        writer.writerow([
-            rep.suite, m.name, _num17(m.value),
-            "" if m.tolerance is None else _num17(m.tolerance),
-            "true" if m.passed else "false", cell, m.note,
-        ])
-    return buf.getvalue()
+    rows = [CSV_COLUMNS] + [
+        (rep.suite, m.name, _num17(m.value),
+         "" if m.tolerance is None else _num17(m.tolerance),
+         "true" if m.passed else "false", cell, m.note)
+        for m in rep.metrics]
+    return "".join(",".join(map(_csv_cell, r)) + "\n" for r in rows)
 
 
 def _json_value(v) -> str:
@@ -555,27 +553,21 @@ def _json_value(v) -> str:
         return _num17(v)
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_value(u) for u in v) + "]"
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_value(u)}"
+                               for k, u in v.items()) + "}"
     raise ConfigError(f"cannot serialize parameter of type {type(v)}")
 
 
 def _to_json(rep: Report) -> str:
-    params = ", ".join(f"{json.dumps(k)}: {_json_value(rep.params[k])}"
-                       for k in sorted(rep.params))
-    rows = []
-    for m in rep.metrics:
-        rows.append(
-            "{" + ", ".join((
-                f'"name": {json.dumps(m.name)}',
-                f'"value": {_num17(m.value)}',
-                f'"tolerance": '
-                f'{"null" if m.tolerance is None else _num17(m.tolerance)}',
-                f'"pass": {"true" if m.passed else "false"}',
-                f'"provenance": {json.dumps(m.note)}',
-            )) + "}")
-    return ("{" + f'"suite": {json.dumps(rep.suite)}, '
-            + "\"params\": {" + params + "}, "
-            + f'"wall_time_s": {_num17(rep.wall_time_s)}, '
-            + '"metrics": [' + ", ".join(rows) + "]}\n")
+    return _json_value({
+        "suite": rep.suite,
+        "params": {k: rep.params[k] for k in sorted(rep.params)},
+        "wall_time_s": rep.wall_time_s,
+        "metrics": [{"name": m.name, "value": m.value,
+                     "tolerance": m.tolerance, "pass": m.passed,
+                     "provenance": m.note} for m in rep.metrics],
+    }) + "\n"
 
 
 def emit(rep: Report, fmt: str = "csv", path: str | None = None) -> None:

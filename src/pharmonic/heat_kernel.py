@@ -272,13 +272,12 @@ def sample_pairs(d: int, n: int, seed: int,
     return z, z + s[:, None] * u
 
 
-def kernel_bound_report(alpha: float, d: int, levels,
-                        stability_limit: float = 1.5) -> Report:
+def kernel_bound_report(alpha: float, d: int, levels) -> Report:
     """Check sup K_alpha / Psi_alpha over refinement levels of samples.
 
     levels is a sequence of (z, zp) arrays; the sup is tracked over the
     cumulative union, and the check passes when the final sup is finite
-    and the last refinement changed it by less than stability_limit.
+    and the last refinement changed it by less than STABILITY_LIMIT.
     Near-diagonal samples (s < 1) also check the matching lower bound
     K_alpha >= c e^(-|x+x'|^2) s^(2 alpha - (d+1)) with some c > 0.
     """
@@ -303,10 +302,9 @@ def kernel_bound_report(alpha: float, d: int, levels,
     final = sups[-1]
     rep.add("sup_kernel_over_psi", final, None, np.isfinite(final),
             "cumulative sup over sampled pairs")
-    if len(sups) >= 2 and sups[-2] > 0:
-        growth = sups[-1] / sups[-2]
-        rep.add("refinement_growth", growth, stability_limit,
-                growth < stability_limit, "last refinement level")
+    if len(sups) >= 2:
+        rep.add_growth("refinement_growth", sups[-2], sups[-1],
+                       "last refinement level")
     if low_cs:
         c_min = min(low_cs)
         rep.add("lower_bound_constant", c_min, None, c_min > 0,
@@ -569,16 +567,15 @@ def _moment_integral(x_sq, alpha: float, d: int, order: float) -> np.ndarray:
 
 
 def schur_weighted_report(alpha: float, d: int, n_samples: int = 24,
-                          seed: int = 0, x_max: float = 6.0,
-                          stability_limit: float = 1.5) -> Report:
+                          seed: int = 0, x_max: float = 6.0) -> Report:
     """Schur test for the weighted operator |x|^(2 alpha) H^(-alpha).
 
     Row side: sup_z |x(z)|^(2 alpha) int K_alpha(z, z') dz'.  Column
     side: sup_{z'} int |x|^(2 alpha) K_alpha(z, z') dz.  Both inner
     integrals are closed forms in space under the time integral
     (_moment_integral of order 0 and alpha), for every d.  Each sup is
-    over x uniform in [-x_max, x_max]^d; both must be finite and stable
-    when the sample count doubles.
+    over x uniform in [-x_max, x_max]^d; both must be finite and grow
+    by less than STABILITY_LIMIT when the sample count doubles.
     """
     rep = Report(suite="weighted-decay",
                  params={"alpha": alpha, "d": d, "n": n_samples})
@@ -594,7 +591,6 @@ def schur_weighted_report(alpha: float, d: int, n_samples: int = 24,
         s1, s2 = sups
         rep.add(f"{side}_sup", s2, None, np.isfinite(s2),
                 f"weighted {side} integrals")
-        growth = s2 / s1 if s1 > 0 else np.inf
-        rep.add(f"{side}_refinement_growth", growth, stability_limit,
-                growth < stability_limit, f"doubling the {side} samples")
+        rep.add_growth(f"{side}_refinement_growth", s1, s2,
+                       f"doubling the {side} samples")
     return rep

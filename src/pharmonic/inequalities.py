@@ -123,10 +123,6 @@ def _default_grid(d: int) -> Grid:
     return make_grid(d, 32, 8.0, 8, 32)
 
 
-def _default_counts(d: int) -> tuple[int, ...]:
-    return (64, 64) if d == 1 else (24,) * (d + 1)
-
-
 def _measured_box(members: list[Field], counts: tuple[int, ...],
                   tol: float = 1e-6, pad: float = 1.3) -> UniformBox:
     """Box sized so every member has decayed below tol relative
@@ -159,26 +155,33 @@ def _split_members(family: TestFamily,
     return members[:family.count], members[family.count:]
 
 
-def _refined(box: UniformBox) -> UniformBox:
-    return UniformBox(box.half_widths, tuple(2 * n for n in box.counts))
+def _family_setup(family: TestFamily, d: int, grid: Grid | None
+                  ) -> tuple[list[Field], list[Field], UniformBox,
+                             UniformBox]:
+    """The base members, the rest of the four-fold family, the box
+    measured on the base, and that box with its counts doubled."""
+    g = grid if grid is not None else _default_grid(d)
+    if g.d != d:
+        raise InvalidParameterError("grid dimension does not match d")
+    base, extra = _split_members(family, g)
+    box = _measured_box(base, (64, 64) if d == 1 else (24,) * (d + 1))
+    fine = UniformBox(box.half_widths, tuple(2 * n for n in box.counts))
+    return base, extra, box, fine
 
 
 def _sup_stats(rep: Report, name: str, base: list[float],
-               extra: list[float], fine: list[float], limit: float,
-               prefix: str = "") -> float:
+               extra: list[float], fine: list[float],
+               prefix: str = "") -> None:
     sup_base = max(base)
     sup_all = max([sup_base] + extra)
     sup_fine = max(fine)
-    fam = sup_all / sup_base
-    lo = max(min(sup_fine, sup_base), 1e-300)
-    boxr = max(sup_fine, sup_base) / lo
     rep.add(name, sup_all, None, bool(np.isfinite(sup_all)),
             note=f"max over {len(base) + len(extra)} fields")
-    rep.add(prefix + "family_growth", fam, limit, fam < limit,
-            note="sup change, family x4")
-    rep.add(prefix + "box_change", boxr, limit, boxr < limit,
-            note="sup change, box counts x2 (inert for q = 2)")
-    return sup_all
+    rep.add_growth(prefix + "family_growth", sup_base, sup_all,
+                   "sup change, family x4")
+    rep.add_growth(prefix + "box_change", min(sup_fine, sup_base),
+                   max(sup_fine, sup_base),
+                   "sup change, box counts x2 (inert for q = 2)")
 
 
 def _grad_norm(c: SpectralCoeffs, p: float) -> float:
@@ -231,14 +234,8 @@ def _ratio_hls(f: Field, alpha: float, p: float, q: float,
 
 
 def _hls_core(alpha: float, p: float, q: float, d: int, shift: float,
-              family: TestFamily, grid: Grid | None,
-              counts: tuple[int, ...] | None, limit: float) -> Report:
-    g = grid if grid is not None else _default_grid(d)
-    if g.d != d:
-        raise InvalidParameterError("grid dimension does not match d")
-    base, extra = _split_members(family, g)
-    box = _measured_box(base, counts or _default_counts(d))
-    fine = _refined(box)
+              family: TestFamily, grid: Grid | None) -> Report:
+    base, extra, box, fine = _family_setup(family, d, grid)
     got = [_ratio_hls(f, alpha, p, q, box, fine, shift) for f in base]
     got_e = [_ratio_hls(f, alpha, p, q, box, None, shift) for f in extra]
     worst = max(r for r, _, _ in got + got_e)
@@ -249,33 +246,30 @@ def _hls_core(alpha: float, p: float, q: float, d: int, shift: float,
     rep.add("gate_rel_max", worst, GATE_TOL, worst <= GATE_TOL,
             note="kernel vs spectral fractional power, relative L^2")
     _sup_stats(rep, "operator_sup", [r for _, r, _ in got],
-               [r for _, r, _ in got_e], [r for _, _, r in got], limit)
+               [r for _, r, _ in got_e], [r for _, _, r in got])
     return rep
 
 
 def hls_check(alpha: float, p: float, q: float, d: int,
-              family: TestFamily, grid: Grid | None = None,
-              counts: tuple[int, ...] | None = None,
-              stability_limit: float = 1.5) -> Report:
+              family: TestFamily, grid: Grid | None = None) -> Report:
     """Empirical sup of |H^(-alpha/2) f|_q / |f|_p over the family.
 
     Requires 0 < alpha < d+1 and 1/p - alpha/(d+1) <= 1/q < 1/p.  The
     power is applied through the kernel route and cross-checked
     against the spectral route on every member; q != 2 norms are box
     quadratures on an auto-sized UniformBox.  PASS needs a finite sup
-    that moves by less than stability_limit under a four-fold family
+    that moves by less than STABILITY_LIMIT under a four-fold family
     enlargement and a doubling of the box resolution.
     """
     IneqCase("hls", alpha, p, q, d, family, "bounded")
-    return _hls_core(alpha, p, q, d, 0.0, family, grid, counts,
-                     stability_limit)
+    return _hls_core(alpha, p, q, d, 0.0, family, grid)
 
 
 def shifted_hls_check(alpha: float, p: float, q: float, d: int, a: float,
-                      family: TestFamily, grid: Grid | None = None,
-                      counts: tuple[int, ...] | None = None,
-                      stability_limit: float = 1.5) -> Report:
-    """Same sup for (H + a)^(-alpha/2), a in {+2, -2}.
+                      family: TestFamily, grid: Grid | None = None
+                      ) -> Report:
+    """Same sup for (H + a)^(-alpha/2), a in {+2, -2}, with the same
+    STABILITY_LIMIT verdict.
 
     a = -2 drops the spectral bottom to d - 2, so d >= 3 is required
     for a decaying semigroup.  a = +2 shrinks the kernel pointwise and
@@ -286,8 +280,7 @@ def shifted_hls_check(alpha: float, p: float, q: float, d: int, a: float,
     if a == -2.0 and d < 3:
         raise DomainError("a = -2 needs d >= 3: H - 2 is not positive")
     IneqCase("hls", alpha, p, q, d, family, "bounded")
-    return _hls_core(alpha, p, q, d, float(a), family, grid, counts,
-                     stability_limit)
+    return _hls_core(alpha, p, q, d, float(a), family, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +303,7 @@ def _ratio_gns(f: Field, p: float, q: float, box: UniformBox,
 
 
 def gns_check(p: float, q: float, d: int, family: TestFamily,
-              grid: Grid | None = None,
-              counts: tuple[int, ...] | None = None,
-              stability_limit: float = 1.5) -> Report:
+              grid: Grid | None = None) -> Report:
     """Empirical sup of |f|_q / sum_j |A_j f|_p (all 2d+1 components).
 
     Requires d >= 3 and 1/p - 1/(d+1) <= 1/q < 1/p.  The gradient norm
@@ -321,22 +312,18 @@ def gns_check(p: float, q: float, d: int, family: TestFamily,
     which is the same grid quadrature to rounding (Gauss-Hermite and
     the rho trapezoid are exact on the band-limited image, see
     _grad_norm).  The q norm uses the auto-sized box when q != 2.
+    PASS needs a sup that moves by less than STABILITY_LIMIT, as in
+    hls_check.
     """
     IneqCase("gns", 1.0, p, q, d, family, "bounded")
-    g = grid if grid is not None else _default_grid(d)
-    if g.d != d:
-        raise InvalidParameterError("grid dimension does not match d")
-    base, extra = _split_members(family, g)
-    box = _measured_box(base, counts or _default_counts(d))
-    fine = _refined(box)
+    base, extra, box, fine = _family_setup(family, d, grid)
     got = [_ratio_gns(f, p, q, box, fine) for f in base]
     got_e = [_ratio_gns(f, p, q, box, None) for f in extra]
     rep = Report(suite="gns",
                  params={"p": p, "q": q, "d": d, "kind": family.kind,
                          "count": family.count, "seed": family.seed})
     _sup_stats(rep, "gradient_ratio_sup", [r for r, _ in got],
-               [r for r, _ in got_e], [r for _, r in got],
-               stability_limit)
+               [r for r, _ in got_e], [r for _, r in got])
     return rep
 
 
@@ -371,22 +358,16 @@ def hardy_ratio(field: Field, alpha: float, p: float,
 
 
 def hardy_check(alpha: float, p: float, d: int, family: TestFamily,
-                grid: Grid | None = None,
-                counts: tuple[int, ...] | None = None,
-                stability_limit: float = 1.5) -> Report:
+                grid: Grid | None = None) -> Report:
     """Empirical sup of | |z|^(-alpha) f |_p / |H^(alpha/2) f|_p.
 
     Requires p in {2, 4} and 0 < alpha < (d+1)/p.  For alpha = 1 with
     p < d+1 the gradient-controlled variant
-    | |z|^(-1) f |_p / sum_j |A_j f|_p is reported as well.
+    | |z|^(-1) f |_p / sum_j |A_j f|_p is reported as well.  Each sup
+    passes when it moves by less than STABILITY_LIMIT, as in hls_check.
     """
     IneqCase("hardy", alpha, p, 2.0, d, family, "bounded")
-    g = grid if grid is not None else _default_grid(d)
-    if g.d != d:
-        raise InvalidParameterError("grid dimension does not match d")
-    base, extra = _split_members(family, g)
-    box = _measured_box(base, counts or _default_counts(d))
-    fine = _refined(box)
+    base, extra, box, fine = _family_setup(family, d, grid)
     w0 = _singular_weight(box, alpha)
     w1 = _singular_weight(fine, alpha)
     grad_variant = alpha == 1.0 and p < d + 1
@@ -411,13 +392,12 @@ def hardy_check(alpha: float, p: float, d: int, family: TestFamily,
                          "seed": family.seed})
     _sup_stats(rep, "hardy_sup", [n0 / dn for n0, _, dn, _ in got],
                [n0 / dn for n0, _, dn, _ in got_e],
-               [n1 / dn for _, n1, dn, _ in got], stability_limit)
+               [n1 / dn for _, n1, dn, _ in got])
     if grad_variant:
         _sup_stats(rep, "gradient_sup",
                    [n0 / gd for n0, _, _, gd in got],
                    [n0 / gd for n0, _, _, gd in got_e],
-                   [n1 / gd for _, n1, _, gd in got], stability_limit,
-                   prefix="gradient_")
+                   [n1 / gd for _, n1, _, gd in got], prefix="gradient_")
     return rep
 
 
@@ -624,12 +604,11 @@ def hls_endpoint_demo(which: str, alpha: float, d: int, exponent: float,
         base, extra = _split_members(fam, g)
         sup_b = max(ratio(f) for f in base)
         sup_a = max([sup_b] + [ratio(f) for f in extra])
-        growth = sup_a / sup_b
         rep.add("bounded_sup", sup_a, None, bool(np.isfinite(sup_a)),
                 note=f"sup |H^(-a/2)f|_inf / |f|_p, p > p* = {p_star:g}")
-        rep.add("family_growth", growth, 1.5, growth < 1.5,
-                note="sup change, family x4")
-        rep.add("trend_matches", 1.0, None, growth < 1.5,
+        growth = rep.add_growth("family_growth", sup_b, sup_a,
+                                "sup change, family x4")
+        rep.add("trend_matches", 1.0, None, growth.passed,
                 note="expected bounded; p beyond the L^inf threshold")
         return rep
 

@@ -19,6 +19,7 @@ F(H + 2) A_{-j}; A_0 commutes with the calculus outright.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterator
 
 import numpy as np
@@ -179,23 +180,17 @@ def commute_check(j: int, alpha: float, field: Field,
         r = _rel_residual(lhs, rhs)
         rep.add("A0_commutes", r, tol, r < tol, "spectral route, exact identity")
         return rep
-    if j > 0:
-        # A_j H^a f = (H-2)^a A_j f ; H^a A_j f = A_j (H+2)^a f
-        lhs1 = inverse(apply_A(j, power(c)))
-        rhs1 = inverse(power(apply_A(j, c), shift=-2.0))
-        lhs2 = inverse(power(apply_A(j, c)))
-        rhs2 = inverse(apply_A(j, power(c, shift=2.0)))
-        names = ("raise_pre_shift", "raise_post_shift")
-    else:
-        # A_{-j} H^a f = (H+2)^a A_{-j} f ; H^a A_{-j} f = A_{-j} (H-2)^a f
-        lhs1 = inverse(apply_A(j, power(c)))
-        rhs1 = inverse(power(apply_A(j, c), shift=2.0))
-        lhs2 = inverse(power(apply_A(j, c)))
-        rhs2 = inverse(apply_A(j, power(c, shift=-2.0)))
-        names = ("lower_pre_shift", "lower_post_shift")
-    for name, lhs, rhs in ((names[0], lhs1, rhs1), (names[1], lhs2, rhs2)):
-        r = _rel_residual(lhs, rhs)
-        rep.add(name, r, tol, r < tol, "spectral route, exact identity")
+    # A_j H^a f = (H-s)^a A_j f ; H^a A_j f = A_j (H+s)^a f, where
+    # raising (j > 0) shifts by s = 2 and lowering by s = -2
+    s = 2.0 if j > 0 else -2.0
+    tag = "raise" if j > 0 else "lower"
+    cj = apply_A(j, c)
+    for name, lhs, rhs in (
+            ("pre_shift", apply_A(j, power(c)), power(cj, shift=-s)),
+            ("post_shift", power(cj), apply_A(j, power(c, shift=s)))):
+        r = _rel_residual(inverse(lhs), inverse(rhs))
+        rep.add(f"{tag}_{name}", r, tol, r < tol,
+                "spectral route, exact identity")
     return rep
 
 
@@ -210,9 +205,8 @@ def commute_matrix_report(field: Field,
     for a in alphas:
         for j in js:
             sub = commute_check(j, a, field, tol=tol)
-            for m in sub.metrics:
-                rep.add(f"{m.name}[j={j},alpha={a}]", m.value, m.tolerance,
-                        m.passed, m.note)
+            rep.metrics.extend(replace(m, name=f"{m.name}[j={j},alpha={a}]")
+                               for m in sub.metrics)
     return rep
 
 

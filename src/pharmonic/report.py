@@ -4,12 +4,17 @@ Every verification routine returns a Report: a list of named metrics,
 each with a value, an optional tolerance, a pass flag, and a short
 provenance note saying how the number was obtained.  Serialization to
 CSV/JSON lives in the command line front end.
+
+Boundedness claims are checked by stability: a sup over a sample is
+recomputed on an enlarged or refined sample, and the claim passes when
+the sup grows by less than STABILITY_LIMIT (Report.add_growth).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
 
+STABILITY_LIMIT = 1.5
 
 @dataclass(frozen=True)
 class Metric:
@@ -36,6 +41,20 @@ class Report:
         m = Metric(name, float(value), tolerance, bool(passed), note)
         self.metrics.append(m)
         return m
+
+    def add_growth(self, name: str, before: float, after: float, note: str,
+                   limit: float = STABILITY_LIMIT) -> Metric:
+        """Record the growth after / before of a sup under enlargement;
+        it passes iff the growth is below limit.
+
+        A zero base is stable only when the sup stays zero (growth 1);
+        a sup that leaves zero has infinite growth.
+        """
+        if before > 0:
+            growth = after / before
+        else:
+            growth = math.inf if after > 0 else 1.0
+        return self.add(name, growth, limit, growth < limit, note)
 
     @property
     def all_passed(self) -> bool:

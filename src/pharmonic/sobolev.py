@@ -196,15 +196,14 @@ def _nonzero(value: float) -> bool:
 
 def equivalence_report(grid: Grid, family: TestFamily, k: int, p: float,
                        enlarged: int | None = None,
-                       growth_limit: float = 2.0,
                        members: list[Field] | None = None) -> Report:
     """Bracket of ladder_norm / potential_norm over the family.
 
     PASS iff the ratios stay in (0, inf) and the bracket width grows by
-    less than growth_limit when the family is enlarged (default 4x the
-    base count).  A caller scoring several (k, p) pairs may pass the
-    enlarged family's members, built once; they are built here
-    otherwise.
+    less than 2, not STABILITY_LIMIT, when the family is enlarged
+    (default 4x the base count).  A caller scoring several (k, p) pairs
+    may pass the enlarged family's members, built once; they are built
+    here otherwise.
     """
     if enlarged is None:
         enlarged = 4 * family.count
@@ -233,17 +232,16 @@ def equivalence_report(grid: Grid, family: TestFamily, k: int, p: float,
     lo, hi = float(wide.min()), float(wide.max())
     rep.add("ratio_min", lo, None, _nonzero(lo), "enlarged family")
     rep.add("ratio_max", hi, None, _nonzero(hi), "enlarged family")
-    growth = (hi / lo) / (float(base.max()) / float(base.min()))
-    rep.add("bracket_growth", growth, growth_limit, growth < growth_limit,
-            f"family {family.count} -> {enlarged}")
+    rep.add_growth("bracket_growth", float(base.max()) / float(base.min()),
+                   hi / lo, f"family {family.count} -> {enlarged}", limit=2.0)
     return rep
 
 
 def riesz_on_potential_check(j: int, alpha: float, p: float, grid: Grid,
                              family: TestFamily,
-                             stability_limit: float = 1.5,
                              members: list[Field] | None = None) -> Report:
-    """Empirical sup of ||R_j f||_(alpha,p) / ||f||_(alpha,p).
+    """Empirical sup of ||R_j f||_(alpha,p) / ||f||_(alpha,p); PASS
+    iff it grows by less than STABILITY_LIMIT on the enlarged family.
 
     A caller scoring several j may pass the enlarged (4x) family's
     members, built once; they are built here otherwise.
@@ -271,10 +269,8 @@ def riesz_on_potential_check(j: int, alpha: float, p: float, grid: Grid,
     wide = max(vals)
     rep.add("operator_ratio_sup", wide, None, np.isfinite(wide),
             "potential-norm ratio over enlarged family")
-    growth = wide / base if base > 0 else 1.0
-    rep.add("refinement_growth", growth, stability_limit,
-            growth < stability_limit,
-            f"family {family.count} -> {4 * family.count}")
+    rep.add_growth("refinement_growth", base, wide,
+                   f"family {family.count} -> {4 * family.count}")
     return rep
 
 
@@ -287,11 +283,11 @@ def _space_weight(box: UniformBox, alpha: float) -> np.ndarray:
 
 
 def weighted_decay_check(alpha: float, p: float, grid: Grid,
-                         family: TestFamily, box: UniformBox | None = None,
-                         stability_limit: float = 1.5) -> Report:
+                         family: TestFamily, box: UniformBox | None = None
+                         ) -> Report:
     """sup over the family of || |x|^(2 alpha) H^(-alpha) f ||_p / ||f||_p
-    on a uniform box, plus the corollary form || |x|^alpha g ||_p for
-    g = H^(-alpha/2) f."""
+    on a uniform box, stable to STABILITY_LIMIT on the enlarged family,
+    plus the corollary form || |x|^alpha g ||_p for g = H^(-alpha/2) f."""
     if alpha < 0:
         raise InvalidParameterError("alpha must be nonnegative")
     if box is None:
@@ -319,10 +315,8 @@ def weighted_decay_check(alpha: float, p: float, grid: Grid,
     wide_op = max(op for op, _ in vals)
     rep.add("weighted_operator_sup", wide_op, None, np.isfinite(wide_op),
             "|| |x|^2a H^-a f ||_p / ||f||_p")
-    growth = wide_op / base_op if base_op > 0 else 1.0
-    rep.add("refinement_growth", growth, stability_limit,
-            growth < stability_limit,
-            f"family {family.count} -> {4 * family.count}")
+    rep.add_growth("refinement_growth", base_op, wide_op,
+                   f"family {family.count} -> {4 * family.count}")
     sup_cor = max(cor for _, cor in vals)
     rep.add("corollary_weighted_sup", sup_cor, None, np.isfinite(sup_cor),
             "|| |x|^a g ||_p for g = H^(-a/2) f")

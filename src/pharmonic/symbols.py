@@ -402,13 +402,12 @@ def _derivative_stencil(symbol: SymbolFn, x, tau, xi, r: int):
 
 
 def gm_bound_estimate(symbol: SymbolFn, m: float, domain: SampleDomain,
-                      r: int = 0, weight: str = "combined",
-                      stability_limit: float = 1.5) -> Report:
+                      r: int = 0, weight: str = "combined") -> Report:
     """Empirical membership check: |D^beta sigma| <= C <w>^(m - |beta|).
 
     Sups of the normalized derivatives over the sample domain, compared
     against the same sups with the domain cap doubled; PASS iff the
-    ratio stays below stability_limit (the constants are existential,
+    ratio stays below STABILITY_LIMIT (the constants are existential,
     only stability is claimed).
     """
     if r not in (0, 1, 2):
@@ -432,22 +431,21 @@ def gm_bound_estimate(symbol: SymbolFn, m: float, domain: SampleDomain,
         sup_w = max(wide[order], base[order])
         rep.add(f"sup_order_{order}", sup_w, None, np.isfinite(sup_w),
                 f"normalized |D^beta|, |beta| = {order}")
-        growth = sup_w / base[order] if base[order] > 0 else 1.0
-        rep.add(f"stability_order_{order}", growth, stability_limit,
-                growth < stability_limit, "doubling the domain cap")
+        rep.add_growth(f"stability_order_{order}", base[order], sup_w,
+                       "doubling the domain cap")
     return rep
 
 
-def symbol_decay_report(alpha: float, d: int, domain: SampleDomain,
-                        stability_limit: float = 1.5) -> Report:
+def symbol_decay_report(alpha: float, d: int, domain: SampleDomain
+                        ) -> Report:
     """|sigma_alpha| <= C <|x|+|w|>^(2 alpha) over the shells, plus the
-    S_(1,0)-style frequency-only weight for the class inclusion."""
+    S_(1,0)-style frequency-only weight for the class inclusion, each
+    stable to STABILITY_LIMIT (gm_bound_estimate)."""
     rep = Report(suite="symbols", params={"alpha": alpha, "d": d,
                                           "cap": domain.cap})
     sym = sigma_symbol_fn(alpha, d)
     for weight in ("combined", "omega"):
-        sub = gm_bound_estimate(sym, 2.0 * alpha, domain, r=0, weight=weight,
-                                stability_limit=stability_limit)
+        sub = gm_bound_estimate(sym, 2.0 * alpha, domain, r=0, weight=weight)
         rep.extend(sub, prefix=f"{weight}_")
     return rep
 

@@ -214,6 +214,19 @@ class TestGmBound:
         rep = gm_bound_estimate(sigma_symbol_fn(-0.5, 1), -1.0, dom, r=0)
         assert rep.all_passed, rep.failures()
 
+    def test_sup_leaving_zero_is_unstable(self):
+        # zero on |tau| <= cap, one beyond: doubling the cap moves the
+        # sup from 0 to 1, which no finite constant makes stable
+        step = SymbolFn(lambda x, tau, xi: np.where(np.abs(tau) > 64.0,
+                                                    1.0, 0.0),
+                        order=0.0, label="step")
+        dom = SampleDomain(d=1, cap=64.0, per_shell=1)
+        by_name = {m.name: m for m in
+                   gm_bound_estimate(step, 0.0, dom, r=0).metrics}
+        assert by_name["sup_order_0"].value == 1.0
+        stab = by_name["stability_order_0"]
+        assert stab.value == math.inf and not stab.passed
+
     def test_invalid_r(self):
         dom = SampleDomain(d=1, cap=16.0)
         with pytest.raises(InvalidParameterError):
