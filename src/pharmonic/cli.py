@@ -502,9 +502,15 @@ def run_suite(cfg: SuiteConfig) -> Report:
 # emission
 
 def _num17(v: float) -> str:
-    """Decimal, 17 significant digits: bit-exact under float round trip."""
+    """Decimal, 17 significant digits: bit-exact under float round trip.
+
+    Negative zero is written -0.0, since JSON readers such as Python's
+    json.loads turn "-0" into the integer 0 and lose the sign.
+    """
     if math.isinf(v):
         return "Infinity" if v > 0 else "-Infinity"
+    if v == 0.0 and math.copysign(1.0, v) < 0.0:
+        return "-0.0"
     return format(float(v), ".17g")
 
 

@@ -326,20 +326,28 @@ def resample(field: Field, box: UniformBox, tail_tol: float = 1e-6) -> np.ndarra
     TruncationWarning when the relative coefficient energy in the top
     Hermite shell or the top rho-frequency ring exceeds tail_tol, since
     the series truncation then limits off-grid accuracy.  The series is
-    summed one axis at a time: h_k at the box points on x_1, .., x_d,
-    then the rho plane waves.
+    summed one axis at a time: the rho plane waves first, on the small
+    degree cube, then h_k at the box points on x_1, .., x_d.
     """
     # layering: the transform lives one level up
     from .spectral import forward
 
-    return _resample_coeffs(forward(field), box, tail_tol)
+    return _x_series(*_box_series(forward(field), box, tail_tol))
 
 
-def _resample_coeffs(coeffs, box: UniformBox,
-                     tail_tol: float = 1e-6) -> np.ndarray:
-    """resample from coefficients forward(field) the caller already
-    holds, so one transform serves several boxes; same check and
-    warning as resample."""
+# box rows per slab of _box_lp_norm_coeffs: as many as fit in this many
+# bytes of complex128, and at least one
+_SLAB_BYTES = 2 << 20
+
+
+def _box_series(coeffs, box: UniformBox, tail_tol: float = 1e-6
+                ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The series of coeffs summed over rho only: the rho plane waves
+    applied to the degree cube, shape (n_rho_box, K+1, ..., K+1), and
+    the (n_i, K+1) tables h_k(x_i) that _x_series applies to the rest.
+
+    Checks the box and warns, for resample and _box_lp_norm_coeffs.
+    """
     from .spectral import _to_cube, tail_energy
 
     g = coeffs.grid
@@ -352,8 +360,42 @@ def _resample_coeffs(coeffs, box: UniformBox,
             "resampled values limited by series truncation",
             TruncationWarning, stacklevel=3)
     axes = box.axes()
-    out = _to_cube(g, coeffs.data)
-    for axis in range(1, g.d + 1):
-        out = _contract_axis(out, hermite_all(g.K, axes[axis]).T, axis)
     phases = np.exp(1j * np.outer(axes[0], g.tau))    # (n_rho_box, N_rho)
-    return _contract_axis(out, phases, 0)
+    rows = _contract_axis(_to_cube(g, coeffs.data), phases, 0)
+    return rows, [hermite_all(g.K, a).T for a in axes[1:]]
+
+
+def _x_series(rows: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    """Finish the box series of _box_series on some of its rho rows."""
+    for axis, table in enumerate(tables, 1):
+        rows = _contract_axis(rows, table, axis)
+    return rows
+
+
+def _box_lp_norm_coeffs(coeffs, box: UniformBox, p: float,
+                        weight: np.ndarray | None = None) -> float:
+    """box_lp_norm(weight * resample(...), box, p) from coefficients
+    forward(field) the caller already holds, same check and warning as
+    resample, with no box-sized array: the series is finished and
+    summed one slab of rho rows at a time.
+
+    weight is real and broadcasts to box.counts.
+    """
+    if p != np.inf and p < 1:
+        raise InvalidParameterError("p must be >= 1 or inf")
+    rows, tables = _box_series(coeffs, box)
+    step = max(1, _SLAB_BYTES // (16 * math.prod(box.counts[1:])))
+    w = None if weight is None else np.broadcast_to(weight, box.counts)
+    acc = 0.0
+    for i in range(0, box.counts[0], step):
+        a = np.abs(_x_series(rows[i:i + step], tables))
+        if w is not None:
+            a *= w[i:i + step]
+        if p == np.inf:
+            acc = max(acc, float(a.max()))
+        else:
+            a **= p
+            acc += float(np.sum(a))
+    if p == np.inf:
+        return acc
+    return float((acc * box.cell_volume) ** (1.0 / p))

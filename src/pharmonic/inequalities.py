@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (DomainError, InvalidParameterError, QuadratureError,
                      ResolutionWarning)
-from .grid import (Field, Grid, UniformBox, _resample_coeffs, box_lp_norm,
-                   lp_norm, make_grid, resample)
+from .grid import (Field, Grid, UniformBox, _box_lp_norm_coeffs, lp_norm,
+                   make_grid)
 from .heat_kernel import (_gl_panels, frac_power_kernel, k_alpha,
                           t_quadrature)
 from .ladder import _grad_coeffs
@@ -148,18 +149,21 @@ def _measured_box(members: list[Field], counts: tuple[int, ...],
 
 
 def _split_members(family: TestFamily,
-                   g: Grid) -> tuple[list[Field], list[Field]]:
-    """The base members and the rest of the four-fold family, built
-    once: member i depends only on (seed, i)."""
-    members = family.resized(4 * family.count).members(g)
-    return members[:family.count], members[family.count:]
+                   g: Grid) -> tuple[list[Field], Iterator[Field]]:
+    """The base members, and the rest of the four-fold family built one
+    at a time as it is consumed (member i depends only on (seed, i)),
+    so a d = 3 family never holds more than its base at once."""
+    n = family.count
+    return family.members(g), (family.member(g, i)
+                               for i in range(n, 4 * n))
 
 
 def _family_setup(family: TestFamily, d: int, grid: Grid | None
-                  ) -> tuple[list[Field], list[Field], UniformBox,
+                  ) -> tuple[list[Field], Iterator[Field], UniformBox,
                              UniformBox]:
-    """The base members, the rest of the four-fold family, the box
-    measured on the base, and that box with its counts doubled."""
+    """The base members, the rest of the four-fold family (consumed
+    once), the box measured on the base, and that box with its counts
+    doubled."""
     g = grid if grid is not None else _default_grid(d)
     if g.d != d:
         raise InvalidParameterError("grid dimension does not match d")
@@ -226,10 +230,10 @@ def _ratio_hls(f: Field, alpha: float, p: float, q: float,
         r = lp_norm(k, 2.0) / den
         return rel, r, r
     ck = forward(k)
-    r0 = box_lp_norm(_resample_coeffs(ck, box), box, q) / den
+    r0 = _box_lp_norm_coeffs(ck, box, q) / den
     r1 = r0
     if box_fine is not None:
-        r1 = box_lp_norm(_resample_coeffs(ck, box_fine), box_fine, q) / den
+        r1 = _box_lp_norm_coeffs(ck, box_fine, q) / den
     return rel, r0, r1
 
 
@@ -295,10 +299,10 @@ def _ratio_gns(f: Field, p: float, q: float, box: UniformBox,
     if q == 2.0:
         r = lp_norm(f, 2.0) / den
         return r, r
-    r0 = box_lp_norm(_resample_coeffs(c, box), box, q) / den
+    r0 = _box_lp_norm_coeffs(c, box, q) / den
     r1 = r0
     if box_fine is not None:
-        r1 = box_lp_norm(_resample_coeffs(c, box_fine), box_fine, q) / den
+        r1 = _box_lp_norm_coeffs(c, box_fine, q) / den
     return r0, r1
 
 
@@ -352,8 +356,8 @@ def hardy_ratio(field: Field, alpha: float, p: float,
     den = potential_norm(field, alpha, p)
     if den == 0.0:
         raise InvalidParameterError("zero field")
-    num = box_lp_norm(_singular_weight(box, alpha) * resample(field, box),
-                      box, p)
+    num = _box_lp_norm_coeffs(forward(field), box, p,
+                              _singular_weight(box, alpha))
     return num / den
 
 
@@ -377,10 +381,10 @@ def hardy_check(alpha: float, p: float, d: int, family: TestFamily,
         if den == 0.0:
             raise InvalidParameterError("zero field in family")
         c = forward(f)
-        num0 = box_lp_norm(w0 * _resample_coeffs(c, box), box, p)
+        num0 = _box_lp_norm_coeffs(c, box, p, w0)
         num1 = num0
         if with_fine:
-            num1 = box_lp_norm(w1 * _resample_coeffs(c, fine), fine, p)
+            num1 = _box_lp_norm_coeffs(c, fine, p, w1)
         gden = _grad_norm(c, p) if grad_variant else math.inf
         return num0, num1, den, gden
 

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import (InvalidParameterError, ResolutionWarning,
                      TruncationWarning)
-from .grid import (Field, Grid, UniformBox, _sum_sq, box_lp_norm, inner,
-                   lp_norm, resample, sample)
+from .grid import (Field, Grid, UniformBox, _box_lp_norm_coeffs, _sum_sq,
+                   box_lp_norm, inner, lp_norm, resample, sample)
 from .hermite import hermite_eval
 from .ladder import apply_A
 from .report import Report
@@ -86,10 +86,14 @@ class TestFamily:
     def resized(self, count: int) -> "TestFamily":
         return replace(self, count=count)
 
+    def member(self, grid: Grid, i: int) -> Field:
+        """Member i, which every family of this kind and seed with more
+        than i members shares."""
+        return _make_member(self.kind, grid,
+                            np.random.default_rng([self.seed, i]))
+
     def members(self, grid: Grid) -> list[Field]:
-        return [_make_member(self.kind, grid,
-                             np.random.default_rng([self.seed, i]))
-                for i in range(self.count)]
+        return [self.member(grid, i) for i in range(self.count)]
 
 
 def _band_limited_coeffs(grid: Grid, rng, margin: int = 2) -> SpectralCoeffs:
@@ -303,10 +307,11 @@ def weighted_decay_check(alpha: float, p: float, grid: Grid,
         denom = lp_norm(f, p)
         if not _nonzero(denom):
             return 0.0, 0.0
-        op = box_lp_norm(w_op * resample(spectral_frac_power(f, -alpha),
-                                         box), box, p) / denom
-        cor = box_lp_norm(w_cor * resample(
-            spectral_frac_power(f, -alpha / 2.0), box), box, p) / denom
+        op = _box_lp_norm_coeffs(forward(spectral_frac_power(f, -alpha)),
+                                 box, p, w_op) / denom
+        cor = _box_lp_norm_coeffs(
+            forward(spectral_frac_power(f, -alpha / 2.0)),
+            box, p, w_cor) / denom
         return op, cor
 
     # the base family is the head of the enlarged one

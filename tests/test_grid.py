@@ -1,6 +1,10 @@
+import tracemalloc
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pharmonic import (
@@ -18,7 +22,11 @@ from pharmonic import (
     resample,
     sample,
 )
-from pharmonic.grid import _sum_sq
+from pharmonic import grid as grid_module
+from pharmonic.grid import _box_lp_norm_coeffs, _contract_axis, _sum_sq
+from pharmonic.hermite import hermite_all
+from pharmonic.sobolev import TestFamily
+from pharmonic.spectral import SpectralCoeffs, _to_cube, forward
 
 
 def old_lp_norm(field, p):
@@ -231,8 +239,6 @@ def test_resample_gaussian_box():
 
 
 def test_resample_warns_on_top_shell():
-    import warnings
-
     g = make_grid(d=1, N_rho=16, L_rho=5.0, K=4, M=6)
     box = UniformBox((2.0, 2.0), (4, 4))
     with pytest.warns(TruncationWarning):
@@ -242,3 +248,114 @@ def test_resample_warns_on_top_shell():
         warnings.simplefilter("error")
         vals = resample(mode_field(g, 1, (1,)), box)
     assert vals.shape == (4, 4)
+
+
+# ---------------------------------------------------------------------------
+# the streamed box norm
+
+
+def old_resample_coeffs(coeffs, box):
+    """grid._resample_coeffs as it was before the box norm was streamed:
+    the x axes first, the rho plane waves last, on the whole box at
+    once; kept as the reference without its tail check."""
+    g = coeffs.grid
+    axes = box.axes()
+    out = _to_cube(g, coeffs.data)
+    for axis in range(1, g.d + 1):
+        out = _contract_axis(out, hermite_all(g.K, axes[axis]).T, axis)
+    phases = np.exp(1j * np.outer(axes[0], g.tau))
+    return _contract_axis(out, phases, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 3), half_counts=st.lists(st.integers(1, 7),
+                                                 min_size=4, max_size=4),
+       half=st.lists(st.floats(0.5, 8.0), min_size=4, max_size=4),
+       p=st.sampled_from([1, 2, 2.5, 4, np.inf]),
+       weight=st.sampled_from([None, "box", "x"]),
+       slab_rows=st.none() | st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(d=2, half_counts=[5, 2, 3, 1], half=[3.0, 2.0, 1.0, 1.0], p=2.5,
+         weight="box", slab_rows=3, seed=1)   # 10 rows in slabs 3, 3, 3, 1
+def test_box_lp_norm_coeffs_matches_reference(d, half_counts, half, p,
+                                              weight, slab_rows, seed):
+    g = make_grid(d, 8, 4.0, 4, 6)
+    rng = np.random.default_rng(seed)
+    c = SpectralCoeffs(g, rng.standard_normal((g.N_rho, g.n_mu))
+                       + 1j * rng.standard_normal((g.N_rho, g.n_mu)))
+    box = UniformBox(tuple(half[:d + 1]),
+                     tuple(2 * n for n in half_counts[:d + 1]))
+    w = None
+    if weight == "box":           # one value per box point
+        w = rng.uniform(0.0, 2.0, box.counts)
+    elif weight == "x":           # broadcast over the rho rows
+        w = rng.uniform(0.0, 2.0, (1,) + box.counts[1:])
+    slab = 2 << 20 if slab_rows is None \
+        else 16 * slab_rows * int(np.prod(box.counts[1:]))
+    with mock.patch.object(grid_module, "_SLAB_BYTES", slab), \
+            warnings.catch_warnings():
+        # random coefficients fill the top shell; tested below
+        warnings.simplefilter("ignore", TruncationWarning)
+        out = _box_lp_norm_coeffs(c, box, p, w)
+    vals = old_resample_coeffs(c, box)
+    want = box_lp_norm(vals if w is None else w * vals, box, p)
+    assert abs(out - want) <= 1e-14 * want
+
+
+def test_box_lp_norm_coeffs_warns_once_per_call():
+    g = make_grid(d=1, N_rho=16, L_rho=5.0, K=4, M=6)
+    f = mode_field(g, 0, (g.K,))
+    box = UniformBox((2.0, 2.0), (10, 4))
+    with warnings.catch_warnings(record=True) as once:
+        warnings.simplefilter("always")
+        resample(f, box)
+    # four slabs of 3, 3, 3 and 1 rows
+    with mock.patch.object(grid_module, "_SLAB_BYTES", 3 * 16 * 4), \
+            warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        _box_lp_norm_coeffs(forward(f), box, 2.5)
+    assert [w.category for w in got] == [TruncationWarning]
+    assert str(got[0].message) == str(once[0].message)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _box_lp_norm_coeffs(forward(mode_field(g, 1, (1,))), box, 2.5)
+
+
+def test_box_lp_norm_coeffs_slab_heights():
+    """Slabs of as many rows as fit in 2 MiB of complex128: one row of a
+    48^4 box (1.7 MiB), nine of a 24^4 box, a whole d = 1 box."""
+    calls = []
+    real = grid_module._x_series
+
+    def counted(rows, tables):
+        calls.append(rows.shape[0])
+        return real(rows, tables)
+
+    cases = [(make_grid(3, 4, 4.0, 1, 2), (48,) * 4, [1] * 48),
+             (make_grid(3, 4, 4.0, 1, 2), (24,) * 4, [9, 9, 6]),
+             (make_grid(1, 8, 4.0, 2, 3), (64, 64), [64])]
+    for g, counts, want in cases:
+        c = SpectralCoeffs(g, np.ones((g.N_rho, g.n_mu), dtype=complex))
+        box = UniformBox((1.0,) * len(counts), counts)
+        calls.clear()
+        with mock.patch.object(grid_module, "_x_series", counted), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            _box_lp_norm_coeffs(c, box, 2.0)
+        assert calls == want
+
+
+def test_box_lp_norm_coeffs_memory_d3():
+    """A d = 3 member's norm on the 48^4 fine gns box holds no box-sized
+    array (85 MB of complex128): it peaks below 16 MB."""
+    g = make_grid(3, 32, 8.0, 8, 32)
+    c = forward(TestFamily("band_limited", 1, seed=0).members(g)[0])
+    box = UniformBox((8.0, 4.0, 4.0, 4.0), (48,) * 4)
+    tracemalloc.start()
+    try:
+        norm = _box_lp_norm_coeffs(c, box, 2.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(norm) and norm > 0.0
+    assert peak < 16 * 2 ** 20

@@ -43,6 +43,7 @@ from pharmonic.inequalities import (
     _measured_box,
     _ratio_gns,
     _singular_weight,
+    _split_members,
 )
 from pharmonic.ladder import apply_A, grad_H
 from pharmonic.spectral import SpectralCoeffs, forward, inverse, \
@@ -176,6 +177,21 @@ class TestShiftedHls:
     def test_shift_values_restricted(self, fam):
         with pytest.raises(InvalidParameterError):
             shifted_hls_check(0.5, 2.0, 4.0, 1, 3.0, fam)
+
+
+class TestSplitMembers:
+    @pytest.mark.parametrize("kind", ["band_limited", "gaussian",
+                                      "hermite_mix", "mollified"])
+    def test_lazy_extras_equal_the_enlarged_family(self, kind):
+        g = make_grid(1, 16, 5.0, 6, 10)
+        fam = TestFamily(kind, 3, seed=5)
+        base, extra = _split_members(fam, g)
+        assert iter(extra) is extra        # built as consumed, not held
+        want = fam.resized(12).members(g)
+        got = list(extra)
+        assert len(base) == 3 and len(got) == 9
+        for f, w in zip(base + got, want):
+            assert f.values.tobytes() == w.values.tobytes()
 
 
 class TestGnsCheck:
