@@ -9,9 +9,11 @@ with the quadratic form B; grouping the prefactor as
 (4 pi t)^(-1/2) (2 pi sinh 2t)^(-d/2) splits E into a free Gaussian in
 rho times a product of one-dimensional oscillator kernels in x, which
 is what heat_apply_kernel exploits.  Fractional powers come from Gamma-
-weighted time integrals of E; everything here is independent of the
-eigenbasis route in spectral.py, so agreement between the two is a
-meaningful check and not a tautology.
+weighted time integrals of E: pointwise kernels by the log-t trapezoid
+of TQuadrature, and (H + s)^alpha f on a grid, for both signs of alpha,
+by the single formula of frac_power_kernel.  Everything here is
+independent of the eigenbasis route in spectral.py, so agreement
+between the two is a meaningful check and not a tautology.
 
 Points z are packed as arrays (..., d+1) with z[..., 0] = rho and
 z[..., 1:] = x.
@@ -429,7 +431,8 @@ def _estimate_H_powers(field: Field, t_base: float, n_powers: int = 3):
     to keep it well conditioned.  The system is inverted once and only
     the n rows of the wanted powers are kept, so each difference is
     added into the n estimates as soon as it is made and the n + 3
-    differences are never held at once.
+    differences are never held at once.  Returns one array of shape
+    (n,) + field shape, H^m f at index m - 1.
     """
     n_nodes = n_powers + 3
     ts = t_base * 1.5 ** np.arange(n_nodes)
@@ -445,24 +448,33 @@ def _estimate_H_powers(field: Field, t_base: float, n_powers: int = 3):
         np.subtract(field.values, diff, out=diff)
         for m in range(n_powers):
             powers[m] += rows[m, i] * diff
-    return [Field(field.grid, p) for p in powers]
+    return powers
+
+
+_FRAC_NODES = 32
 
 
 def frac_power_kernel(field: Field, alpha: float, shift: float = 0.0) -> Field:
     """(H + shift)^alpha f for alpha in (-(d+1)/2, 1) \\ {0}, kernel route.
 
-    Negative alpha: Gamma-weighted time integral of the semigroup,
-    e^(-t shift) folded into the weights and the integration horizon
-    set by the shifted spectral bottom d + shift (which must be
-    positive).  Positive alpha < 1: the first-derivative representation
-    H^alpha = (1/Gamma(1-alpha)) int t^(-alpha) (-d/dt) e^(-tH) dt with
-    centered differences (h = max(1e-3, t/100)) and one Richardson
-    step; only shift = 0 is supported there.  Both routes replace the
-    unresolvable head (0, t_floor] by the series expansion of
-    e^(-tH) f with H f, H^2 f, H^3 f estimated from semigroup
-    differences, so no spectral information enters.  Accuracy requires
-    comfortable Hermite headroom (M well above K) and a smooth,
-    Gaussian-decaying field.
+    One Gamma integral of the semigroup for both signs of alpha (s the
+    shift, [.] 1 when true and 0 otherwise):
+
+        (H+s)^alpha f = Gamma(-alpha)^(-1)
+            int_0^inf t^(-alpha-1) (e^(-t(H+s)) f - [alpha > 0] f) dt.
+
+    For alpha < 0 this is the usual Gamma-weighted heat integral, for
+    0 < alpha < 1 Balakrishnan's form, since -alpha/Gamma(1-alpha) =
+    1/Gamma(-alpha).  The unresolvable head (0, t_f] is the series
+    sum_(m=0..3) (-1)^m t_f^(m-alpha)/(m! (m-alpha)) (H+s)^m f, with
+    H f, H^2 f, H^3 f estimated from semigroup differences, so no
+    spectral information enters; for alpha > 0 its m = 0 term is
+    exactly -int_(t_f)^inf t^(-alpha-1) f dt.  The rest is one
+    _FRAC_NODES-point Gauss-Legendre panel in y = log t over
+    [t_f, 40/(d + s)], one heat apply per node, 6 + _FRAC_NODES
+    applies in all.  Only s = 0 is supported for alpha > 0, and d + s
+    must be positive.  Accuracy requires comfortable Hermite headroom
+    (M well above K) and a smooth, Gaussian-decaying field.
 
     A complex field whose imaginary part is all zero (band-limited and
     sampled Gaussian fields) is worked on as one real-dtype field: the
@@ -487,54 +499,24 @@ def frac_power_kernel(field: Field, alpha: float, shift: float = 0.0) -> Field:
     if zero_imag:
         field = Field(g, field.values.real.copy())
     tf = _kernel_t_floor(g)
-    t_max = 40.0 / (g.d + shift)
-    hf, h2f, h3f = _estimate_H_powers(field, tf)
-    n_pan = max(4, int(np.ceil(np.log(t_max / tf) / np.log(2.0))))
-    edges = tf * (t_max / tf) ** (np.arange(n_pan + 1) / n_pan)
-    t, w = _gl_panels(edges, 12)
-
-    if alpha < 0:
-        gamma_ = -alpha
-        if shift:
-            # head expands e^(-t(H+shift)) termwise, so it needs
-            # (H+shift)^m f; binomial from the plain powers
-            hf, h2f, h3f = (
-                hf + shift * field,
-                h2f + 2.0 * shift * hf + shift ** 2 * field,
-                h3f + 3.0 * shift * h2f + 3.0 * shift ** 2 * hf
-                + shift ** 3 * field)
-        # int_0^tf t^(g-1) e^(-t(H+shift)) f dt termwise
-        head = (tf ** gamma_ / gamma_) * field \
-            - (tf ** (gamma_ + 1) / (gamma_ + 1)) * hf \
-            + (tf ** (gamma_ + 2) / (2 * (gamma_ + 2))) * h2f \
-            - (tf ** (gamma_ + 3) / (6 * (gamma_ + 3))) * h3f
-        acc = head.values.copy()
-        for ti, wi in zip(t, w):
-            # each apply returns a fresh array: scale it in place
-            term = heat_apply_kernel(field, ti).values
-            term *= wi * ti ** (gamma_ - 1.0) * math.exp(-ti * shift)
-            acc += term
-        acc *= 1.0 / math.gamma(gamma_)
-        return Field(g, acc.astype(np.complex128) if zero_imag else acc)
-
-    # 0 < alpha < 1: int_0^tf t^(-alpha) H e^(-tH) f dt termwise
-    head = (tf ** (1 - alpha) / (1 - alpha)) * hf \
-        - (tf ** (2 - alpha) / (2 - alpha)) * h2f \
-        + (tf ** (3 - alpha) / (2 * (3 - alpha))) * h3f
-    acc = head.values.copy()
-    for ti, wi in zip(t, w):
-        h = max(1e-3, ti / 100.0)
-        if ti - h <= 0:
-            h = ti / 2.0
-
-        def ddt(step):
-            lo = heat_apply_kernel(field, ti - step).values
-            hi = heat_apply_kernel(field, ti + step).values
-            return (lo - hi) * (1.0 / (2.0 * step))
-
-        deriv = (4.0 * ddt(h / 2.0) - ddt(h)) * (1.0 / 3.0)
-        acc += wi * ti ** (-alpha) * deriv
-    acc *= 1.0 / math.gamma(1.0 - alpha)
+    powers = _estimate_H_powers(field, tf)
+    # head coefficients of (H+s)^m f, then of H^k f by the binomial rule
+    c = [(-1) ** m * tf ** (m - alpha) / (math.factorial(m) * (m - alpha))
+         for m in range(4)]
+    b = [sum(c[m] * math.comb(m, k) * shift ** (m - k) for m in range(k, 4))
+         for k in range(4)]
+    acc = b[0] * field.values
+    for bk, hk in zip(b[1:], powers):
+        hk *= bk
+        acc += hk
+    y, wy = _gl_panels(np.log([tf, 40.0 / (g.d + shift)]), _FRAC_NODES)
+    t = np.exp(y)
+    for ti, wi in zip(t, wy * np.exp(-alpha * y - shift * t)):
+        # each apply returns a fresh array: scale it in place
+        term = heat_apply_kernel(field, float(ti)).values
+        term *= wi
+        acc += term
+    acc *= 1.0 / math.gamma(-alpha)
     return Field(g, acc.astype(np.complex128) if zero_imag else acc)
 
 

@@ -130,9 +130,11 @@ def _node_sums(nodes: _TimeNodes, x, tau, xi, factors=(None,)) -> list:
     is E_k(tau) G_k(x, xi): E_k = w_k e^(-t_k tau^2), a real array on
     tau's own shape, and G_k = e^(logc_k - |x, xi|^2 A_k - i x.xi B_k) on
     the broadcast shape of x and xi.  G is built in place, a factor
-    F(sq, dot) (sq = |x|^2+|xi|^2, dot = x.xi) multiplies it, and the
-    node axis is contracted last, by one broadcast (1, K) @ (K, 1)
-    matmul per point, so no (x, tau, xi, node) array exists.
+    F(sq, dot) (sq = |x|^2+|xi|^2, dot = x.xi) multiplies into it in
+    place, and the node axis is contracted last, by one broadcast
+    (1, K) @ (K, 1) matmul per point, so no (x, tau, xi, node) array
+    exists.  A factor therefore also scales the sums after it: callers
+    pass at most one, last.
     """
     e = np.exp(-nodes.t * tau[..., None] ** 2)
     e *= nodes.w
@@ -144,9 +146,12 @@ def _node_sums(nodes: _TimeNodes, x, tau, xi, factors=(None,)) -> list:
     g.real += nodes.logc
     np.multiply(dot, -nodes.B, out=g.imag)
     np.exp(g, out=g)
-    return [np.matmul((g if f is None else g * f(sq, dot))[..., None, :],
-                      e[..., :, None])[..., 0, 0]
-            for f in factors]
+    sums = []
+    for f in factors:
+        if f is not None:
+            g *= f(sq, dot)
+        sums.append(np.matmul(g[..., None, :], e[..., :, None])[..., 0, 0])
+    return sums
 
 
 def _check_refined(value, refined, what: str):

@@ -5,7 +5,9 @@ closed-form kernel, using the algebraically equivalent grouping
 B = coth(2t)(|x|^2+|x'|^2)/2 - x.x'/sinh(2t) + (rho-rho')^2/(4t) as an
 independent path to the quadratic form.
 """
+import ast
 import math
+import pathlib
 import warnings
 
 import mpmath
@@ -16,6 +18,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pharmonic
 from pharmonic import (
     DomainError,
     InvalidParameterError,
@@ -598,7 +601,7 @@ class TestFracPowerKernel:
     def test_two_route_agreement(self):
         g = make_grid(d=1, N_rho=128, L_rho=12.0, K=24, M=128)
         f = pinned_field(g)
-        for alpha in (-0.5, 0.5):
+        for alpha in (-0.5, -0.25, 0.25, 0.5, 0.9):
             kf = frac_power_kernel(f, alpha)
             sf = spectral_frac_power(f, alpha)
             assert lp_norm(kf - sf, 2) / lp_norm(sf, 2) < 1e-4
@@ -659,7 +662,9 @@ class TestFracPowerRealPath:
 
         monkeypatch.setattr(hk, "heat_apply_kernel", spy)
         out = frac_power_kernel(f, alpha, shift=shift)
-        assert seen and set(seen) == {np.dtype(np.float64)}
+        assert set(seen) == {np.dtype(np.float64)}
+        # 6 applies for the head's semigroup differences, one per node
+        assert len(seen) == 6 + hk._FRAC_NODES
         assert out.values.dtype == np.complex128
         assert not out.values.imag.any()
         assert out.values.real.tobytes() == want.values.tobytes()
@@ -733,3 +738,23 @@ class TestShiftedPower:
         f = sample(g, lambda r, x: np.exp(-r ** 2 - x ** 2))
         with pytest.raises(DomainError):
             frac_power_kernel(f, -0.5, shift=-2.0)
+
+
+class TestRouteIndependence:
+    """The kernel and symbol routes never touch eigenbasis data; if they
+    did, their agreement with the eigenbasis route would prove nothing."""
+
+    @pytest.mark.parametrize("module", ["heat_kernel", "symbols"])
+    def test_no_eigenbasis_imports_or_names(self, module):
+        path = pathlib.Path(pharmonic.__file__).with_name(f"{module}.py")
+        tree = ast.parse(path.read_text())
+        modules = {"spectral", "ladder", "sobolev"}
+        names = {"eigenvalues", "forward", "inverse", "hermite_all"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert not set((node.module or "").split(".")) & modules
+            if isinstance(node, ast.alias):         # every imported name
+                assert not set(node.name.split(".")) & (modules | names)
+            used = {getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "asname", None)}
+            assert not used & names, ast.dump(node)
