@@ -42,7 +42,7 @@ from .sobolev import (TestFamily, equivalence_report,
                       weighted_decay_check)
 from .spectral import heat_spectral, spectral_frac_power
 from .symbols import (SampleDomain, gm_bound_estimate, riesz_symbol_fn,
-                      sigma_symbol_fn, symbol_decay_report)
+                      symbol_decay_report)
 
 CSV_COLUMNS = ("suite", "metric", "value", "tolerance", "pass", "params",
                "provenance")
@@ -411,9 +411,6 @@ def _suite_symbols(cfg: SuiteConfig) -> Report:
                  params={"alpha": cfg.alpha, "d": cfg.d, "cap": dom.cap,
                          "seed": cfg.seed})
     rep.extend(symbol_decay_report(cfg.alpha, cfg.d, dom))
-    rep.extend(gm_bound_estimate(sigma_symbol_fn(cfg.alpha, cfg.d),
-                                 2.0 * cfg.alpha, dom, r=2),
-               prefix="deriv_")
     for j in (0, 1):
         rep.extend(gm_bound_estimate(riesz_symbol_fn(j, cfg.d), 0.0, dom,
                                      r=0),

@@ -294,6 +294,13 @@ def _contract_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     C-contiguous array, a length-m axis in its place: one matmul on the
     (pre, n, post) view, a single 2-D GEMM when post = 1, no transpose.
 
+    A real mat meets a complex arr as real numbers when post > 1: the
+    float64 view of the (pre, n, post) array is (pre, n, 2 post), the
+    (re, im) pair one more trailing axis, so one real GEMM does the work
+    with no copy and no complex matrix.  Only post = 1 promotes mat to
+    complex; callers order their axes so that this step is the one on
+    the smallest array.
+
     The eigenbasis and the heat kernel both factor into one matrix per
     axis (sum factorisation), so every transform and kernel apply on
     the mixed grid is a sequence of these contractions.
@@ -305,7 +312,11 @@ def _contract_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     out_shape = shape[:axis] + (mat.shape[0],) + shape[axis + 1:]
     if post == 1:
         return (arr.reshape(pre, n) @ mat.T).reshape(out_shape)
-    return np.matmul(mat, arr.reshape(pre, n, post)).reshape(out_shape)
+    view = arr.reshape(pre, n, post)
+    if np.iscomplexobj(arr) and not np.iscomplexobj(mat):
+        out = np.matmul(mat, view.view(np.float64)).view(np.complex128)
+        return out.reshape(out_shape)
+    return np.matmul(mat, view).reshape(out_shape)
 
 
 def box_lp_norm(values: np.ndarray, box: UniformBox, p: float) -> float:
@@ -327,7 +338,9 @@ def resample(field: Field, box: UniformBox, tail_tol: float = 1e-6) -> np.ndarra
     Hermite shell or the top rho-frequency ring exceeds tail_tol, since
     the series truncation then limits off-grid accuracy.  The series is
     summed one axis at a time: the rho plane waves first, on the small
-    degree cube, then h_k at the box points on x_1, .., x_d.
+    degree cube, then h_k at the box points on x_d, .., x_1, so the
+    step that writes the box is a real GEMM on the float view
+    (_contract_axis).
     """
     # layering: the transform lives one level up
     from .spectral import forward
@@ -366,9 +379,11 @@ def _box_series(coeffs, box: UniformBox, tail_tol: float = 1e-6
 
 
 def _x_series(rows: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
-    """Finish the box series of _box_series on some of its rho rows."""
-    for axis, table in enumerate(tables, 1):
-        rows = _contract_axis(rows, table, axis)
+    """Finish the box series of _box_series on some of its rho rows,
+    x_d first and x_1 last: only the x_d step, on the degree cube, is a
+    complex post = 1 GEMM."""
+    for axis in range(len(tables), 0, -1):
+        rows = _contract_axis(rows, tables[axis - 1], axis)
     return rows
 
 
@@ -379,23 +394,29 @@ def _box_lp_norm_coeffs(coeffs, box: UniformBox, p: float,
     resample, with no box-sized array: the series is finished and
     summed one slab of rho rows at a time.
 
-    weight is real and broadcasts to box.counts.
+    Each slab is squared in place on its float view and its (re, im)
+    pairs added, s = |f|^2; s^(p/2) is then one pow, where |f|^p would
+    be a hypot and a pow.  weight is real and broadcasts to box.counts;
+    it enters squared, and p = inf returns sqrt(max w^2 s).
     """
     if p != np.inf and p < 1:
         raise InvalidParameterError("p must be >= 1 or inf")
     rows, tables = _box_series(coeffs, box)
     step = max(1, _SLAB_BYTES // (16 * math.prod(box.counts[1:])))
-    w = None if weight is None else np.broadcast_to(weight, box.counts)
+    w2 = None if weight is None else np.broadcast_to(np.square(weight),
+                                                     box.counts)
     acc = 0.0
     for i in range(0, box.counts[0], step):
-        a = np.abs(_x_series(rows[i:i + step], tables))
-        if w is not None:
-            a *= w[i:i + step]
+        v = _x_series(rows[i:i + step], tables).view(np.float64)
+        v *= v
+        s = v[..., 0::2] + v[..., 1::2]
+        if w2 is not None:
+            s *= w2[i:i + step]
         if p == np.inf:
-            acc = max(acc, float(a.max()))
+            acc = max(acc, float(s.max()))
         else:
-            a **= p
-            acc += float(np.sum(a))
+            s **= 0.5 * p
+            acc += float(np.sum(s))
     if p == np.inf:
-        return acc
+        return math.sqrt(acc)
     return float((acc * box.cell_volume) ** (1.0 / p))

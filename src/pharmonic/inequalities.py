@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,27 +124,31 @@ def _default_grid(d: int) -> Grid:
     return make_grid(d, 32, 8.0, 8, 32)
 
 
-def _measured_box(members: list[Field], counts: tuple[int, ...],
+def _measured_box(members: Iterable[Field], counts: tuple[int, ...],
                   tol: float = 1e-6, pad: float = 1.3) -> UniformBox:
     """Box sized so every member has decayed below tol relative
-    amplitude at the boundary, capped by the grid windows."""
-    g = members[0].grid
-    coords = [g.rho] + [g.nodes_x] * g.d
-    caps = [g.L_rho] + [float(np.max(np.abs(g.nodes_x)))] * g.d
-    half = []
-    for ax in range(g.d + 1):
-        need = 0.0
-        for f in members:
-            a = np.abs(f.values)
-            peak = float(a.max())
-            if peak == 0.0:
-                continue
-            others = tuple(i for i in range(g.d + 1) if i != ax)
+    amplitude at the boundary, capped by the grid windows.
+
+    Each member is read once, |f| taken once for all d + 1 axis
+    profiles, so members may be built one at a time as consumed."""
+    need = caps = coords = None
+    for f in members:
+        if need is None:
+            g = f.grid
+            coords = [g.rho] + [g.nodes_x] * g.d
+            caps = [g.L_rho] + [float(np.max(np.abs(g.nodes_x)))] * g.d
+            need = [0.0] * (g.d + 1)
+        a = np.abs(f.values)
+        peak = float(a.max())
+        if peak == 0.0:
+            continue
+        for ax in range(a.ndim):
+            others = tuple(i for i in range(a.ndim) if i != ax)
             prof = a.max(axis=others) if others else a
             live = coords[ax][prof > tol * peak]
             if live.size:
-                need = max(need, float(np.max(np.abs(live))))
-        half.append(min(max(pad * need, 1.0), caps[ax]))
+                need[ax] = max(need[ax], float(np.max(np.abs(live))))
+    half = [min(max(pad * n, 1.0), cap) for n, cap in zip(need, caps)]
     return UniformBox(tuple(half), tuple(counts))
 
 
@@ -158,19 +162,30 @@ def _split_members(family: TestFamily,
                                for i in range(n, 4 * n))
 
 
+def _family_grid(d: int, grid: Grid | None) -> Grid:
+    g = grid if grid is not None else _default_grid(d)
+    if g.d != d:
+        raise InvalidParameterError("grid dimension does not match d")
+    return g
+
+
+def _boxes(members: Iterable[Field], d: int
+           ) -> tuple[UniformBox, UniformBox]:
+    """The box measured on members, and that box with its counts
+    doubled."""
+    box = _measured_box(members, (64, 64) if d == 1 else (24,) * (d + 1))
+    return box, UniformBox(box.half_widths,
+                           tuple(2 * n for n in box.counts))
+
+
 def _family_setup(family: TestFamily, d: int, grid: Grid | None
                   ) -> tuple[list[Field], Iterator[Field], UniformBox,
                              UniformBox]:
     """The base members, the rest of the four-fold family (consumed
     once), the box measured on the base, and that box with its counts
     doubled."""
-    g = grid if grid is not None else _default_grid(d)
-    if g.d != d:
-        raise InvalidParameterError("grid dimension does not match d")
-    base, extra = _split_members(family, g)
-    box = _measured_box(base, (64, 64) if d == 1 else (24,) * (d + 1))
-    fine = UniformBox(box.half_widths, tuple(2 * n for n in box.counts))
-    return base, extra, box, fine
+    base, extra = _split_members(family, _family_grid(d, grid))
+    return (base, extra) + _boxes(base, d)
 
 
 def _sup_stats(rep: Report, name: str, base: list[float],
@@ -290,14 +305,13 @@ def shifted_hls_check(alpha: float, p: float, q: float, d: int, a: float,
 # ---------------------------------------------------------------------------
 # GNS
 
-def _ratio_gns(f: Field, p: float, q: float, box: UniformBox,
+def _ratio_gns(c: SpectralCoeffs, p: float, q: float, box: UniformBox,
                box_fine: UniformBox | None) -> tuple[float, float]:
-    c = forward(f)
     den = _grad_norm(c, p)
     if den == 0.0:
         raise InvalidParameterError("zero field in family")
     if q == 2.0:
-        r = lp_norm(f, 2.0) / den
+        r = plancherel_norm(c) / den
         return r, r
     r0 = _box_lp_norm_coeffs(c, box, q) / den
     r1 = r0
@@ -315,14 +329,23 @@ def gns_check(p: float, q: float, d: int, family: TestFamily,
     quadrature; at p = 2 each is read off the coefficients instead,
     which is the same grid quadrature to rounding (Gauss-Hermite and
     the rho trapezoid are exact on the band-limited image, see
-    _grad_norm).  The q norm uses the auto-sized box when q != 2.
-    PASS needs a sup that moves by less than STABILITY_LIMIT, as in
-    hls_check.
+    _grad_norm).  The q norm uses the auto-sized box when q != 2, and
+    plancherel_norm, the same quadrature, when q = 2.
+
+    Every member is scored from its coefficients, TestFamily.coeffs, so
+    a band_limited family builds no grid field to score: only the base
+    members are evaluated on the grid, one at a time, to measure the
+    box.  PASS needs a sup that moves by less than STABILITY_LIMIT, as
+    in hls_check.
     """
     IneqCase("gns", 1.0, p, q, d, family, "bounded")
-    base, extra, box, fine = _family_setup(family, d, grid)
-    got = [_ratio_gns(f, p, q, box, fine) for f in base]
-    got_e = [_ratio_gns(f, p, q, box, None) for f in extra]
+    g = _family_grid(d, grid)
+    n = family.count
+    box, fine = _boxes((family.member(g, i) for i in range(n)), d)
+    got = [_ratio_gns(family.coeffs(g, i), p, q, box, fine)
+           for i in range(n)]
+    got_e = [_ratio_gns(family.coeffs(g, i), p, q, box, None)
+             for i in range(n, 4 * n)]
     rep = Report(suite="gns",
                  params={"p": p, "q": q, "d": d, "kind": family.kind,
                          "count": family.count, "seed": family.seed})

@@ -92,6 +92,16 @@ class TestFamily:
         return _make_member(self.kind, grid,
                             np.random.default_rng([self.seed, i]))
 
+    def coeffs(self, grid: Grid, i: int) -> SpectralCoeffs:
+        """Member i in the eigenbasis, without a grid field where the
+        kind allows: band_limited members are defined by their
+        coefficients, of which member is the inverse made real (one
+        draw for both); the other kinds are forward(member)."""
+        rng = np.random.default_rng([self.seed, i])
+        if self.kind == "band_limited":
+            return _band_limited_coeffs(grid, rng)
+        return forward(_make_member(self.kind, grid, rng))
+
     def members(self, grid: Grid) -> list[Field]:
         return [self.member(grid, i) for i in range(self.count)]
 

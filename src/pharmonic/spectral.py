@@ -81,7 +81,11 @@ def forward(field: Field) -> SpectralCoeffs:
     M >= K + 1 nodes integrates the degree <= 2K products exactly, and
     the DFT is alias-free below the Nyquist ring.  Each x axis is
     projected in place, x_1 first, then the admissible degrees are
-    gathered and the rho axis transformed by the FFT.
+    gathered and the rho axis transformed by the FFT.  The real
+    weighted Hermite table meets the complex field as a real GEMM on
+    its float view (grid._contract_axis); x_1 first makes the step that
+    reads the whole field one of these, and leaves the complex
+    post = 1 step, x_d, to the smallest array.
     """
     g = field.grid
     wtab = g.hermite_table * g.weights_x[None, :]     # (K+1, M)
@@ -94,11 +98,17 @@ def forward(field: Field) -> SpectralCoeffs:
 
 def inverse(coeffs: SpectralCoeffs) -> Field:
     """Evaluate the series back on the grid points: inverse FFT in rho,
-    scatter to the degree cube, then h_k(node) on x_1, .., x_d in place."""
+    scatter to the degree cube, then h_k(node) on x_d, .., x_1 in place.
+
+    The reverse of forward's order: the complex post = 1 step, x_d,
+    runs on the degree cube, and every later step, the one that writes
+    the whole field included, is a real GEMM on the float view
+    (grid._contract_axis).
+    """
     g = coeffs.grid
     u = g.N_rho * np.fft.ifft(_alt_sign(g) * coeffs.data, axis=0)
     out = _to_cube(g, u)
-    for axis in range(1, g.d + 1):
+    for axis in range(g.d, 0, -1):
         out = _contract_axis(out, g.hermite_table.T, axis)
     return Field(g, out)
 

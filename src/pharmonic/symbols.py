@@ -406,6 +406,40 @@ def _derivative_stencil(symbol: SymbolFn, x, tau, xi, r: int):
     return out
 
 
+def _normalized_sups(symbol: SymbolFn, m: float, dom: SampleDomain,
+                     r: int, weights) -> dict:
+    """{weight: {|beta|: sup |D^beta sigma| / <w>^(m - |beta|)}} over the
+    points of dom, for each weight kind in weights, all from one
+    evaluation of the order-r stencil."""
+    x, tau, xi = dom.points()
+    stencil = _derivative_stencil(symbol, x, tau, xi, r)
+    out = {}
+    for weight in weights:
+        bracket = _bracket(x, tau, xi, weight)
+        best = {}
+        for order, vals in stencil:
+            ratio = np.abs(vals) / bracket ** (m - order)
+            best[order] = max(best.get(order, 0.0), float(ratio.max()))
+        out[weight] = best
+    return out
+
+
+def _gm_report(symbol: SymbolFn, m: float, domain: SampleDomain, r: int,
+               weight: str, base: dict, wide: dict) -> Report:
+    """The metrics of gm_bound_estimate from the sups of orders 0..r on
+    domain (base) and on domain.doubled() (wide)."""
+    rep = Report(suite="symbols",
+                 params={"label": symbol.label, "m": m, "r": r,
+                         "cap": domain.cap, "weight": weight})
+    for order in range(r + 1):
+        sup_w = max(wide[order], base[order])
+        rep.add(f"sup_order_{order}", sup_w, None, np.isfinite(sup_w),
+                f"normalized |D^beta|, |beta| = {order}")
+        rep.add_growth(f"stability_order_{order}", base[order], sup_w,
+                       "doubling the domain cap")
+    return rep
+
+
 def gm_bound_estimate(symbol: SymbolFn, m: float, domain: SampleDomain,
                       r: int = 0, weight: str = "combined") -> Report:
     """Empirical membership check: |D^beta sigma| <= C <w>^(m - |beta|).
@@ -417,41 +451,33 @@ def gm_bound_estimate(symbol: SymbolFn, m: float, domain: SampleDomain,
     """
     if r not in (0, 1, 2):
         raise InvalidParameterError("derivative order r must be 0, 1 or 2")
-    rep = Report(suite="symbols",
-                 params={"label": symbol.label, "m": m, "r": r,
-                         "cap": domain.cap, "weight": weight})
-
-    def sups(dom: SampleDomain):
-        x, tau, xi = dom.points()
-        best = {}
-        for order, vals in _derivative_stencil(symbol, x, tau, xi, r):
-            w = _bracket(x, tau, xi, weight) ** (m - order)
-            ratio = np.abs(vals) / w
-            best[order] = max(best.get(order, 0.0), float(ratio.max()))
-        return best
-
-    base = sups(domain)
-    wide = sups(domain.doubled())
-    for order in sorted(base):
-        sup_w = max(wide[order], base[order])
-        rep.add(f"sup_order_{order}", sup_w, None, np.isfinite(sup_w),
-                f"normalized |D^beta|, |beta| = {order}")
-        rep.add_growth(f"stability_order_{order}", base[order], sup_w,
-                       "doubling the domain cap")
-    return rep
+    base, wide = (_normalized_sups(symbol, m, dom, r, (weight,))[weight]
+                  for dom in (domain, domain.doubled()))
+    return _gm_report(symbol, m, domain, r, weight, base, wide)
 
 
 def symbol_decay_report(alpha: float, d: int, domain: SampleDomain
                         ) -> Report:
     """|sigma_alpha| <= C <|x|+|w|>^(2 alpha) over the shells, plus the
-    S_(1,0)-style frequency-only weight for the class inclusion, each
-    stable to STABILITY_LIMIT (gm_bound_estimate)."""
+    S_(1,0)-style frequency-only weight for the class inclusion, and
+    |D^beta sigma_alpha| <= C <|x|+|w|>^(2 alpha - |beta|) for
+    |beta| <= 2 (deriv_*, as gm_bound_estimate with r = 2), each stable
+    to STABILITY_LIMIT.
+
+    All of them are read off one evaluation of the order-2 stencil per
+    domain, so sigma_alpha runs once per stencil point.
+    """
     rep = Report(suite="symbols", params={"alpha": alpha, "d": d,
                                           "cap": domain.cap})
     sym = sigma_symbol_fn(alpha, d)
+    m = 2.0 * alpha
+    base, wide = (_normalized_sups(sym, m, dom, 2, ("combined", "omega"))
+                  for dom in (domain, domain.doubled()))
     for weight in ("combined", "omega"):
-        sub = gm_bound_estimate(sym, 2.0 * alpha, domain, r=0, weight=weight)
-        rep.extend(sub, prefix=f"{weight}_")
+        rep.extend(_gm_report(sym, m, domain, 0, weight, base[weight],
+                              wide[weight]), prefix=f"{weight}_")
+    rep.extend(_gm_report(sym, m, domain, 2, "combined", base["combined"],
+                          wide["combined"]), prefix="deriv_")
     return rep
 
 

@@ -217,6 +217,30 @@ def test_box_lp_norm_bit_equal_to_reference(counts, half, p, real, seed):
     assert out.hex() == want.hex()
 
 
+@settings(max_examples=120, deadline=None)
+@given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+       m=st.integers(1, 6), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_contract_axis_float_view_matches_complex_matmul(shape, m, data,
+                                                         seed):
+    """A real matrix on a complex array, every axis (post = 1 and
+    length-1 axes included), against the complex-promoted matmul."""
+    axis = data.draw(st.integers(0, len(shape) - 1), label="axis")
+    rng = np.random.default_rng(seed)
+    arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mat = rng.standard_normal((m, shape[axis]))
+    got = _contract_axis(arr, mat, axis)
+    pre = int(np.prod(shape[:axis]))
+    view = arr.reshape(pre, shape[axis], -1)
+    out_shape = tuple(shape[:axis]) + (m,) + tuple(shape[axis + 1:])
+    want = np.matmul(mat.astype(np.complex128), view).reshape(out_shape)
+    # the roundoff scale of each entry: sum |m_ij| |a_j|
+    scale = (np.abs(mat) @ np.abs(view)).max()
+    assert got.dtype == np.complex128 and got.shape == out_shape
+    assert got.flags.c_contiguous
+    assert np.abs(got - want).max() <= 1e-14 * scale
+
+
 def test_resample_band_limited_exact():
     g = make_grid(d=1, N_rho=32, L_rho=6.0, K=5, M=8)
     f = mode_field(g, 1, (0,))

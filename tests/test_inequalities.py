@@ -194,6 +194,24 @@ class TestSplitMembers:
             assert f.values.tobytes() == w.values.tobytes()
 
 
+def per_axis_box(members, tol=1e-6, pad=1.3):
+    """The half-widths of _measured_box by one |f| per (axis, member)."""
+    g = members[0].grid
+    coords = [g.rho] + [g.nodes_x] * g.d
+    caps = [g.L_rho] + [float(np.max(np.abs(g.nodes_x)))] * g.d
+    half = []
+    for ax in range(g.d + 1):
+        need = 0.0
+        for f in members:
+            a = np.abs(f.values)
+            others = tuple(i for i in range(g.d + 1) if i != ax)
+            live = coords[ax][a.max(axis=others) > tol * a.max()]
+            if live.size:
+                need = max(need, float(np.max(np.abs(live))))
+        half.append(min(max(pad * need, 1.0), caps[ax]))
+    return tuple(half)
+
+
 class TestGnsCheck:
     def test_d3_example(self, fam):
         rep = gns_check(2.0, 2.5, 3, fam)
@@ -239,7 +257,19 @@ class TestGnsCheck:
         z = Field(g, np.zeros(g.shape, dtype=complex))
         box = UniformBox((4.0,) * 4, (8,) * 4)
         with pytest.raises(InvalidParameterError):
-            _ratio_gns(z, 2.0, 2.5, box, None)
+            _ratio_gns(forward(z), 2.0, 2.5, box, None)
+
+    @pytest.mark.parametrize("kind", ["gaussian", "mollified"])
+    def test_box_from_lazy_members_matches_per_axis_scan(self, kind):
+        # members consumed one at a time give the half-widths of a scan
+        # that takes |f| per (axis, member), bit for bit, on a grid
+        # wide enough that the decay, not the window, sets the box on
+        # the rho axis (and on the x axes of the gaussian members)
+        g = make_grid(2, 32, 12.0, 6, 60)
+        fam = TestFamily(kind, 4, seed=3)
+        box = _measured_box((fam.member(g, i) for i in range(4)), (8, 8, 8))
+        assert box.half_widths == per_axis_box(fam.members(g))
+        assert box.half_widths[0] < g.L_rho
 
     def test_low_dimension_rejected(self, fam):
         with pytest.raises(InvalidParameterError):

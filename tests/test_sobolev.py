@@ -6,6 +6,7 @@ sqrt(2) Phi_1.  The strict-inclusion growth numbers are pinned loosely;
 the content is monotone non-stabilization vs a stabilizing Gaussian
 control.
 """
+import hashlib
 import math
 import warnings
 
@@ -82,6 +83,28 @@ class TestFamilyType:
             c = forward(f)
             top = np.abs(c.data[:, g1.mu_abs > g1.K - 2]) ** 2
             assert top.sum() < 1e-20 * (np.abs(c.data) ** 2).sum()
+
+    @pytest.mark.parametrize("kind", ["band_limited", "gaussian",
+                                      "hermite_mix", "mollified"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_coeffs_are_the_members_transform(self, kind, d):
+        g = make_grid(d, 16, 6.0, 6, 10)
+        fam = TestFamily(kind, 3, seed=8)
+        for i in range(3):
+            got = fam.coeffs(g, i).data
+            want = forward(fam.member(g, i)).data
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_band_limited_member_bits_pinned(self):
+        # the bits of d = 1 members on the hls default grid: a change
+        # of draw, transform order or real-part handling shows here
+        g = make_grid(1, 64, 10.0, 8, 40)
+        fam = TestFamily("band_limited", 3, seed=5)
+        h = hashlib.sha256()
+        for f in fam.members(g):
+            h.update(f.values.tobytes())
+        assert h.hexdigest() == ("d9a432711e42f39513334a2fa1a60c06"
+                                 "b02319ff35dfc7146d0c27ae18564a34")
 
     @pytest.mark.parametrize("kind", ["gaussian", "hermite_mix",
                                       "mollified"])

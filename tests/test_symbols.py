@@ -7,6 +7,8 @@ the integrand collapses to (cosh 2t)^(-3/2) e^(-tanh(2t)/2).
 """
 import math
 import warnings
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ from pharmonic import (
     spectral_frac_power,
     symbol_decay_report,
 )
+from pharmonic import cli
+from pharmonic import symbols as symbols_module
 from pharmonic.heat_kernel import t_quadrature
 from pharmonic.symbols import SymbolFn, _dt_b_coeffs
 
@@ -244,6 +248,35 @@ class TestGmBound:
         names = {m.name for m in rep.metrics}
         assert any(n.startswith("omega_") for n in names)
         assert any(n.startswith("combined_") for n in names)
+
+    def test_decay_report_equals_the_separate_estimates(self):
+        dom = SampleDomain(d=1, cap=16.0, per_shell=2, seed=3)
+        sym = sigma_symbol_fn(-0.5, 1)
+        want = [replace(m, name=prefix + m.name)
+                for prefix, r, weight in (("combined_", 0, "combined"),
+                                          ("omega_", 0, "omega"),
+                                          ("deriv_", 2, "combined"))
+                for m in gm_bound_estimate(sym, -1.0, dom, r=r,
+                                           weight=weight).metrics]
+        assert symbol_decay_report(-0.5, 1, dom).metrics == want
+
+    def test_suite_evaluates_each_point_set_once(self, tmp_path):
+        """The default symbols suite: 19 stencil points on the domain
+        and on its doubled copy, each one sigma_alpha call, shared by
+        the decay and the derivative sups of both weights."""
+        seen = []
+        real = symbols_module.sigma_alpha
+
+        def spy(x, tau, xi, *args, **kwargs):
+            seen.append(b"".join(np.ascontiguousarray(a).tobytes()
+                                 for a in (x, tau, xi)))
+            return real(x, tau, xi, *args, **kwargs)
+
+        with mock.patch.object(symbols_module, "sigma_alpha", spy):
+            code = cli.main(["--suite", "symbols",
+                             "--out", str(tmp_path / "s.csv")])
+        assert code == 0
+        assert len(seen) == 38 and len(set(seen)) == 38
 
 
 @pytest.fixture(scope="module")
