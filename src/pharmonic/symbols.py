@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import grid
 from .errors import AliasingWarning, InvalidParameterError, QuadratureError
 from .grid import UniformBox
 from .heat_kernel import t_quadrature
@@ -122,35 +123,62 @@ def _time_nodes(gamma_: float, d: int, refine: bool) -> _TimeNodes:
                       0.5 * np.tanh(2.0 * t), 2.0 * np.sinh(t) ** 2 / cosh2)
 
 
+def _slab(a, sl, batch_axis: int):
+    """a[..., sl] on its last batch axis (batch_axis = -1, or -2 for an
+    (..., d) point array); an array without that axis, or with it
+    broadcast (length 1), is returned whole."""
+    if a.ndim < -batch_axis or a.shape[batch_axis] == 1:
+        return a
+    return a[(Ellipsis, sl) + (slice(None),) * (-batch_axis - 1)]
+
+
 def _node_sums(nodes: _TimeNodes, x, tau, xi, factors=(None,)) -> list:
     """sum_k w_k t_k^(gamma-1) (cosh 2t_k)^(-d/2) e^(-b(t_k)) F_k for each
-    F in factors (None stands for 1).
+    F in factors (None stands for 1), on the broadcast point shape of
+    x[..., 0], tau and xi[..., 0].
 
     The tau term of b is apart from the (x, xi) terms, so each summand
     is E_k(tau) G_k(x, xi): E_k = w_k e^(-t_k tau^2), a real array on
     tau's own shape, and G_k = e^(logc_k - |x, xi|^2 A_k - i x.xi B_k) on
-    the broadcast shape of x and xi.  G is built in place, a factor
-    F(sq, dot) (sq = |x|^2+|xi|^2, dot = x.xi) multiplies into it in
-    place, and the node axis is contracted last, by one broadcast
-    (1, K) @ (K, 1) matmul per point, so no (x, tau, xi, node) array
-    exists.  A factor therefore also scales the sums after it: callers
-    pass at most one, last.
+    the broadcast shape of x and xi.  tau may run along axes that x and
+    xi lack or hold at length 1 (quantize's box axis, the tau shifts of
+    _derivative_stencil), and G is built once for all of them.
+
+    The last batch axis of the point shape is walked in slabs, each
+    slab's complex (x, xi, node) block G within grid._SLAB_BYTES; an
+    array whose last batch axis is broadcast is not sliced.  Per slab G
+    is built in place, a factor f(x, xi, sq, dot) (the slab's points,
+    sq = |x|^2+|xi|^2 and dot = x.xi with a trailing node axis)
+    multiplies into it in place, and the node axis is contracted last,
+    by one broadcast (1, K) @ (K, 1) matmul per point, so no (x, tau,
+    xi, node) array exists.  A factor therefore also scales the sums
+    after it: callers pass at most one, last.
     """
-    e = np.exp(-nodes.t * tau[..., None] ** 2)
-    e *= nodes.w
-    sq = (np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1))[..., None]
-    dot = np.sum(x * xi, axis=-1)[..., None]
-    g = np.empty(np.broadcast_shapes(sq.shape, dot.shape, nodes.t.shape),
-                 dtype=np.complex128)
-    np.multiply(sq, -nodes.A, out=g.real)
-    g.real += nodes.logc
-    np.multiply(dot, -nodes.B, out=g.imag)
-    np.exp(g, out=g)
-    sums = []
-    for f in factors:
-        if f is not None:
-            g *= f(sq, dot)
-        sums.append(np.matmul(g[..., None, :], e[..., :, None])[..., 0, 0])
+    sq = np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1)
+    dot = np.sum(x * xi, axis=-1)
+    shape = np.broadcast_shapes(sq.shape, tau.shape)
+    sums = [np.empty(shape, dtype=np.complex128) for _ in factors]
+    n = shape[-1] if shape else 1
+    step = max(1, grid._SLAB_BYTES
+               // (16 * nodes.t.size * math.prod(sq.shape[:-1])))
+    for i in range(0, n, step):
+        sl = slice(i, i + step)
+        x_s, xi_s = _slab(x, sl, -2), _slab(xi, sl, -2)
+        sq_s = _slab(sq, sl, -1)[..., None]
+        dot_s = _slab(dot, sl, -1)[..., None]
+        e = np.exp(-nodes.t * _slab(tau, sl, -1)[..., None] ** 2)
+        e *= nodes.w
+        g = np.empty(np.broadcast_shapes(sq_s.shape, nodes.t.shape),
+                     dtype=np.complex128)
+        np.multiply(sq_s, -nodes.A, out=g.real)
+        g.real += nodes.logc
+        np.multiply(dot_s, -nodes.B, out=g.imag)
+        np.exp(g, out=g)
+        for out, f in zip(sums, factors):
+            if f is not None:
+                g *= f(x_s, xi_s, sq_s, dot_s)
+            out[(Ellipsis, sl) if shape else Ellipsis] = np.matmul(
+                g[..., None, :], e[..., :, None])[..., 0, 0]
     return sums
 
 
@@ -178,7 +206,7 @@ def _sigma_quad(x, tau, xi, alpha: float, d: int, refine: bool):
     sech2, cross = _dt_b_coeffs(nodes.t)
     tanh2 = 2.0 * nodes.A
 
-    def poly(sq, dot):
+    def poly(x, xi, sq, dot):
         return (d * tanh2 + sq * sech2) + 1.0j * (dot * cross)
 
     plain, with_poly = _node_sums(nodes, x, tau, xi, (None, poly))
@@ -217,7 +245,7 @@ def _riesz_quad(j: int, x, tau, xi, d: int, refine: bool):
     grow = 1.0 + 2.0 * nodes.A
     sech = 1.0 / np.cosh(2.0 * nodes.t)
 
-    def factor(sq, dot):
+    def factor(x, xi, sq, dot):
         return x[..., j - 1, None] * grow - 1.0j * (xi[..., j - 1, None]
                                                     * sech)
 
@@ -253,7 +281,16 @@ def riesz_symbol(j: int, x, tau, xi, d: int, with_error: bool = False):
 
 @dataclass(frozen=True)
 class SymbolFn:
-    """A rho-independent phase-space symbol with a declared order."""
+    """A rho-independent phase-space symbol with a declared order.
+
+    fn(x, tau, xi) receives broadcastable arrays, x and xi with a
+    trailing d axis, and tau may run along axes that x and xi lack or
+    hold at length 1.  It returns an array that broadcasts to their
+    common batch shape.
+    quantize passes each variable on its own box axis, and
+    _derivative_stencil passes a stack of tau shifts against one
+    (x, xi); both rely on this.
+    """
     fn: Callable
     order: float
     label: str
@@ -359,23 +396,19 @@ def _derivative_stencil(symbol: SymbolFn, x, tau, xi, r: int):
 
     Variables are (x_1..x_d, tau, xi_1..xi_d); steps are relative,
     1e-3 * max(1, |X|) per sample.  Returns a list of (|beta|, values).
+
+    A stencil point is a spec of (variable, sign) shifts.  Specs that
+    differ only in their tau shift share (x, xi), so they are grouped
+    and each group is one symbol call: x and xi as (1, P, d), the
+    group's shifted taus stacked as (m, P).  An evaluator builds its
+    (x, xi) part once per group (19 points are 9 calls at d = 1), and
+    each spec keeps its own row of the (m, P) result.
     """
     d = x.shape[-1]
     n_var = 2 * d + 1
     mag = np.sqrt(np.sum(x ** 2, axis=-1) + tau ** 2
                   + np.sum(xi ** 2, axis=-1))
     h = 1e-3 * np.maximum(1.0, mag)
-
-    def pt(spec):
-        xx, tt, xxi = x.copy(), tau.copy(), xi.copy()
-        for var, sg in spec:
-            if var < d:
-                xx[..., var] = xx[..., var] + sg * h
-            elif var == d:
-                tt = tt + sg * h
-            else:
-                xxi[..., var - d - 1] = xxi[..., var - d - 1] + sg * h
-        return symbol(xx, tt, xxi)
 
     specs = [()]
     if r >= 1:
@@ -384,8 +417,27 @@ def _derivative_stencil(symbol: SymbolFn, x, tau, xi, r: int):
         specs += [((v1, s1), (v2, s2))
                   for v1 in range(n_var) for v2 in range(v1 + 1, n_var)
                   for s1 in (+1, -1) for s2 in (+1, -1)]
-    # one evaluation per stencil point, shared across every derivative
-    vals = {spec: pt(spec) for spec in specs}
+    # a spec shifts tau at most once: group by the other shifts
+    groups = {}
+    for spec in specs:
+        key = tuple((var, sg) for var, sg in spec if var != d)
+        shift = sum(sg for var, sg in spec if var == d)
+        groups.setdefault(key, []).append((shift, spec))
+
+    # one evaluation per (x, xi), shared across every derivative
+    vals = {}
+    for key, members in groups.items():
+        xx, xxi = x.copy(), xi.copy()
+        for var, sg in key:
+            if var < d:
+                xx[..., var] = xx[..., var] + sg * h
+            else:
+                xxi[..., var - d - 1] = xxi[..., var - d - 1] + sg * h
+        taus = np.stack([tau + sg * h if sg else tau for sg, _ in members])
+        rows = np.broadcast_to(symbol(xx[None], taus, xxi[None]),
+                               taus.shape)
+        for row, (_, spec) in zip(rows, members):
+            vals[spec] = row
 
     center = vals[()]
     out = [(0, center)]
@@ -465,7 +517,8 @@ def symbol_decay_report(alpha: float, d: int, domain: SampleDomain
     to STABILITY_LIMIT.
 
     All of them are read off one evaluation of the order-2 stencil per
-    domain, so sigma_alpha runs once per stencil point.
+    domain, so sigma_alpha runs once per (x, xi) group of stencil
+    points (see _derivative_stencil).
     """
     rep = Report(suite="symbols", params={"alpha": alpha, "d": d,
                                           "cap": domain.cap})

@@ -28,8 +28,9 @@ from pharmonic import (
     strict_inclusion_demo,
     weighted_decay_check,
 )
-from pharmonic.grid import Field
+from pharmonic.grid import Field, UniformBox, _sum_sq
 from pharmonic.ladder import riesz
+from pharmonic.sobolev import _bessel_power
 from pharmonic.spectral import forward, mode_field
 
 
@@ -299,6 +300,15 @@ class TestInclusionChain:
         assert rep.all_passed, rep.failures()
 
 
+def assert_bessel_power_matches(a, b, box, alpha):
+    fhat = np.fft.fftn(np.outer(a, b))
+    fhat *= (1.0 + _sum_sq(box.freq_axes())) ** (alpha / 2.0)
+    want = np.fft.ifftn(fhat)
+    got = _bessel_power(a, b, box, alpha)
+    assert got.dtype == np.float64 and got.shape == box.counts
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 class TestStrictInclusion:
     def test_f1_grows(self):
         rep = strict_inclusion_demo("f1", 0.5, 2.0)
@@ -334,6 +344,25 @@ class TestStrictInclusion:
         with pytest.raises(InvalidParameterError):
             strict_inclusion_demo("f1", 0.5, 2.0,
                                   radii=(8.0, 16.0, 32.0, 47.0))
+
+    @pytest.mark.parametrize("control", [False, True])
+    def test_bessel_power_equals_full_transform(self, control):
+        # the f1 witnesses on the default box: the line transforms
+        # against the complex fftn of the product they replaced
+        box = UniformBox((48.0, 48.0), (1024, 1024))
+        decay = 1.0 / 2.0 + 0.5
+        line = ((lambda v: np.exp(-v ** 2 / 2.0)) if control
+                else (lambda v: (1.0 + np.abs(v)) ** -decay))
+        a, b = (line(ax) for ax in box.axes())
+        assert_bessel_power_matches(a, b, box, -0.5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bessel_power_random_separable(self, seed):
+        rng = np.random.default_rng(seed)
+        counts = tuple(int(2 * k) for k in rng.integers(1, 40, size=2))
+        box = UniformBox(tuple(rng.uniform(1.0, 20.0, size=2)), counts)
+        a, b = (rng.standard_normal(n) for n in counts)
+        assert_bessel_power_matches(a, b, box, rng.uniform(-2.0, 2.0))
 
     def test_coarse_resolution_warns(self):
         # radii spaced below the grid spacing share the same cells, so

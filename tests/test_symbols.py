@@ -38,9 +38,11 @@ from pharmonic import (
     symbol_decay_report,
 )
 from pharmonic import cli
+from pharmonic import grid as grid_module
 from pharmonic import symbols as symbols_module
 from pharmonic.heat_kernel import t_quadrature
-from pharmonic.symbols import SymbolFn, _dt_b_coeffs
+from pharmonic.symbols import (SymbolFn, _derivative_stencil, _dt_b_coeffs,
+                               _node_sums, _time_nodes)
 
 SIGMA_NEG_ORACLE = 0.4832342617041933     # alpha=-1/2 at (x,tau,xi)=(0,2,0)
 SIGMA_POS_ORACLE = 2.1742003677378541 - 0.0109868530931185j
@@ -262,8 +264,9 @@ class TestGmBound:
 
     def test_suite_evaluates_each_point_set_once(self, tmp_path):
         """The default symbols suite: 19 stencil points on the domain
-        and on its doubled copy, each one sigma_alpha call, shared by
-        the decay and the derivative sups of both weights."""
+        and on its doubled copy, in 9 groups of one (x, xi) each, each
+        group one sigma_alpha call, shared by the decay and the
+        derivative sups of both weights."""
         seen = []
         real = symbols_module.sigma_alpha
 
@@ -276,7 +279,7 @@ class TestGmBound:
             code = cli.main(["--suite", "symbols",
                              "--out", str(tmp_path / "s.csv")])
         assert code == 0
-        assert len(seen) == 38 and len(set(seen)) == 38
+        assert len(seen) == 18 and len(set(seen)) == 18
 
 
 @pytest.fixture(scope="module")
@@ -530,3 +533,173 @@ class TestSampleDomainPoints:
         # the cache hands back what a direct build draws
         for a, b in zip(pts, SampleDomain.points.__wrapped__(dom)):
             assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# the grouped stencil and the slabbed node sums against their one-piece
+# forms, bit for bit
+
+def stencil_by_spec(symbol, x, tau, xi, r):
+    """The stencil with one symbol call per spec, which the grouped
+    _derivative_stencil replaced."""
+    d = x.shape[-1]
+    n_var = 2 * d + 1
+    mag = np.sqrt(np.sum(x ** 2, axis=-1) + tau ** 2
+                  + np.sum(xi ** 2, axis=-1))
+    h = 1e-3 * np.maximum(1.0, mag)
+
+    def pt(spec):
+        xx, tt, xxi = x.copy(), tau.copy(), xi.copy()
+        for var, sg in spec:
+            if var < d:
+                xx[..., var] = xx[..., var] + sg * h
+            elif var == d:
+                tt = tt + sg * h
+            else:
+                xxi[..., var - d - 1] = xxi[..., var - d - 1] + sg * h
+        return np.broadcast_to(symbol(xx, tt, xxi), tau.shape)
+
+    specs = [()]
+    if r >= 1:
+        specs += [((v, s),) for v in range(n_var) for s in (+1, -1)]
+    if r >= 2:
+        specs += [((v1, s1), (v2, s2))
+                  for v1 in range(n_var) for v2 in range(v1 + 1, n_var)
+                  for s1 in (+1, -1) for s2 in (+1, -1)]
+    vals = {spec: pt(spec) for spec in specs}
+    center = vals[()]
+    out = [(0, center)]
+    if r >= 1:
+        for v in range(n_var):
+            plus, minus = vals[((v, +1),)], vals[((v, -1),)]
+            out.append((1, (plus - minus) / (2.0 * h)))
+            if r >= 2:
+                out.append((2, (plus - 2.0 * center + minus) / h ** 2))
+        if r >= 2:
+            for v1 in range(n_var):
+                for v2 in range(v1 + 1, n_var):
+                    mixed = (vals[((v1, +1), (v2, +1))]
+                             - vals[((v1, +1), (v2, -1))]
+                             - vals[((v1, -1), (v2, +1))]
+                             + vals[((v1, -1), (v2, -1))]) / (4.0 * h ** 2)
+                    out.append((2, mixed))
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.ascontiguousarray(a).tobytes()
+            == np.ascontiguousarray(b).tobytes())
+
+
+STENCIL_SYMBOLS = {
+    "sigma(-0.5)": lambda d: sigma_symbol_fn(-0.5, d),
+    "sigma(0.5)": lambda d: sigma_symbol_fn(0.5, d),
+    "riesz(0)": lambda d: riesz_symbol_fn(0, d),
+    "riesz(1)": lambda d: riesz_symbol_fn(1, d),
+    "constant": lambda d: constant_symbol_fn(),
+    "frequency": lambda d: frequency_symbol_fn(),
+}
+
+
+class TestGroupedStencil:
+    @pytest.mark.parametrize("name", sorted(STENCIL_SYMBOLS))
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_equals_one_call_per_spec(self, name, d, r):
+        symbol = STENCIL_SYMBOLS[name](d)
+        x, tau, xi = SampleDomain(d=d, cap=16.0, per_shell=1,
+                                  seed=5).points()
+        got = _derivative_stencil(symbol, x, tau, xi, r)
+        want = stencil_by_spec(symbol, x, tau, xi, r)
+        assert [order for order, _ in got] == [order for order, _ in want]
+        for (_, g), (_, w) in zip(got, want):
+            assert same_bits(g, w)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_one_call_per_x_xi_group(self, d):
+        # r = 2: the groups are the non-tau shifts, (2d choose <= 2)
+        # with signs; the tau shifts ride along on a leading axis
+        x, tau, xi = SampleDomain(d=d, cap=16.0, per_shell=1,
+                                  seed=5).points()
+        shapes = []
+
+        def counted(xx, tt, xxi):
+            shapes.append((xx.shape, tt.shape, xxi.shape))
+            return np.broadcast_to(1.0j * tt, tt.shape)
+
+        _derivative_stencil(SymbolFn(counted, 1.0, "i*tau"), x, tau, xi, 2)
+        n, P = 2 * d, tau.size
+        assert len(shapes) == 1 + 2 * n + 4 * n * (n - 1) // 2
+        assert sorted(tt[0] for _, tt, _ in shapes) \
+            == [1] * (4 * n * (n - 1) // 2) + [3] * (1 + 2 * n)
+        for xx, tt, xxi in shapes:
+            assert xx == xxi == (1, P, d) and tt[1:] == (P,)
+
+
+def slab_points(case, d, rng):
+    """x, tau, xi of each point shape _node_sums is called with."""
+    def u(*shape):
+        return rng.uniform(-6.0, 6.0, shape)
+
+    if case == "0-d":
+        return u(d), np.asarray(u()), u(d)
+    if case == "scattered":
+        return u(37, d), u(37), u(37, d)
+    if case == "grouped":
+        return u(1, 37, d), u(3, 37), u(1, 37, d)
+    return u(6, 1, 1, d), u(1, 5, 1), u(1, 1, 7, d)    # quantize's box
+
+
+def factor_sums(nodes, x, tau, xi):
+    """Both factor paths: the plain sum, then a factor that reads the
+    slab's points as well as sq and dot."""
+    def factor(xx, xxi, sq, dot):
+        return (sq + xx[..., 0, None] * nodes.A) \
+            - 1.0j * (dot + xxi[..., -1, None] * nodes.B)
+
+    return _node_sums(nodes, x, tau, xi, (None, factor))
+
+
+class TestSlabbedNodeSums:
+    @pytest.mark.parametrize("slab", [64, 3000, 40000])
+    @pytest.mark.parametrize("case", ["0-d", "scattered", "grouped",
+                                      "box"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_equals_one_slab(self, slab, case, d):
+        x, tau, xi = slab_points(case, d, np.random.default_rng([d, slab]))
+        nodes = _time_nodes(0.5, d, False)
+        with mock.patch.object(grid_module, "_SLAB_BYTES", 1 << 40):
+            want = (_node_sums(nodes, x, tau, xi)
+                    + factor_sums(nodes, x, tau, xi))
+        with mock.patch.object(grid_module, "_SLAB_BYTES", slab):
+            got = (_node_sums(nodes, x, tau, xi)
+                   + factor_sums(nodes, x, tau, xi))
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            assert same_bits(g, w)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_grouped_rows_equal_single_calls(self, d):
+        # the (m, P) tau stack against one (1, P) call per row, in
+        # slabs of one point
+        x, tau, xi = slab_points("grouped", d, np.random.default_rng(d))
+        nodes = _time_nodes(0.5, d, False)
+        with mock.patch.object(grid_module, "_SLAB_BYTES", 64):
+            got = factor_sums(nodes, x, tau, xi)
+        for k in range(tau.shape[0]):
+            want = factor_sums(nodes, x, tau[k:k + 1], xi)
+            for g, w in zip(got, want):
+                assert same_bits(g[k:k + 1], w)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda x, tau, xi: sigma_alpha(x, tau, xi, -0.5, 1),
+        lambda x, tau, xi: sigma_alpha(x, tau, xi, 0.5, 1),
+        lambda x, tau, xi: riesz_symbol(1, x, tau, xi, 1)],
+        ids=["sigma(-0.5)", "sigma(0.5)", "riesz(1)"])
+    def test_public_evaluators_do_not_see_the_slabs(self, evaluate):
+        x, tau, xi = slab_points("box", 1, np.random.default_rng(11))
+        want = evaluate(x, tau, xi)
+        with mock.patch.object(grid_module, "_SLAB_BYTES", 3000):
+            assert same_bits(evaluate(x, tau, xi), want)
