@@ -289,10 +289,14 @@ def _sum_sq(axes) -> np.ndarray:
     return out
 
 
-def _contract_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+def _contract_axis(arr: np.ndarray, mat: np.ndarray, axis: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """The (m, n) matrix mat applied along one length-n axis of a
     C-contiguous array, a length-m axis in its place: one matmul on the
     (pre, n, post) view, a single 2-D GEMM when post = 1, no transpose.
+    The result goes to out when given (C-contiguous, of the result's
+    size and dtype, not overlapping arr; a view of it is returned), else
+    to a new array.
 
     A real mat meets a complex arr as real numbers when post > 1: the
     float64 view of the (pre, n, post) array is (pre, n, 2 post), the
@@ -307,16 +311,23 @@ def _contract_axis(arr: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
     """
     shape = arr.shape
     n = shape[axis]
+    m = mat.shape[0]
     pre = math.prod(shape[:axis])
     post = math.prod(shape[axis + 1:])
-    out_shape = shape[:axis] + (mat.shape[0],) + shape[axis + 1:]
+    out_shape = shape[:axis] + (m,) + shape[axis + 1:]
     if post == 1:
-        return (arr.reshape(pre, n) @ mat.T).reshape(out_shape)
-    view = arr.reshape(pre, n, post)
-    if np.iscomplexobj(arr) and not np.iscomplexobj(mat):
-        out = np.matmul(mat, view.view(np.float64)).view(np.complex128)
-        return out.reshape(out_shape)
-    return np.matmul(mat, view).reshape(out_shape)
+        res = np.matmul(arr.reshape(pre, n), mat.T,
+                        out=None if out is None else out.reshape(pre, m))
+    elif np.iscomplexobj(arr) and not np.iscomplexobj(mat):
+        res = np.matmul(mat, arr.reshape(pre, n, post).view(np.float64),
+                        out=None if out is None else
+                        out.reshape(pre, m, post).view(np.float64))
+        res = res.view(np.complex128)
+    else:
+        res = np.matmul(mat, arr.reshape(pre, n, post),
+                        out=None if out is None else
+                        out.reshape(pre, m, post))
+    return res.reshape(out_shape)
 
 
 def box_lp_norm(values: np.ndarray, box: UniformBox, p: float) -> float:

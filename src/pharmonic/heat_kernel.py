@@ -15,6 +15,18 @@ by the single formula of frac_power_kernel.  Everything here is
 independent of the eigenbasis route in spectral.py, so agreement
 between the two is a meaningful check and not a tautology.
 
+On a grid the kernel acts on a stack of real planes, shape
+(B,) + grid.shape: one plane per real field or per complex field with
+an all-zero imaginary part, two (real, imaginary) for any other
+complex field.  _heat_stack applies e^(-tH) to the whole stack, one
+rho matrix and one x matrix per t, contracting axis by axis into two
+reused work buffers.  heat_apply_kernel is one field's stack;
+frac_power_kernel adds 6 + _FRAC_NODES weighted applies into one
+accumulator, each weight folded into its rho matrix, the series head
+taken as six weighted semigroup differences; the hls checks run a
+whole family's members as one stack, up to grid._SLAB_BYTES
+(_frac_power_images).
+
 Points z are packed as arrays (..., d+1) with z[..., 0] = rho and
 z[..., 1:] = x.
 """
@@ -22,10 +34,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import grid
 from .errors import (
     DomainError,
     InvalidParameterError,
@@ -319,8 +333,9 @@ def kernel_bound_report(alpha: float, d: int, levels) -> Report:
 # ---------------------------------------------------------------------------
 # kernel application on a grid
 
-def _rho_heat_matrix(grid: Grid, t: float) -> np.ndarray:
-    """Periodized free heat kernel matrix on the rho grid, weights folded in.
+def _rho_heat_matrix(grid: Grid, t: float, scale: float = 1.0) -> np.ndarray:
+    """Periodized free heat kernel matrix on the rho grid, weights and
+    scale folded in.
 
     Images beyond the window replicate the DFT's periodic continuation;
     enough are taken that the truncation error is below 1e-15.  Entry
@@ -329,34 +344,114 @@ def _rho_heat_matrix(grid: Grid, t: float) -> np.ndarray:
     and the circulant matrix is indexed out of that row.  The offsets
     and the circulant index are per-grid constants (Grid._rho_offsets,
     Grid._rho_circulant); the images are summed m = -m_max .. m_max in
-    order, one row each.
+    order, one row each.  scale multiplies the row before the matrix
+    is indexed out of it, so a quadrature weight costs N_rho products.
     """
     L = grid.L_rho
     m_max = int(np.ceil(np.sqrt(4.0 * t * 40.0) / (2 * L))) + 1
     if m_max > 32:
         warnings.warn(
             f"diffusion length at t = {t} needs {m_max} window images; "
-            "capping at 32", TruncationWarning, stacklevel=3)
+            "capping at 32", TruncationWarning, stacklevel=4)
         m_max = 32
     m = np.arange(-m_max, m_max + 1)
     row = np.exp(-(grid._rho_offsets + 2.0 * L * m[:, None]) ** 2
                  / (4.0 * t)).sum(axis=0)
     row = row * grid.drho / np.sqrt(4.0 * math.pi * t)
+    row *= scale
     return row[grid._rho_circulant]
 
 
 def _x_heat_matrix(grid: Grid, t: float) -> np.ndarray:
     """One-axis oscillator kernel matrix with compensated weights folded
     in, from the per-grid node constants Grid._x_sum_sq and
-    Grid._x_product."""
-    sinh2t = math.sinh(2.0 * t)
-    coth2t = math.cosh(2.0 * t) / sinh2t
-    out = -0.5 * coth2t * grid._x_sum_sq
-    out += grid._x_product / sinh2t
-    np.exp(out, out=out)
-    out *= 1.0 / math.sqrt(2.0 * math.pi * sinh2t)
+    Grid._x_product.
+
+    Past the float range of sinh 2t (t > 355), coth 2t is 1 and
+    csch 2t is 2 e^(-2t) to rounding, and the prefactor
+    (2 pi sinh 2t)^(-1/2) enters the exponent through _logsinh, so a
+    large t gives the matrix's underflowed values instead of an
+    OverflowError.
+    """
+    try:
+        sinh2t = math.sinh(2.0 * t)
+    except OverflowError:
+        out = grid._x_product * (2.0 * math.exp(-2.0 * t))
+        out -= 0.5 * grid._x_sum_sq
+        out -= 0.5 * (math.log(2.0 * math.pi) + float(_logsinh(2.0 * t)))
+        np.exp(out, out=out)
+    else:
+        coth2t = math.cosh(2.0 * t) / sinh2t
+        out = -0.5 * coth2t * grid._x_sum_sq
+        out += grid._x_product / sinh2t
+        np.exp(out, out=out)
+        out *= 1.0 / math.sqrt(2.0 * math.pi * sinh2t)
     out *= grid.weights_x[None, :]
     return out
+
+
+def _plane_count(values: np.ndarray) -> int:
+    """Real planes of a field in a kernel stack: two for a complex field
+    with a nonzero imaginary part, else one (real fields, and the
+    band-limited and sampled Gaussian fields, complex with an all-zero
+    imaginary part)."""
+    return 2 if np.iscomplexobj(values) and values.imag.any() else 1
+
+
+def _stack_planes(fields: list[Field], counts: list[int]) -> np.ndarray:
+    """The real (B,) + grid.shape stack of the fields' planes,
+    B = sum(counts): each field's real part, then its imaginary part
+    where it has two planes.  A lone real field is its own one-plane
+    stack, not copied."""
+    vals = fields[0].values
+    if len(fields) == 1 and not np.iscomplexobj(vals):
+        return np.ascontiguousarray(vals)[None]
+    stack = np.empty((sum(counts),) + vals.shape)
+    planes = iter(stack)
+    for f, n in zip(fields, counts):
+        next(planes)[...] = f.values.real
+        if n == 2:
+            next(planes)[...] = f.values.imag
+    return stack
+
+
+def _unstack_planes(fields: list[Field], counts: list[int],
+                    stack: np.ndarray) -> list[Field]:
+    """One Field per entry of fields from its planes of stack, with that
+    field's dtype: a real field's plane as it is, a complex field's as
+    real and imaginary parts (the imaginary part zero for one plane)."""
+    out = []
+    planes = iter(stack)
+    for f, n in zip(fields, counts):
+        re = next(planes)
+        if not np.iscomplexobj(f.values):
+            out.append(Field(f.grid, re))
+            continue
+        vals = np.empty(re.shape, dtype=np.complex128)
+        vals.real = re
+        vals.imag = next(planes) if n == 2 else 0.0
+        out.append(Field(f.grid, vals))
+    return out
+
+
+def _heat_stack(g: Grid, stack: np.ndarray, t: float,
+                bufs: tuple[np.ndarray, np.ndarray],
+                scale: float = 1.0) -> np.ndarray:
+    """scale e^(-tH) on every plane of the real (B,) + g.shape stack.
+
+    The two matrices are built once; the axes are contracted in order
+    rho, x_1, .., x_d by grid._contract_axis, each into one of the two
+    stack-shaped work buffers bufs in turn, so stack is only read and
+    nothing is allocated per axis.  Returns the buffer written last.
+    scale is folded into the rho matrix.
+    """
+    mat = _rho_heat_matrix(g, t, scale)
+    mx = _x_heat_matrix(g, t)
+    src = stack
+    for axis in range(1, g.d + 2):
+        src = _contract_axis(src, mat, axis, out=bufs[axis % 2])
+        mat = mx
+    return src
 
 
 def heat_apply_kernel(field: Field, t: float) -> Field:
@@ -367,33 +462,22 @@ def heat_apply_kernel(field: Field, t: float) -> Field:
     is a matrix per axis rather than a dense (d+1)-dimensional one.
     The matrices are built per call from per-grid constants cached on
     the Grid (node products, rho offsets, circulant index), never
-    cached per t: one run can use hundreds of distinct t.  They are real, so they act on real arrays: a
-    real-dtype field as it is, giving a real-dtype result; of a complex
-    field the real part alone when the imaginary part is zero
-    (band-limited and sampled Gaussian fields), otherwise the real and
-    imaginary parts stacked as two planes.  Axes are contracted in
-    order rho, x_1, .., x_d by grid._contract_axis.
+    cached per t: one run can use hundreds of distinct t.  They are
+    real, so they act on a stack of real planes (_heat_stack, which
+    frac_power_kernel also drives): a real-dtype field as it is, giving
+    a real-dtype result; of a complex field the real part alone when
+    the imaginary part is zero (band-limited and sampled Gaussian
+    fields), otherwise the real and imaginary parts as two planes.
+    t must be positive and finite; a large t gives the underflowed
+    result.
     """
-    if t <= 0:
-        raise InvalidParameterError("t must be positive")
-    g = field.grid
-    vals = field.values
-    if not np.iscomplexobj(vals):
-        planes = vals[None]
-    elif vals.imag.any():
-        planes = np.stack([vals.real, vals.imag])
-    else:
-        planes = np.stack([vals.real])      # contiguous for the GEMMs
-    out = _contract_axis(planes, _rho_heat_matrix(g, t), 1)
-    mx = _x_heat_matrix(g, t)
-    for axis in range(2, g.d + 2):
-        out = _contract_axis(out, mx, axis)
-    if not np.iscomplexobj(vals):
-        return Field(g, out[0])
-    res = np.empty(g.shape, dtype=np.complex128)
-    res.real = out[0]
-    res.imag = out[1] if len(out) == 2 else 0.0
-    return Field(g, res)
+    if not 0.0 < t < math.inf:
+        raise InvalidParameterError("t must be positive and finite")
+    fields, counts = [field], [_plane_count(field.values)]
+    stack = _stack_planes(fields, counts)
+    bufs = (np.empty_like(stack), np.empty_like(stack))
+    out = _heat_stack(field.grid, stack, t, bufs)
+    return _unstack_planes(fields, counts, out)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -418,40 +502,110 @@ def _kernel_t_floor(grid: Grid, target: float = 1e-8) -> float:
         warnings.warn(
             f"kernel resolution floor t = {floor:.3f} is large (M - K = "
             f"{grid.M - grid.K} Hermite headroom); fractional powers will "
-            "lose accuracy, increase M", ResolutionWarning, stacklevel=3)
+            "lose accuracy, increase M", ResolutionWarning, stacklevel=5)
     return floor
 
 
-def _estimate_H_powers(field: Field, t_base: float, n_powers: int = 3):
-    """H f, ..., H^n f from semigroup differences only (no eigenbasis).
+def _head_weights(tf: float, alpha: float, shift: float
+                  ) -> tuple[float, np.ndarray, np.ndarray]:
+    """The head on (0, tf] as c_0 f - sum_i gamma_i e^(-t_i H) f.
 
-    f - e^(-tH) f = sum_m (-1)^(m+1) t^m/m! H^m f; sampling at a short
-    geometric ladder of n + 3 resolvable times gives a Vandermonde
-    system for the leading powers.  Columns are scaled by the top node
-    to keep it well conditioned.  The system is inverted once and only
-    the n rows of the wanted powers are kept, so each difference is
-    added into the n estimates as soon as it is made and the n + 3
-    differences are never held at once.  Returns one array of shape
-    (n,) + field shape, H^m f at index m - 1.
+    The head is sum_(m=0..3) (-1)^m tf^(m-alpha)/(m! (m-alpha))
+    (H+s)^m f = sum_k b_k H^k f by the binomial rule.  H^k f, k = 1..3,
+    comes from semigroup differences only (no eigenbasis):
+    f - e^(-tH) f = sum_m (-1)^(m+1) t^m/m! H^m f, sampled on a short
+    geometric ladder of six resolvable times t_i = tf 1.5^i, is a
+    Vandermonde system for the leading powers.  Its columns are scaled
+    by the top node to keep it well conditioned, and it is inverted
+    once: H^k f = sum_i r_ki (f - e^(-t_i H) f) with r_k a row of the
+    inverse.  So the head is (b_0 + sum_i gamma_i) f
+    - sum_i gamma_i e^(-t_i H) f with gamma_i = sum_k b_k r_ki, six
+    weighted applies and one multiple of f.  Returns c_0, the t_i and
+    the gamma_i.
     """
-    n_nodes = n_powers + 3
-    ts = t_base * 1.5 ** np.arange(n_nodes)
+    ts = tf * 1.5 ** np.arange(6)
     s = ts[-1]
-    m = np.arange(1, n_nodes + 1)
+    m = np.arange(1, 7)
     a = (-1.0) ** (m + 1) * (ts[:, None] / s) ** m / np.cumprod(m)
-    rows = np.linalg.inv(a)[:n_powers] \
-        / s ** np.arange(1, n_powers + 1)[:, None]
-    powers = np.zeros((n_powers,) + field.values.shape,
-                      dtype=field.values.dtype)
-    for i, t in enumerate(ts):
-        diff = heat_apply_kernel(field, float(t)).values
-        np.subtract(field.values, diff, out=diff)
-        for m in range(n_powers):
-            powers[m] += rows[m, i] * diff
-    return powers
+    rows = np.linalg.inv(a)[:3] / s ** np.arange(1, 4)[:, None]
+    c = [(-1) ** m * tf ** (m - alpha) / (math.factorial(m) * (m - alpha))
+         for m in range(4)]
+    b = [sum(c[m] * math.comb(m, k) * shift ** (m - k) for m in range(k, 4))
+         for k in range(4)]
+    gamma = np.asarray(b[1:]) @ rows
+    return b[0] + float(gamma.sum()), ts, gamma
 
 
 _FRAC_NODES = 32
+
+
+def _frac_power_stack(g: Grid, stack: np.ndarray, alpha: float,
+                      shift: float) -> np.ndarray:
+    """(H + shift)^alpha on every plane of the real stack, by the
+    formula of frac_power_kernel.
+
+    The 6 + _FRAC_NODES applies share one pair of work buffers, and
+    each apply's weight (-gamma_i of the head, the node weight of the
+    panel) is folded into its rho matrix, so an apply adds into the
+    accumulator in one pass.
+    """
+    if alpha == 0 or not (-(g.d + 1) / 2.0 < alpha < 1.0):
+        raise InvalidParameterError(
+            f"alpha = {alpha} outside (-(d+1)/2, 1) minus 0")
+    if not math.isfinite(shift):
+        raise InvalidParameterError("shift must be finite")
+    if shift != 0.0 and alpha >= 0:
+        raise InvalidParameterError(
+            "shift is supported for negative alpha only")
+    if g.d + shift <= 0:
+        raise DomainError(
+            f"d + shift = {g.d + shift:g} <= 0: (H + shift)^alpha has no "
+            "decaying semigroup representation")
+    tf = _kernel_t_floor(g)
+    c0, t_head, gamma = _head_weights(tf, alpha, shift)
+    y, wy = _gl_panels(np.log([tf, 40.0 / (g.d + shift)]), _FRAC_NODES)
+    t = np.exp(y)
+    ts = np.concatenate([t_head, t])
+    ws = np.concatenate([-gamma, wy * np.exp(-alpha * y - shift * t)])
+    bufs = (np.empty_like(stack), np.empty_like(stack))
+    acc = c0 * stack
+    for ti, wi in zip(ts, ws):
+        acc += _heat_stack(g, stack, float(ti), bufs, float(wi))
+    acc *= 1.0 / math.gamma(-alpha)
+    return acc
+
+
+def _plane_slabs(fields: Iterable[Field]
+                 ) -> Iterator[tuple[list[Field], list[int]]]:
+    """Consecutive fields of one grid, with their plane counts, in
+    groups of at most grid._SLAB_BYTES of real planes and at least one
+    field each; fields is read one group at a time."""
+    slab, counts = [], []
+    for f in fields:
+        n = _plane_count(f.values)
+        if slab and 8 * f.values.size * (sum(counts) + n) > grid._SLAB_BYTES:
+            yield slab, counts
+            slab, counts = [], []
+        slab.append(f)
+        counts.append(n)
+    if slab:
+        yield slab, counts
+
+
+def _frac_power_images(fields: Iterable[Field], alpha: float,
+                       shift: float) -> Iterator[tuple[Field, Field]]:
+    """(f, (H + shift)^alpha f) for each of fields in turn, by the
+    kernel route of frac_power_kernel.
+
+    The fields, all on one grid, run stacked: one _frac_power_stack per
+    group of _plane_slabs, so 6 + _FRAC_NODES stacked applies serve a
+    whole group (the 40 members of a default d = 1 four-fold family are
+    one group; a 32 x 32^3 member is a group of its own).
+    """
+    for slab, counts in _plane_slabs(fields):
+        images = _unstack_planes(slab, counts, _frac_power_stack(
+            slab[0].grid, _stack_planes(slab, counts), alpha, shift))
+        yield from zip(slab, images)
 
 
 def frac_power_kernel(field: Field, alpha: float, shift: float = 0.0) -> Field:
@@ -469,55 +623,24 @@ def frac_power_kernel(field: Field, alpha: float, shift: float = 0.0) -> Field:
     sum_(m=0..3) (-1)^m t_f^(m-alpha)/(m! (m-alpha)) (H+s)^m f, with
     H f, H^2 f, H^3 f estimated from semigroup differences, so no
     spectral information enters; for alpha > 0 its m = 0 term is
-    exactly -int_(t_f)^inf t^(-alpha-1) f dt.  The rest is one
-    _FRAC_NODES-point Gauss-Legendre panel in y = log t over
-    [t_f, 40/(d + s)], one heat apply per node, 6 + _FRAC_NODES
-    applies in all.  Only s = 0 is supported for alpha > 0, and d + s
-    must be positive.  Accuracy requires comfortable Hermite headroom
-    (M well above K) and a smooth, Gaussian-decaying field.
+    exactly -int_(t_f)^inf t^(-alpha-1) f dt.  The head is taken as
+    six weighted differences: a multiple of f minus six weighted
+    applies (_head_weights).  The rest is one _FRAC_NODES-point
+    Gauss-Legendre panel in y = log t over [t_f, 40/(d + s)], one heat
+    apply per node, 6 + _FRAC_NODES applies in all.  Only s = 0 is
+    supported for alpha > 0, and d + s must be positive and finite.
+    Accuracy requires comfortable Hermite headroom (M well above K)
+    and a smooth, Gaussian-decaying field.
 
-    A complex field whose imaginary part is all zero (band-limited and
-    sampled Gaussian fields) is worked on as one real-dtype field: the
-    head, every apply and the accumulation are real, and the result is
-    cast to complex128 once at the end.  Every scaling multiplies by a
-    reciprocal, which is how numpy divides a complex array by a real
-    number, so the real path gives the complex path's bits.
+    The field runs as a stack of real planes (one, or two for a
+    nonzero imaginary part) through _heat_stack: one pair of work
+    buffers and one accumulator per call, each apply's weight folded
+    into its rho matrix, and no intermediate Field.  A complex field
+    with an all-zero imaginary part (band-limited and sampled Gaussian
+    fields) is one plane, cast back to complex128 at the end.
     """
-    g = field.grid
-    if alpha == 0 or not (-(g.d + 1) / 2.0 < alpha < 1.0):
-        raise InvalidParameterError(
-            f"alpha = {alpha} outside (-(d+1)/2, 1) minus 0")
-    if shift != 0.0 and alpha >= 0:
-        raise InvalidParameterError(
-            "shift is supported for negative alpha only")
-    if g.d + shift <= 0:
-        raise DomainError(
-            f"d + shift = {g.d + shift:g} <= 0: (H + shift)^alpha has no "
-            "decaying semigroup representation")
-    zero_imag = np.iscomplexobj(field.values) \
-        and not field.values.imag.any()
-    if zero_imag:
-        field = Field(g, field.values.real.copy())
-    tf = _kernel_t_floor(g)
-    powers = _estimate_H_powers(field, tf)
-    # head coefficients of (H+s)^m f, then of H^k f by the binomial rule
-    c = [(-1) ** m * tf ** (m - alpha) / (math.factorial(m) * (m - alpha))
-         for m in range(4)]
-    b = [sum(c[m] * math.comb(m, k) * shift ** (m - k) for m in range(k, 4))
-         for k in range(4)]
-    acc = b[0] * field.values
-    for bk, hk in zip(b[1:], powers):
-        hk *= bk
-        acc += hk
-    y, wy = _gl_panels(np.log([tf, 40.0 / (g.d + shift)]), _FRAC_NODES)
-    t = np.exp(y)
-    for ti, wi in zip(t, wy * np.exp(-alpha * y - shift * t)):
-        # each apply returns a fresh array: scale it in place
-        term = heat_apply_kernel(field, float(ti)).values
-        term *= wi
-        acc += term
-    acc *= 1.0 / math.gamma(-alpha)
-    return Field(g, acc.astype(np.complex128) if zero_imag else acc)
+    [(_, image)] = _frac_power_images([field], alpha, shift)
+    return image
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,46 @@
+"""The committed primitive timer, tools/bench_primitives.py: one
+primitive, one timed call, and the keys of the JSON it writes."""
+import importlib.util
+import json
+import os
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(__file__), "..", "tools",
+                    "bench_primitives.py")
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_primitives", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_one_primitive_once(tmp_path, capsys):
+    tool = load_tool()
+    out = tmp_path / "BENCH_primitives.json"
+    assert tool.main(["--only", "heat_apply_kernel", "--grid", "d1",
+                      "--repeat", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"unit", "repeat", "grids", "p50_ms", "environment"}
+    assert doc["repeat"] == 1
+    assert doc["grids"]["d1"] == {"d": 1, "N_rho": 64, "L_rho": 10.0,
+                                  "K": 8, "M": 40}
+    assert doc["grids"]["d3"] == {"d": 3, "N_rho": 32, "L_rho": 8.0,
+                                  "K": 8, "M": 32}
+    assert list(doc["p50_ms"]) == ["heat_apply_kernel.d1"]
+    assert doc["p50_ms"]["heat_apply_kernel.d1"] > 0.0
+    assert capsys.readouterr().out.startswith("heat_apply_kernel.d1: ")
+
+
+def test_every_primitive_has_a_call():
+    tool = load_tool()
+    g = tool.grid.make_grid(*tool.GRIDS["d1"])
+    assert tuple(tool.primitives(g)) == tool.PRIMITIVES
+
+
+def test_bad_repeat_rejected(tmp_path):
+    tool = load_tool()
+    with pytest.raises(SystemExit):
+        tool.main(["--repeat", "0", "--out", str(tmp_path / "x.json")])

@@ -8,6 +8,7 @@ independent path to the quadratic form.
 import ast
 import math
 import pathlib
+import tracemalloc
 import warnings
 
 import mpmath
@@ -43,8 +44,13 @@ from pharmonic import (
     spectral_frac_power,
     t_quadrature,
 )
+import pharmonic.grid as grid_module
+import pharmonic.heat_kernel as hk
+import pharmonic.inequalities as inequalities
+from pharmonic.cli import _parser, build_config, run_suite
 from pharmonic.grid import Field
 from pharmonic.errors import TruncationWarning
+from pharmonic.sobolev import TestFamily
 from pharmonic.heat_kernel import (_gl_panels, _moment_integral,
                                    _rho_heat_matrix, _x_heat_matrix,
                                    log_heat_kernel_E)
@@ -249,6 +255,32 @@ class TestHeatApply:
         f = sample(g, lambda r, x: np.exp(-r ** 2 - x ** 2))
         with pytest.raises(InvalidParameterError):
             heat_apply_kernel(f, 0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_nonfinite_time(self, t):
+        g = make_grid(d=1, N_rho=32, L_rho=8.0, K=4, M=8)
+        f = sample(g, lambda r, x: np.exp(-r ** 2 - x ** 2))
+        with pytest.raises(InvalidParameterError):
+            heat_apply_kernel(f, t)
+
+    def test_time_past_the_sinh_range(self):
+        # sinh 2t overflows a float past t ~ 355, while e^(-tH) f of a
+        # ground mode constant in rho is e^(-t) f, still a float at 400
+        g = make_grid(d=1, N_rho=32, L_rho=8.0, K=6, M=16)
+        f = sample(g, lambda r, x: np.pi ** -0.25 * np.exp(-x ** 2 / 2)
+                   * np.ones_like(r))
+        out = heat_apply_kernel(f, 400.0).values
+        want = heat_spectral(f, 400.0).values
+        scale = np.abs(want).max()
+        assert scale > 0.0
+        assert np.abs(out - want).max() <= 1e-12 * scale
+
+    def test_huge_time_underflows(self):
+        g = make_grid(d=1, N_rho=32, L_rho=8.0, K=4, M=8)
+        f = sample(g, lambda r, x: np.exp(-r ** 2 - x ** 2))
+        with pytest.warns(TruncationWarning):
+            out = heat_apply_kernel(f, 1e6)
+        assert not out.values.any()
 
 
 class TestHeatApplyFactored:
@@ -654,15 +686,16 @@ class TestFracPowerRealPath:
                                  shift=shift)
         assert want.values.dtype == np.float64
         seen = []
-        apply = hk.heat_apply_kernel
+        apply = hk._heat_stack
 
-        def spy(field, t):
-            seen.append(field.values.dtype)
-            return apply(field, t)
+        def spy(g, stack, t, bufs, scale=1.0):
+            seen.append((stack.dtype, stack.shape))
+            return apply(g, stack, t, bufs, scale)
 
-        monkeypatch.setattr(hk, "heat_apply_kernel", spy)
+        monkeypatch.setattr(hk, "_heat_stack", spy)
         out = frac_power_kernel(f, alpha, shift=shift)
-        assert set(seen) == {np.dtype(np.float64)}
+        # one float64 plane: the all-zero imaginary part is not stacked
+        assert set(seen) == {(np.dtype(np.float64), (1,) + g.shape)}
         # 6 applies for the head's semigroup differences, one per node
         assert len(seen) == 6 + hk._FRAC_NODES
         assert out.values.dtype == np.complex128
@@ -701,6 +734,140 @@ class TestFracPowerRealPath:
             <= 1e-14 * np.abs(out).max()
 
 
+def random_fields(g, kind, n, seed):
+    """n random fields on g: real dtype, complex, complex with an
+    all-zero imaginary part, or those three in turn ("mixed")."""
+    rng = np.random.default_rng(seed)
+    kinds = ["real", "complex", "zero_imag"] if kind == "mixed" else [kind]
+    out = []
+    for i in range(n):
+        values = rng.standard_normal(g.shape)
+        k = kinds[i % len(kinds)]
+        if k == "complex":
+            values = values + 1j * rng.standard_normal(g.shape)
+        elif k == "zero_imag":
+            values = values + 0j
+        out.append(Field(g, values))
+    return out
+
+
+def spy_on(monkeypatch, name, seen):
+    """Record the stack shape of every call to heat_kernel.<name>."""
+    real = getattr(hk, name)
+
+    def spy(g, stack, *args):
+        seen.append(stack.shape)
+        return real(g, stack, *args)
+
+    monkeypatch.setattr(hk, name, spy)
+
+
+class TestStackedRoute:
+    """The member-stacked kernel route against one field at a time."""
+
+    @pytest.mark.parametrize("d,n_rho,m", [(1, 16, 12), (2, 8, 10),
+                                           (3, 8, 6)])
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("kind", ["real", "complex", "zero_imag",
+                                      "mixed"])
+    def test_stacked_apply_is_single_applies(self, d, n_rho, m, b, kind):
+        g = make_grid(d=d, N_rho=n_rho, L_rho=6.0, K=m - 2, M=m)
+        fields = random_fields(g, kind, b, seed=10 * d + b)
+        counts = [hk._plane_count(f.values) for f in fields]
+        stack = hk._stack_planes(fields, counts)
+        assert stack.shape == (sum(counts),) + g.shape
+        assert stack.dtype == np.float64
+        bufs = (np.empty_like(stack), np.empty_like(stack))
+        out = hk._heat_stack(g, stack, 0.4, bufs)
+        assert any(np.shares_memory(out, buf) for buf in bufs)
+        for f, got in zip(fields, hk._unstack_planes(fields, counts, out)):
+            want = heat_apply_kernel(f, 0.4).values
+            assert got.values.dtype == want.dtype == f.values.dtype
+            assert got.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("planes", [None, 3, 2])
+    @pytest.mark.parametrize("alpha,shift", [(0.5, 0.0), (0.5, 2.0)])
+    def test_hls_images_are_per_member_powers(self, planes, alpha, shift,
+                                              monkeypatch):
+        # the default d = 1 hls family, 40 members in one stack, or
+        # forced into stacks of `planes` planes by a smaller slab
+        g = inequalities._default_grid(1)
+        if planes is not None:
+            monkeypatch.setattr(grid_module, "_SLAB_BYTES",
+                                8 * planes * math.prod(g.shape))
+        scored = []
+        ratio = inequalities._ratio_hls
+
+        def keep(f, k, *args):
+            scored.append((f, k.values.copy()))
+            return ratio(f, k, *args)
+
+        monkeypatch.setattr(inequalities, "_ratio_hls", keep)
+        stacks = []
+        spy_on(monkeypatch, "_frac_power_stack", stacks)
+        family = TestFamily("band_limited", 10, seed=3)
+        if shift == 0.0:
+            inequalities.hls_check(alpha, 2.0, 4.0, 1, family)
+        else:
+            inequalities._hls_core(alpha, 2.0, 4.0, 1, shift, family, None)
+        per_stack = 40 if planes is None else planes
+        assert [s[0] for s in stacks] == \
+            [per_stack] * (40 // per_stack) + [40 % per_stack] * (
+                40 % per_stack > 0)
+        assert [f.values.tobytes() for f, _ in scored] == [
+            family.member(g, i).values.tobytes() for i in range(40)]
+        for f, k in scored:
+            want = frac_power_kernel(f, -0.5 * alpha, shift=shift).values
+            assert k.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("planes", [1, 2, 3])
+    def test_two_plane_fields_in_slabs(self, planes, monkeypatch):
+        # a complex field is two planes: it is never split across stacks
+        # and a stack overflows the slab only when it holds one field
+        g = make_grid(d=1, N_rho=32, L_rho=6.0, K=4, M=32)
+        monkeypatch.setattr(grid_module, "_SLAB_BYTES",
+                            8 * planes * math.prod(g.shape))
+        fields = random_fields(g, "mixed", 7, seed=5)
+        stacks = []
+        spy_on(monkeypatch, "_frac_power_stack", stacks)
+        images = list(hk._frac_power_images(iter(fields), -0.5, 0.0))
+        assert sum(s[0] for s in stacks) == 9      # 2 complex fields
+        assert all(s[0] <= max(planes, 2) for s in stacks)
+        for f, (same, k) in zip(fields, images):
+            assert same is f
+            want = frac_power_kernel(f, -0.5).values
+            assert k.values.dtype == want.dtype == f.values.dtype
+            # the last x step is one GEMM with (planes x N_rho) rows, and
+            # with an inner length of 32 OpenBLAS sums in another order
+            # for some row counts: equal to rounding, not bit for bit
+            assert np.abs(k.values - want).max() \
+                <= 1e-15 * np.abs(want).max()
+
+    def test_default_hls_suite_is_one_stacked_power(self, monkeypatch):
+        # the parent route made 40 x (6 + _FRAC_NODES) = 1520 single
+        # applies: one per member and time
+        seen = []
+        spy_on(monkeypatch, "_heat_stack", seen)
+        rep = run_suite(build_config(_parser().parse_args(["--suite",
+                                                           "hls"])))
+        assert rep.all_passed
+        assert seen == [(40, 64, 40)] * (6 + hk._FRAC_NODES)
+
+    def test_d3_power_peak_memory(self):
+        # one real plane, two work buffers and the accumulator: about
+        # twice the complex field; a fresh array per apply step and per
+        # head power made it four times
+        g = make_grid(3, 32, 8.0, 8, 32)
+        f = TestFamily("band_limited", 1, seed=0).member(g, 0)
+        tracemalloc.start()
+        try:
+            frac_power_kernel(f, -0.25, shift=-2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * f.values.nbytes
+
+
 class TestShiftedPower:
     def test_two_route_agreement(self):
         g = make_grid(d=1, N_rho=128, L_rho=12.0, K=24, M=128)
@@ -731,6 +898,13 @@ class TestShiftedPower:
         f = sample(g, lambda r, x: np.exp(-r ** 2 - x ** 2))
         with pytest.raises(InvalidParameterError):
             frac_power_kernel(f, 0.5, shift=2.0)
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf])
+    def test_nonfinite_shift_rejected(self, shift):
+        g = make_grid(d=1, N_rho=32, L_rho=8.0, K=4, M=16)
+        f = sample(g, lambda r, x: np.exp(-r ** 2 - x ** 2))
+        with pytest.raises(InvalidParameterError):
+            frac_power_kernel(f, -0.5, shift=shift)
 
     def test_shift_below_spectral_bottom_rejected(self):
         # d = 1: H - 2 has spectrum down to -1, no decaying heat flow

@@ -1,0 +1,124 @@
+"""Time pharmonic's primitives on the two default grids and write the
+per-call medians to BENCH_primitives.json.
+
+    python tools/bench_primitives.py                  # everything, 7 calls
+    python tools/bench_primitives.py --repeat 21 --out before.json
+    python tools/bench_primitives.py --only heat_apply_kernel --grid d3
+
+The grids are those of the kernel-route suites: d1 is 64 x 40
+(N_rho x M, K = 8, L_rho = 10) and d3 is 32 x 32^3 (K = 8, L_rho = 8).
+The field is member 0 of the seed-0 band_limited family on the grid.
+Each primitive makes one untimed call (per-grid constants, caches),
+then --repeat timed calls; the JSON holds the median of those in ms,
+keyed "<primitive>.<grid>", with the settings and the Python and numpy
+versions.  quantize is two-dimensional, so it has no d3 entry.
+
+Warnings (truncation, resolution) are silenced: the script measures
+time, not accuracy.  It imports pharmonic from the `src/` next to this
+directory, so a copy of the tree times that copy's code.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+import warnings
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "src"))
+
+from pharmonic import grid, heat_kernel, spectral, symbols  # noqa: E402
+from pharmonic.sobolev import TestFamily  # noqa: E402
+
+GRIDS = {"d1": (1, 64, 10.0, 8, 40), "d3": (3, 32, 8.0, 8, 32)}
+PRIMITIVES = ("forward", "inverse", "heat_apply_kernel", "frac_power_kernel",
+              "resample", "k_alpha", "sigma_alpha", "quantize")
+
+
+def primitives(g: grid.Grid) -> dict:
+    """name -> zero-argument call, on the grid g."""
+    d = g.d
+    f = TestFamily("band_limited", 1, seed=0).member(g, 0)
+    c = spectral.forward(f)
+    box = grid.UniformBox((6.0,) + (4.0,) * d,
+                          (64, 64) if d == 1 else (24,) * (d + 1))
+    z, zp = heat_kernel.sample_pairs(d, 160, seed=0)
+    rng = np.random.default_rng(0)
+    x, xi = rng.uniform(-3.0, 3.0, (2, 256, d))
+    tau = rng.uniform(-3.0, 3.0, 256)
+    calls = {
+        "forward": lambda: spectral.forward(f),
+        "inverse": lambda: spectral.inverse(c),
+        "heat_apply_kernel": lambda: heat_kernel.heat_apply_kernel(f, 0.5),
+        "frac_power_kernel": lambda: heat_kernel.frac_power_kernel(f, -0.25),
+        "resample": lambda: grid.resample(f, box),
+        "k_alpha": lambda: heat_kernel.k_alpha(z, zp, 0.75),
+        "sigma_alpha": lambda: symbols.sigma_alpha(x, tau, xi, -0.5, d),
+    }
+    if d == 1:
+        qbox = grid.UniformBox((8.0, 8.0), (48, 48))
+        values = grid.resample(f, qbox)
+        fn = symbols.sigma_symbol_fn(-0.5, 1)
+        calls["quantize"] = lambda: symbols.quantize(fn, values, qbox)
+    return calls
+
+
+def time_call(call, repeat: int) -> float:
+    """Median wall time of repeat calls after one untimed call, in ms."""
+    call()
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * statistics.median(times)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--only", action="append", choices=PRIMITIVES,
+                    help="primitive to time, repeatable (default: all)")
+    ap.add_argument("--grid", action="append", choices=sorted(GRIDS),
+                    help="grid to time on, repeatable (default: both)")
+    ap.add_argument("--repeat", type=int, default=7,
+                    help="timed calls per primitive (default: 7)")
+    ap.add_argument("--out", default="BENCH_primitives.json",
+                    help="output path (default: BENCH_primitives.json)")
+    args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
+    p50 = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name in args.grid or sorted(GRIDS):
+            calls = primitives(grid.make_grid(*GRIDS[name]))
+            for prim, call in calls.items():
+                if args.only is None or prim in args.only:
+                    key = f"{prim}.{name}"
+                    p50[key] = time_call(call, args.repeat)
+                    print(f"{key}: {p50[key]:.3f} ms", flush=True)
+    doc = {
+        "unit": "ms per call, median",
+        "repeat": args.repeat,
+        "grids": {name: dict(zip(("d", "N_rho", "L_rho", "K", "M"), spec))
+                  for name, spec in GRIDS.items()},
+        "p50_ms": p50,
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__,
+                        "machine": platform.machine(),
+                        "cpus": os.cpu_count()},
+    }
+    with open(args.out, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
