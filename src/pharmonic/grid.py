@@ -351,12 +351,13 @@ def resample(field: Field, box: UniformBox, tail_tol: float = 1e-6) -> np.ndarra
     summed one axis at a time: the rho plane waves first, on the small
     degree cube, then h_k at the box points on x_d, .., x_1, so the
     step that writes the box is a real GEMM on the float view
-    (_contract_axis).
+    (_contract_axis).  The result is complex128.
     """
     # layering: the transform lives one level up
     from .spectral import forward
 
-    return _x_series(*_box_series(forward(field), box, tail_tol))
+    return _x_series(*_box_series(forward(field), box, tail_tol)).astype(
+        np.complex128, copy=False)
 
 
 # box rows per slab of _box_lp_norm_coeffs: as many as fit in this many
@@ -369,10 +370,13 @@ def _box_series(coeffs, box: UniformBox, tail_tol: float = 1e-6
     """The series of coeffs summed over rho only: the rho plane waves
     applied to the degree cube, shape (n_rho_box, K+1, ..., K+1), and
     the (n_i, K+1) tables h_k(x_i) that _x_series applies to the rest.
+    The rows are complex, or float64 when spectral._is_real_series
+    holds: the series is then a real field, the rows' imaginary part is
+    rounding, and it is dropped, so the x steps are real GEMMs.
 
     Checks the box and warns, for resample and _box_lp_norm_coeffs.
     """
-    from .spectral import _to_cube, tail_energy
+    from .spectral import _is_real_series, _to_cube, tail_energy
 
     g = coeffs.grid
     if box.ndim != g.d + 1:
@@ -386,13 +390,16 @@ def _box_series(coeffs, box: UniformBox, tail_tol: float = 1e-6
     axes = box.axes()
     phases = np.exp(1j * np.outer(axes[0], g.tau))    # (n_rho_box, N_rho)
     rows = _contract_axis(_to_cube(g, coeffs.data), phases, 0)
+    if _is_real_series(coeffs.data):
+        rows = np.ascontiguousarray(rows.real)
     return rows, [hermite_all(g.K, a).T for a in axes[1:]]
 
 
 def _x_series(rows: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
     """Finish the box series of _box_series on some of its rho rows,
-    x_d first and x_1 last: only the x_d step, on the degree cube, is a
-    complex post = 1 GEMM."""
+    x_d first and x_1 last: on complex rows only the x_d step, on the
+    degree cube, is a complex post = 1 GEMM; float64 rows take real
+    GEMMs throughout."""
     for axis in range(len(tables), 0, -1):
         rows = _contract_axis(rows, tables[axis - 1], axis)
     return rows
@@ -407,8 +414,12 @@ def _box_lp_norm_coeffs(coeffs, box: UniformBox, p: float,
 
     Each slab is squared in place on its float view and its (re, im)
     pairs added, s = |f|^2; s^(p/2) is then one pow, where |f|^p would
-    be a hypot and a pow.  weight is real and broadcasts to box.counts;
-    it enters squared, and p = inf returns sqrt(max w^2 s).
+    be a hypot and a pow.  When the series is a real field
+    (spectral._is_real_series) the slabs are float64 and s = v v is one
+    in-place square with no pair add.  weight is real and broadcasts to
+    box.counts; it enters squared, and p = inf returns sqrt(max w^2 s).
+    A slab holds as many rows as fit in _SLAB_BYTES of complex128 on
+    either path.
     """
     if p != np.inf and p < 1:
         raise InvalidParameterError("p must be >= 1 or inf")
@@ -418,9 +429,14 @@ def _box_lp_norm_coeffs(coeffs, box: UniformBox, p: float,
                                                      box.counts)
     acc = 0.0
     for i in range(0, box.counts[0], step):
-        v = _x_series(rows[i:i + step], tables).view(np.float64)
-        v *= v
-        s = v[..., 0::2] + v[..., 1::2]
+        v = _x_series(rows[i:i + step], tables)
+        if np.iscomplexobj(v):
+            v = v.view(np.float64)
+            v *= v
+            s = v[..., 0::2] + v[..., 1::2]
+        else:
+            s = v
+            s *= s
         if w2 is not None:
             s *= w2[i:i + step]
         if p == np.inf:

@@ -125,21 +125,21 @@ def _default_grid(d: int) -> Grid:
     return make_grid(d, 32, 8.0, 8, 32)
 
 
-def _measured_box(members: Iterable[Field], counts: tuple[int, ...],
-                  tol: float = 1e-6, pad: float = 1.3) -> UniformBox:
+def _measured_box(g: Grid, members: Iterable[np.ndarray],
+                  counts: tuple[int, ...], tol: float = 1e-6,
+                  pad: float = 1.3) -> UniformBox:
     """Box sized so every member has decayed below tol relative
     amplitude at the boundary, capped by the grid windows.
 
-    Each member is read once, |f| taken once for all d + 1 axis
-    profiles, so members may be built one at a time as consumed."""
-    need = caps = coords = None
-    for f in members:
-        if need is None:
-            g = f.grid
-            coords = [g.rho] + [g.nodes_x] * g.d
-            caps = [g.L_rho] + [float(np.max(np.abs(g.nodes_x)))] * g.d
-            need = [0.0] * (g.d + 1)
-        a = np.abs(f.values)
+    members are the members' values on the grid g, real or complex
+    arrays (a real series, TestFamily.draw, or Field.values).  Each is
+    read once, |f| taken once for all d + 1 axis profiles, so members
+    may be built one at a time as consumed."""
+    coords = [g.rho] + [g.nodes_x] * g.d
+    caps = [g.L_rho] + [float(np.max(np.abs(g.nodes_x)))] * g.d
+    need = [0.0] * (g.d + 1)
+    for values in members:
+        a = np.abs(values)
         peak = float(a.max())
         if peak == 0.0:
             continue
@@ -170,11 +170,12 @@ def _family_grid(d: int, grid: Grid | None) -> Grid:
     return g
 
 
-def _boxes(members: Iterable[Field], d: int
+def _boxes(g: Grid, members: Iterable[np.ndarray]
            ) -> tuple[UniformBox, UniformBox]:
-    """The box measured on members, and that box with its counts
-    doubled."""
-    box = _measured_box(members, (64, 64) if d == 1 else (24,) * (d + 1))
+    """The box measured on the members' grid values, and that box with
+    its counts doubled."""
+    box = _measured_box(g, members,
+                        (64, 64) if g.d == 1 else (24,) * (g.d + 1))
     return box, UniformBox(box.half_widths,
                            tuple(2 * n for n in box.counts))
 
@@ -185,8 +186,9 @@ def _family_setup(family: TestFamily, d: int, grid: Grid | None
     """The base members, the rest of the four-fold family (consumed
     once), the box measured on the base, and that box with its counts
     doubled."""
-    base, extra = _split_members(family, _family_grid(d, grid))
-    return (base, extra) + _boxes(base, d)
+    g = _family_grid(d, grid)
+    base, extra = _split_members(family, g)
+    return (base, extra) + _boxes(g, (f.values for f in base))
 
 
 def _sup_stats(rep: Report, name: str, base: list[float],
@@ -340,18 +342,28 @@ def gns_check(p: float, q: float, d: int, family: TestFamily,
     _grad_norm).  The q norm uses the auto-sized box when q != 2, and
     plancherel_norm, the same quadrature, when q = 2.
 
-    Every member is scored from its coefficients, TestFamily.coeffs, so
-    a band_limited family builds no grid field to score: only the base
-    members are evaluated on the grid, one at a time, to measure the
-    box.  PASS needs a sup that moves by less than STABILITY_LIMIT, as
-    in hls_check.
+    Every member is scored from its coefficients, so a band_limited
+    family builds no grid Field: each base member is drawn once
+    (TestFamily.draw), its coefficients kept and its box measured on
+    its real grid series, one member at a time; the extras are drawn
+    as coefficients only (TestFamily.coeffs).  The box norms of
+    band_limited coefficients are summed on real arrays
+    (grid._box_lp_norm_coeffs).  PASS needs a sup that moves by less
+    than STABILITY_LIMIT, as in hls_check.
     """
     IneqCase("gns", 1.0, p, q, d, family, "bounded")
     g = _family_grid(d, grid)
     n = family.count
-    box, fine = _boxes((family.member(g, i) for i in range(n)), d)
-    got = [_ratio_gns(family.coeffs(g, i), p, q, box, fine)
-           for i in range(n)]
+    base = []
+
+    def base_values() -> Iterator[np.ndarray]:
+        for i in range(n):
+            c, values = family.draw(g, i)
+            base.append(c)
+            yield values
+
+    box, fine = _boxes(g, base_values())
+    got = [_ratio_gns(c, p, q, box, fine) for c in base]
     got_e = [_ratio_gns(family.coeffs(g, i), p, q, box, None)
              for i in range(n, 4 * n)]
     rep = Report(suite="gns",

@@ -30,7 +30,8 @@ from .grid import (Field, Grid, UniformBox, _box_lp_norm_coeffs, _sum_sq,
 from .hermite import hermite_eval
 from .ladder import apply_A
 from .report import Report
-from .spectral import (SpectralCoeffs, forward, inverse, spectral_frac_power)
+from .spectral import (SpectralCoeffs, _grid_series, forward, inverse,
+                       spectral_frac_power)
 
 __all__ = [
     "SobolevParams",
@@ -102,6 +103,18 @@ class TestFamily:
             return _band_limited_coeffs(grid, rng)
         return forward(_make_member(self.kind, grid, rng))
 
+    def draw(self, grid: Grid, i: int) -> tuple[SpectralCoeffs, np.ndarray]:
+        """Member i's coefficients and its values on the grid, from one
+        draw: band_limited gives its coefficients and their real grid
+        series (float64, the real part of member), the other kinds give
+        forward(member) and the sampled member's values."""
+        rng = np.random.default_rng([self.seed, i])
+        if self.kind == "band_limited":
+            c = _band_limited_coeffs(grid, rng)
+            return c, _grid_series(c)
+        f = _make_member(self.kind, grid, rng)
+        return forward(f), f.values
+
     def members(self, grid: Grid) -> list[Field]:
         return [self.member(grid, i) for i in range(self.count)]
 
@@ -128,12 +141,9 @@ def _band_limited_coeffs(grid: Grid, rng, margin: int = 2) -> SpectralCoeffs:
 
 def _make_member(kind: str, grid: Grid, rng) -> Field:
     if kind == "band_limited":
-        # drop the rounding-level imaginary part on inverse's own array;
-        # adding +0.0 turns any -0.0 of the real part into +0.0
-        f = inverse(_band_limited_coeffs(grid, rng))
-        f.values.real += 0.0
-        f.values.imag = 0.0
-        return f
+        # the coefficients are Hermitian bit for bit, so inverse sums
+        # them as a real series: an imaginary part of exactly 0
+        return inverse(_band_limited_coeffs(grid, rng))
     if kind == "gaussian":
         r0 = rng.uniform(-1.5, 1.5)
         x0 = rng.uniform(-1.0, 1.0, grid.d)

@@ -59,10 +59,11 @@ def _alt_sign(grid: Grid) -> np.ndarray:
 
 
 def _to_cube(grid: Grid, data: np.ndarray) -> np.ndarray:
-    """Scatter (N_rho, n_mu) coefficients to the dense degree cube
-    (N_rho, K+1, ..., K+1), zero off the admissible multi-indices."""
+    """Scatter (N_rho, n_mu) rows to the dense degree cube
+    (N_rho, K+1, ..., K+1) of data's dtype, zero off the admissible
+    multi-indices."""
     cube = np.zeros((grid.N_rho,) + (grid.K + 1,) * grid.d,
-                    dtype=np.complex128)
+                    dtype=data.dtype)
     cube[(slice(None),) + tuple(grid.mu.T)] = data
     return cube
 
@@ -71,6 +72,18 @@ def _from_cube(grid: Grid, cube: np.ndarray) -> np.ndarray:
     """Gather the admissible multi-indices of a (N_rho, K+1, ..., K+1)
     degree cube into the (N_rho, n_mu) coefficient layout."""
     return cube[(slice(None),) + tuple(grid.mu.T)]
+
+
+def _is_real_series(data: np.ndarray) -> bool:
+    """Whether the series of the (N_rho, n_mu) coefficients data is a
+    real field in exact arithmetic, by one exact test: c[-n] = conj c[n]
+    bit for bit, and a zero Nyquist row.  The Nyquist plane wave pairs
+    with no other frequency, so off the rho grid (a resampling box) it
+    is real only with a zero coefficient.  Only the input is read:
+    band_limited draws pass, forward of a grid field does not."""
+    n = data.shape[0]
+    return (np.array_equal(data, np.conj(data[(-np.arange(n)) % n]))
+            and not data[n // 2].any())
 
 
 def forward(field: Field) -> SpectralCoeffs:
@@ -96,6 +109,19 @@ def forward(field: Field) -> SpectralCoeffs:
     return SpectralCoeffs(g, c)
 
 
+def _grid_series(coeffs: SpectralCoeffs) -> np.ndarray:
+    """The series of coeffs on the grid points, float64 when
+    _is_real_series(coeffs.data), else complex128; see inverse."""
+    g = coeffs.grid
+    u = g.N_rho * np.fft.ifft(_alt_sign(g) * coeffs.data, axis=0)
+    if _is_real_series(coeffs.data):
+        u = u.real
+    out = _to_cube(g, u)
+    for axis in range(g.d, 0, -1):
+        out = _contract_axis(out, g.hermite_table.T, axis)
+    return out
+
+
 def inverse(coeffs: SpectralCoeffs) -> Field:
     """Evaluate the series back on the grid points: inverse FFT in rho,
     scatter to the degree cube, then h_k(node) on x_d, .., x_1 in place.
@@ -104,13 +130,15 @@ def inverse(coeffs: SpectralCoeffs) -> Field:
     runs on the degree cube, and every later step, the one that writes
     the whole field included, is a real GEMM on the float view
     (grid._contract_axis).
+
+    Coefficients that pass _is_real_series (band_limited draws, and
+    their ladder images) describe a real field, so after the rho step
+    only the real part is kept, its imaginary part being rounding, and
+    every x step is a real GEMM on half the bytes.  The result is still
+    a complex128 Field, with an imaginary part of exactly 0.
     """
-    g = coeffs.grid
-    u = g.N_rho * np.fft.ifft(_alt_sign(g) * coeffs.data, axis=0)
-    out = _to_cube(g, u)
-    for axis in range(g.d, 0, -1):
-        out = _contract_axis(out, g.hermite_table.T, axis)
-    return Field(g, out)
+    return Field(coeffs.grid,
+                 _grid_series(coeffs).astype(np.complex128, copy=False))
 
 
 def plancherel_norm(coeffs: SpectralCoeffs) -> float:

@@ -34,6 +34,16 @@ def test_one_primitive_once(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("heat_apply_kernel.d1: ")
 
 
+def test_box_lp_norm_on_both_grids(tmp_path):
+    tool = load_tool()
+    out = tmp_path / "BENCH_primitives.json"
+    assert tool.main(["--only", "box_lp_norm", "--repeat", "1",
+                      "--out", str(out)]) == 0
+    p50 = json.loads(out.read_text())["p50_ms"]
+    assert sorted(p50) == ["box_lp_norm.d1", "box_lp_norm.d3"]
+    assert all(v > 0.0 for v in p50.values())
+
+
 def test_every_primitive_has_a_call():
     tool = load_tool()
     g = tool.grid.make_grid(*tool.GRIDS["d1"])

@@ -12,6 +12,7 @@ stability flags inside the reports.
 """
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,9 @@ from pharmonic import (
     run_case,
     shifted_hls_check,
 )
+from pharmonic import grid as grid_module
+from pharmonic import sobolev as sobolev_module
+from pharmonic.cli import _parser, build_config, run_suite
 from pharmonic.grid import Field, UniformBox, resample, sample
 from pharmonic.heat_kernel import t_quadrature
 from pharmonic.inequalities import (
@@ -267,13 +271,47 @@ class TestGnsCheck:
         # the rho axis (and on the x axes of the gaussian members)
         g = make_grid(2, 32, 12.0, 6, 60)
         fam = TestFamily(kind, 4, seed=3)
-        box = _measured_box((fam.member(g, i) for i in range(4)), (8, 8, 8))
+        box = _measured_box(g, (fam.member(g, i).values for i in range(4)),
+                            (8, 8, 8))
         assert box.half_widths == per_axis_box(fam.members(g))
         assert box.half_widths[0] < g.L_rho
 
     def test_low_dimension_rejected(self, fam):
         with pytest.raises(InvalidParameterError):
             gns_check(2.0, 2.5, 1, fam)
+
+    def test_each_member_drawn_once(self):
+        # the base members give the box and their coefficients from one
+        # draw, so a kind with grid members builds 4n of them, not 5n
+        g = make_grid(3, 8, 4.0, 3, 6)
+        fam = TestFamily("hermite_mix", 2, seed=1)
+        with mock.patch.object(sobolev_module, "_make_member",
+                               wraps=sobolev_module._make_member) as made, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            gns_check(2.0, 2.5, 3, fam, grid=g)
+        assert made.call_count == 4 * fam.count
+
+    def test_box_norms_take_the_path_their_coefficients_select(self):
+        # band_limited coefficients are Hermitian bit for bit, so every
+        # gns box norm sums float64 rows; hls norms forward(k) of its
+        # kernel images, which is not, so its q = 4 norms stay complex
+        real = grid_module._x_series
+
+        def dtypes(suite):
+            seen = set()
+
+            def spy(rows, tables):
+                seen.add(rows.dtype)
+                return real(rows, tables)
+
+            cfg = build_config(_parser().parse_args(["--suite", suite]))
+            with mock.patch.object(grid_module, "_x_series", spy):
+                assert run_suite(cfg).all_passed
+            return seen
+
+        assert dtypes("gns") == {np.dtype(np.float64)}
+        assert dtypes("hls") == {np.dtype(np.complex128)}
 
 
 class TestHardyCheck:
@@ -414,7 +452,8 @@ class TestRunCase:
 
     def test_box_sizing_respects_caps(self, fam_small):
         g = _default_grid(1)
-        box = _measured_box(fam_small.members(g), (32, 32))
+        box = _measured_box(g, (f.values for f in fam_small.members(g)),
+                            (32, 32))
         assert box.half_widths[0] <= g.L_rho
         assert box.half_widths[1] <= float(np.abs(g.nodes_x).max())
         assert box.counts == (32, 32)

@@ -96,6 +96,22 @@ class TestFamilyType:
             want = forward(fam.member(g, i)).data
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
+    @pytest.mark.parametrize("kind", ["band_limited", "gaussian",
+                                      "hermite_mix", "mollified"])
+    def test_draw_is_one_draw_of_coeffs_and_member(self, kind):
+        g = make_grid(2, 16, 6.0, 6, 10)
+        fam = TestFamily(kind, 2, seed=8)
+        for i in range(2):
+            c, values = fam.draw(g, i)
+            f = fam.member(g, i)
+            assert c.data.tobytes() == fam.coeffs(g, i).data.tobytes()
+            if kind == "band_limited":
+                assert values.dtype == np.float64
+                assert values.tobytes() == f.values.real.tobytes()
+                assert not f.values.imag.any()
+            else:
+                assert values.tobytes() == f.values.tobytes()
+
     def test_band_limited_member_bits_pinned(self):
         # the bits of d = 1 members on the hls default grid: a change
         # of draw, transform order or real-part handling shows here

@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,9 +28,11 @@ from pharmonic import (
     sample,
     spectral_frac_power,
 )
+from pharmonic import spectral as spectral_module
+from pharmonic.grid import _box_lp_norm_coeffs, _box_series, box_lp_norm
 from pharmonic.hermite import hermite_all
 from pharmonic.ladder import apply_A
-from pharmonic.spectral import _alt_sign
+from pharmonic.spectral import _alt_sign, _grid_series, _is_real_series
 
 
 def _random_coeffs(g, seed=0):
@@ -260,3 +263,91 @@ def test_plancherel_on_ladder_images(g, seed):
     for im in images:
         want = plancherel_norm(im)
         assert abs(lp_norm(inverse(im), 2) - want) <= 1e-13 * want
+
+
+# ---------------------------------------------------------------------------
+# real series: exactly Hermitian coefficients summed on real arrays
+
+
+def _hermitian_coeffs(g, seed):
+    """Random coefficients with c[-n] = conj c[n] bit for bit and a
+    zero Nyquist row, the band_limited construction without envelope."""
+    c = _random_coeffs(g, seed=seed).data
+    c = 0.5 * (c + np.conj(c[(-np.arange(g.N_rho)) % g.N_rho]))
+    c[g.N_rho // 2] = 0.0
+    return SpectralCoeffs(g, c)
+
+
+class TestRealSeries:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 3), log2_n=st.integers(1, 4),
+           L=st.floats(1.0, 8.0), K=st.integers(0, 4),
+           extra=st.integers(0, 2),
+           half=st.lists(st.floats(0.5, 6.0), min_size=4, max_size=4),
+           half_counts=st.lists(st.integers(1, 5), min_size=4, max_size=4),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_real_path_matches_complex_path(self, d, log2_n, L, K, extra,
+                                            half, half_counts, seed):
+        g = make_grid(d, 2 ** log2_n, L, K, K + 1 + extra)
+        c = _hermitian_coeffs(g, seed)
+        assert _is_real_series(c.data)
+        f = inverse(c)
+        assert f.values.dtype == np.complex128
+        assert not f.values.imag.any()
+        with mock.patch.object(spectral_module, "_is_real_series",
+                               lambda data: False):
+            ref = inverse(c).values
+        tol = 1e-15 * np.abs(ref).max()
+        assert np.abs(f.values.real - ref.real).max() <= tol
+
+        box = UniformBox(tuple(half[:d + 1]),
+                         tuple(2 * n for n in half_counts[:d + 1]))
+        w = np.random.default_rng(seed).uniform(0.0, 2.0, box.counts)
+        with warnings.catch_warnings():
+            # random coefficients fill the top shell; not tested here
+            warnings.simplefilter("ignore", TruncationWarning)
+            assert _box_series(c, box)[0].dtype == np.float64
+            vals = resample(f, box)
+            for p in (1.0, 2.5, 4.0, np.inf):
+                for weight in (None, w):
+                    got = _box_lp_norm_coeffs(c, box, p, weight)
+                    want = box_lp_norm(vals if weight is None
+                                       else weight * vals, box, p)
+                    assert abs(got - want) <= 1e-14 * want
+
+    @settings(max_examples=30, deadline=None)
+    @given(d=st.integers(1, 3), log2_n=st.integers(2, 4),
+           K=st.integers(0, 3), row=st.integers(1, 2 ** 4),
+           col=st.integers(0, 2 ** 8), seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_ulp_asymmetry_takes_complex_path(self, d, log2_n, K, row,
+                                                  col, seed):
+        g = make_grid(d, 2 ** log2_n, 4.0, K, K + 1)
+        c = _hermitian_coeffs(g, seed).data
+        n = 1 + row % (g.N_rho // 2 - 1)        # paired with -n
+        m = col % g.n_mu
+        c[n, m] = np.nextafter(c[n, m].real, np.inf) + 1j * c[n, m].imag
+        assert not _is_real_series(c)
+        bad = SpectralCoeffs(g, c)
+        assert _grid_series(bad).dtype == np.complex128
+        box = UniformBox((1.0,) * (d + 1), (4,) * (d + 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            assert _box_series(bad, box)[0].dtype == np.complex128
+
+    def test_nonzero_nyquist_row_takes_complex_path(self):
+        # the Nyquist plane wave is real on the grid but not between
+        # grid points, so a box series with it is not a real field
+        g = make_grid(1, 8, 4.0, 2, 3)
+        c = _hermitian_coeffs(g, 3).data
+        c[g.N_rho // 2, 0] = 1.0
+        assert np.array_equal(c, np.conj(c[(-np.arange(g.N_rho)) % g.N_rho]))
+        assert not _is_real_series(c)
+
+    def test_ladder_images_stay_real_series(self):
+        g = make_grid(2, 16, 5.0, 4, 6)
+        c = _hermitian_coeffs(g, 11)
+        low = c.data.copy()
+        low[:, g.mu_abs == g.K] = 0.0
+        c_low = SpectralCoeffs(g, low)
+        for j in range(-g.d, g.d + 1):
+            assert _is_real_series(apply_A(j, c_low).data)

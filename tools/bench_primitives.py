@@ -8,6 +8,9 @@ per-call medians to BENCH_primitives.json.
 The grids are those of the kernel-route suites: d1 is 64 x 40
 (N_rho x M, K = 8, L_rho = 10) and d3 is 32 x 32^3 (K = 8, L_rho = 8).
 The field is member 0 of the seed-0 band_limited family on the grid.
+box_lp_norm is the streamed box L^q norm (grid._box_lp_norm_coeffs) of
+that member's coefficients, TestFamily.coeffs, at q = 2.5 on the box
+gns norms at that size: 64^2 at d1, the fine 48^4 box at d3.
 Each primitive makes one untimed call (per-grid constants, caches),
 then --repeat timed calls; the JSON holds the median of those in ms,
 keyed "<primitive>.<grid>", with the settings and the Python and numpy
@@ -38,16 +41,21 @@ from pharmonic.sobolev import TestFamily  # noqa: E402
 
 GRIDS = {"d1": (1, 64, 10.0, 8, 40), "d3": (3, 32, 8.0, 8, 32)}
 PRIMITIVES = ("forward", "inverse", "heat_apply_kernel", "frac_power_kernel",
-              "resample", "k_alpha", "sigma_alpha", "quantize")
+              "resample", "box_lp_norm", "k_alpha", "sigma_alpha",
+              "quantize")
 
 
 def primitives(g: grid.Grid) -> dict:
     """name -> zero-argument call, on the grid g."""
     d = g.d
-    f = TestFamily("band_limited", 1, seed=0).member(g, 0)
+    fam = TestFamily("band_limited", 1, seed=0)
+    f = fam.member(g, 0)
     c = spectral.forward(f)
     box = grid.UniformBox((6.0,) + (4.0,) * d,
                           (64, 64) if d == 1 else (24,) * (d + 1))
+    norm_box = grid.UniformBox(box.half_widths,
+                               (64, 64) if d == 1 else (48,) * (d + 1))
+    fc = fam.coeffs(g, 0)
     z, zp = heat_kernel.sample_pairs(d, 160, seed=0)
     rng = np.random.default_rng(0)
     x, xi = rng.uniform(-3.0, 3.0, (2, 256, d))
@@ -58,6 +66,7 @@ def primitives(g: grid.Grid) -> dict:
         "heat_apply_kernel": lambda: heat_kernel.heat_apply_kernel(f, 0.5),
         "frac_power_kernel": lambda: heat_kernel.frac_power_kernel(f, -0.25),
         "resample": lambda: grid.resample(f, box),
+        "box_lp_norm": lambda: grid._box_lp_norm_coeffs(fc, norm_box, 2.5),
         "k_alpha": lambda: heat_kernel.k_alpha(z, zp, 0.75),
         "sigma_alpha": lambda: symbols.sigma_alpha(x, tau, xi, -0.5, d),
     }
