@@ -36,14 +36,11 @@ from .inequalities import (
     IneqCase,
     gns_check,
     hardy_check,
-    hardy_ratio,
     hls_check,
     hls_endpoint_demo,
-    run_case,
     shifted_hls_check,
 )
 from .sobolev import (
-    SobolevParams,
     TestFamily,
     equivalence_report,
     inclusion_chain_check,
@@ -100,7 +97,6 @@ from .ladder import (
     grad_H,
     inverse_riesz_check,
     riesz,
-    riesz_multi,
 )
 from .report import Metric, Report
 from .spectral import (

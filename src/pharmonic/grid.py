@@ -141,13 +141,19 @@ def make_grid(d: int, N_rho: int, L_rho: float, K: int, M: int) -> Grid:
         raise InvalidParameterError("K must be >= 0")
     if M < K + 1:
         raise InvalidParameterError(f"M = {M} violates M >= K + 1 = {K + 1}")
+    # an L_rho too large or too small for float64 gives inf or NaN points
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = -L_rho + (2.0 * L_rho / N_rho) * np.arange(N_rho)
+        n_int = np.fft.fftfreq(N_rho, d=1.0 / N_rho)  # 0, 1, .., -N/2, .., -1
+        tau = (np.pi / L_rho) * n_int
+    if not (np.isfinite(rho).all() and np.isfinite(tau).all()):
+        raise InvalidParameterError(
+            f"L_rho = {L_rho!r} gives rho points or frequencies that are "
+            "not finite")
     rule = gauss_hermite(M)
     comp = rule.weights * np.exp(rule.nodes ** 2)
     if not np.isfinite(comp).all() or (comp <= 0).any():
         raise InvalidParameterError("compensated weights are not positive finite")
-    rho = -L_rho + (2.0 * L_rho / N_rho) * np.arange(N_rho)
-    n_int = np.fft.fftfreq(N_rho, d=1.0 / N_rho)  # 0, 1, .., -N/2, .., -1
-    tau = (np.pi / L_rho) * n_int
     mu = multi_indices(d, K)
     return Grid(
         d=d, N_rho=N_rho, L_rho=float(L_rho), K=K, M=M,
@@ -159,7 +165,8 @@ def make_grid(d: int, N_rho: int, L_rho: float, K: int, M: int) -> Grid:
 
 @dataclass(frozen=True, eq=False)
 class Field:
-    """Complex values on the mixed grid, shape (N_rho,) + (M,)*d."""
+    """Values on the mixed grid, shape (N_rho,) + (M,)*d: float64 for a
+    real field, complex128 otherwise."""
     grid: Grid
     values: np.ndarray
 
@@ -186,7 +193,8 @@ def sample(grid: Grid, fn) -> Field:
     """Sample fn(rho, x_1, ..., x_d) on the grid.
 
     The arguments passed to fn broadcast to the field shape
-    (N_rho, M, ..., M).  Non-finite samples raise.
+    (N_rho, M, ..., M).  Real samples give a float64 field, complex
+    ones a complex128 field.  Non-finite samples raise.
     """
     mesh_rho = grid.rho.reshape((grid.N_rho,) + (1,) * grid.d)
     xs = []
@@ -195,10 +203,11 @@ def sample(grid: Grid, fn) -> Field:
         shp[axis + 1] = grid.M
         xs.append(grid.nodes_x.reshape(shp))
     values = np.asarray(fn(mesh_rho, *xs))
-    values = np.broadcast_to(values, grid.shape).astype(np.complex128)
+    values = np.array(np.broadcast_to(values, grid.shape),
+                      dtype=np.result_type(values, np.float64))
     if not np.isfinite(values).all():
         raise NonFiniteSampleError("sampled function returned non-finite values")
-    return Field(grid, values.copy())
+    return Field(grid, values)
 
 
 def lp_norm(field: Field, p: float) -> float:
@@ -351,13 +360,13 @@ def resample(field: Field, box: UniformBox, tail_tol: float = 1e-6) -> np.ndarra
     summed one axis at a time: the rho plane waves first, on the small
     degree cube, then h_k at the box points on x_d, .., x_1, so the
     step that writes the box is a real GEMM on the float view
-    (_contract_axis).  The result is complex128.
+    (_contract_axis).  The result is float64 for a real field and
+    complex128 otherwise.
     """
     # layering: the transform lives one level up
     from .spectral import forward
 
-    return _x_series(*_box_series(forward(field), box, tail_tol)).astype(
-        np.complex128, copy=False)
+    return _x_series(*_box_series(forward(field), box, tail_tol))
 
 
 # box rows per slab of _box_lp_norm_coeffs: as many as fit in this many
@@ -371,8 +380,9 @@ def _box_series(coeffs, box: UniformBox, tail_tol: float = 1e-6
     applied to the degree cube, shape (n_rho_box, K+1, ..., K+1), and
     the (n_i, K+1) tables h_k(x_i) that _x_series applies to the rest.
     The rows are complex, or float64 when spectral._is_real_series
-    holds: the series is then a real field, the rows' imaginary part is
-    rounding, and it is dropped, so the x steps are real GEMMs.
+    holds: the series is then a real field, its rows are their real
+    part (the Nyquist term read as c_N cos(tau_N rho)), and the x steps
+    are real GEMMs.
 
     Checks the box and warns, for resample and _box_lp_norm_coeffs.
     """

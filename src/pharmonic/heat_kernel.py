@@ -16,16 +16,15 @@ independent of the eigenbasis route in spectral.py, so agreement
 between the two is a meaningful check and not a tautology.
 
 On a grid the kernel acts on a stack of real planes, shape
-(B,) + grid.shape: one plane per real field or per complex field with
-an all-zero imaginary part, two (real, imaginary) for any other
-complex field.  _heat_stack applies e^(-tH) to the whole stack, one
-rho matrix and one x matrix per t, contracting axis by axis into two
-reused work buffers.  heat_apply_kernel is one field's stack;
-frac_power_kernel adds 6 + _FRAC_NODES weighted applies into one
-accumulator, each weight folded into its rho matrix, the series head
-taken as six weighted semigroup differences; the hls checks run a
-whole family's members as one stack, up to grid._SLAB_BYTES
-(_frac_power_images).
+(B,) + grid.shape: one plane per real (float64) field, two (real,
+imaginary) per complex field.  _heat_stack applies e^(-tH) to the
+whole stack, one rho matrix and one x matrix per t, contracting axis
+by axis into two reused work buffers.  heat_apply_kernel is one
+field's stack; frac_power_kernel adds 6 + _FRAC_NODES weighted
+applies into one accumulator, each weight folded into its rho
+matrix, the series head taken as six weighted semigroup differences;
+the hls checks run a whole family's members as one stack, up to
+grid._SLAB_BYTES (_frac_power_images).
 
 Points z are packed as arrays (..., d+1) with z[..., 0] = rho and
 z[..., 1:] = x.
@@ -390,46 +389,36 @@ def _x_heat_matrix(grid: Grid, t: float) -> np.ndarray:
     return out
 
 
-def _plane_count(values: np.ndarray) -> int:
-    """Real planes of a field in a kernel stack: two for a complex field
-    with a nonzero imaginary part, else one (real fields, and the
-    band-limited and sampled Gaussian fields, complex with an all-zero
-    imaginary part)."""
-    return 2 if np.iscomplexobj(values) and values.imag.any() else 1
+def _planes(values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The real planes of a field's values in a kernel stack: a float64
+    field is one plane, a complex field two (real, imaginary)."""
+    if np.iscomplexobj(values):
+        return values.real, values.imag
+    return (values,)
 
 
-def _stack_planes(fields: list[Field], counts: list[int]) -> np.ndarray:
-    """The real (B,) + grid.shape stack of the fields' planes,
-    B = sum(counts): each field's real part, then its imaginary part
-    where it has two planes.  A lone real field is its own one-plane
-    stack, not copied."""
+def _stack_planes(fields: list[Field]) -> np.ndarray:
+    """The real (B,) + grid.shape stack of the fields' planes, in order.
+    A lone real field is its own one-plane stack, not copied."""
     vals = fields[0].values
     if len(fields) == 1 and not np.iscomplexobj(vals):
         return np.ascontiguousarray(vals)[None]
-    stack = np.empty((sum(counts),) + vals.shape)
-    planes = iter(stack)
-    for f, n in zip(fields, counts):
-        next(planes)[...] = f.values.real
-        if n == 2:
-            next(planes)[...] = f.values.imag
-    return stack
+    return np.stack([p for f in fields for p in _planes(f.values)])
 
 
-def _unstack_planes(fields: list[Field], counts: list[int],
-                    stack: np.ndarray) -> list[Field]:
+def _unstack_planes(fields: list[Field], stack: np.ndarray) -> list[Field]:
     """One Field per entry of fields from its planes of stack, with that
-    field's dtype: a real field's plane as it is, a complex field's as
-    real and imaginary parts (the imaginary part zero for one plane)."""
+    field's dtype: a real field's plane as it is, a complex field's two
+    planes as its real and imaginary parts."""
     out = []
     planes = iter(stack)
-    for f, n in zip(fields, counts):
-        re = next(planes)
-        if not np.iscomplexobj(f.values):
-            out.append(Field(f.grid, re))
-            continue
-        vals = np.empty(re.shape, dtype=np.complex128)
-        vals.real = re
-        vals.imag = next(planes) if n == 2 else 0.0
+    for f in fields:
+        if np.iscomplexobj(f.values):
+            vals = np.empty(f.values.shape, dtype=np.complex128)
+            vals.real = next(planes)
+            vals.imag = next(planes)
+        else:
+            vals = next(planes)
         out.append(Field(f.grid, vals))
     return out
 
@@ -464,20 +453,16 @@ def heat_apply_kernel(field: Field, t: float) -> Field:
     the Grid (node products, rho offsets, circulant index), never
     cached per t: one run can use hundreds of distinct t.  They are
     real, so they act on a stack of real planes (_heat_stack, which
-    frac_power_kernel also drives): a real-dtype field as it is, giving
-    a real-dtype result; of a complex field the real part alone when
-    the imaginary part is zero (band-limited and sampled Gaussian
-    fields), otherwise the real and imaginary parts as two planes.
-    t must be positive and finite; a large t gives the underflowed
-    result.
+    frac_power_kernel also drives): a float64 field as it is, giving a
+    float64 result, a complex field as two planes.  t must be positive
+    and finite; a large t gives the underflowed result.
     """
     if not 0.0 < t < math.inf:
         raise InvalidParameterError("t must be positive and finite")
-    fields, counts = [field], [_plane_count(field.values)]
-    stack = _stack_planes(fields, counts)
+    stack = _stack_planes([field])
     bufs = (np.empty_like(stack), np.empty_like(stack))
-    out = _heat_stack(field.grid, stack, t, bufs)
-    return _unstack_planes(fields, counts, out)[0]
+    return _unstack_planes([field], _heat_stack(field.grid, stack, t,
+                                                bufs))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -575,21 +560,20 @@ def _frac_power_stack(g: Grid, stack: np.ndarray, alpha: float,
     return acc
 
 
-def _plane_slabs(fields: Iterable[Field]
-                 ) -> Iterator[tuple[list[Field], list[int]]]:
-    """Consecutive fields of one grid, with their plane counts, in
-    groups of at most grid._SLAB_BYTES of real planes and at least one
-    field each; fields is read one group at a time."""
-    slab, counts = [], []
+def _plane_slabs(fields: Iterable[Field]) -> Iterator[list[Field]]:
+    """Consecutive fields of one grid in groups of at most
+    grid._SLAB_BYTES of real planes and at least one field each; fields
+    is read one group at a time."""
+    slab, planes = [], 0
     for f in fields:
-        n = _plane_count(f.values)
-        if slab and 8 * f.values.size * (sum(counts) + n) > grid._SLAB_BYTES:
-            yield slab, counts
-            slab, counts = [], []
+        n = len(_planes(f.values))
+        if slab and 8 * f.values.size * (planes + n) > grid._SLAB_BYTES:
+            yield slab
+            slab, planes = [], 0
         slab.append(f)
-        counts.append(n)
+        planes += n
     if slab:
-        yield slab, counts
+        yield slab
 
 
 def _frac_power_images(fields: Iterable[Field], alpha: float,
@@ -602,9 +586,9 @@ def _frac_power_images(fields: Iterable[Field], alpha: float,
     whole group (the 40 members of a default d = 1 four-fold family are
     one group; a 32 x 32^3 member is a group of its own).
     """
-    for slab, counts in _plane_slabs(fields):
-        images = _unstack_planes(slab, counts, _frac_power_stack(
-            slab[0].grid, _stack_planes(slab, counts), alpha, shift))
+    for slab in _plane_slabs(fields):
+        images = _unstack_planes(slab, _frac_power_stack(
+            slab[0].grid, _stack_planes(slab), alpha, shift))
         yield from zip(slab, images)
 
 
@@ -632,12 +616,10 @@ def frac_power_kernel(field: Field, alpha: float, shift: float = 0.0) -> Field:
     Accuracy requires comfortable Hermite headroom (M well above K)
     and a smooth, Gaussian-decaying field.
 
-    The field runs as a stack of real planes (one, or two for a
-    nonzero imaginary part) through _heat_stack: one pair of work
+    The field runs as a stack of real planes (one for a float64 field,
+    two for a complex one) through _heat_stack: one pair of work
     buffers and one accumulator per call, each apply's weight folded
-    into its rho matrix, and no intermediate Field.  A complex field
-    with an all-zero imaginary part (band-limited and sampled Gaussian
-    fields) is one plane, cast back to complex128 at the end.
+    into its rho matrix, and no intermediate Field.
     """
     [(_, image)] = _frac_power_images([field], alpha, shift)
     return image

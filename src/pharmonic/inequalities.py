@@ -43,7 +43,7 @@ from .spectral import (SpectralCoeffs, forward, inverse, plancherel_norm,
 GATE_TOL = 1e-3
 _PROFILE_EPS = 0.1
 
-_TAGS = ("hls", "hls-endpoint-1", "hls-endpoint-inf", "gns", "hardy")
+_TAGS = ("hls", "gns", "hardy")
 _VERDICTS = ("bounded", "divergent")
 
 
@@ -88,21 +88,10 @@ class IneqCase:
         if self.d < 1:
             raise InvalidParameterError("d must be a positive integer")
         dim = self.d + 1.0
-        if self.tag.startswith("hls") and not 0.0 < self.alpha < dim:
-            raise InvalidParameterError("alpha must lie in (0, d+1)")
         if self.tag == "hls":
+            if not 0.0 < self.alpha < dim:
+                raise InvalidParameterError("alpha must lie in (0, d+1)")
             _admissible(self.p, self.q, self.alpha / dim)
-        elif self.tag == "hls-endpoint-1":
-            if self.p != 1.0:
-                raise InvalidParameterError("the L^1 endpoint fixes p = 1")
-            if self.q < 1.0:
-                raise InvalidParameterError("q must be >= 1")
-        elif self.tag == "hls-endpoint-inf":
-            if not math.isinf(self.q):
-                raise InvalidParameterError(
-                    "the L^inf endpoint fixes q = inf")
-            if self.p < 1.0:
-                raise InvalidParameterError("p must be >= 1")
         elif self.tag == "gns":
             if self.d < 3:
                 raise InvalidParameterError("gns requires d >= 3")
@@ -388,22 +377,6 @@ def _singular_weight(box: UniformBox, alpha: float) -> np.ndarray:
     return w
 
 
-def hardy_ratio(field: Field, alpha: float, p: float,
-                box: UniformBox) -> float:
-    """| |z|^(-alpha) f |_p on the box, over |H^(alpha/2) f|_p.
-
-    The weight is zeroed on the cell containing the origin; the
-    stability of the sup under box refinement is the caller's check
-    that the exclusion does not matter.
-    """
-    den = potential_norm(field, alpha, p)
-    if den == 0.0:
-        raise InvalidParameterError("zero field")
-    num = _box_lp_norm_coeffs(forward(field), box, p,
-                              _singular_weight(box, alpha))
-    return num / den
-
-
 def hardy_check(alpha: float, p: float, d: int, family: TestFamily,
                 grid: Grid | None = None) -> Report:
     """Empirical sup of | |z|^(-alpha) f |_p / |H^(alpha/2) f|_p.
@@ -675,20 +648,3 @@ def hls_endpoint_demo(which: str, alpha: float, d: int, exponent: float,
     _trend(rep, vals, "value_level_", notes, not control,
            _LINF_RATIO_FLOOR, f"p* = {p_star:.6g}")
     return rep
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-def run_case(case: IneqCase, grid: Grid | None = None) -> Report:
-    """Route one IneqCase to its checker."""
-    if case.tag == "hls":
-        return hls_check(case.alpha, case.p, case.q, case.d, case.family,
-                         grid=grid)
-    if case.tag == "hls-endpoint-1":
-        return hls_endpoint_demo("L1-range", case.alpha, case.d, case.q)
-    if case.tag == "hls-endpoint-inf":
-        return hls_endpoint_demo("Linf-range", case.alpha, case.d, case.p)
-    if case.tag == "gns":
-        return gns_check(case.p, case.q, case.d, case.family, grid=grid)
-    return hardy_check(case.alpha, case.p, case.d, case.family, grid=grid)

@@ -44,7 +44,6 @@ from .spectral import (
 __all__ = [
     "apply_A",
     "riesz",
-    "riesz_multi",
     "grad_H",
     "commute_check",
     "duality_check",
@@ -97,14 +96,6 @@ def riesz(j: int, field: Field) -> Field:
     c = forward(field)
     c = apply_multiplier(c, power_multiplier(field.grid, -0.5))
     return inverse(apply_A(j, c))
-
-
-def riesz_multi(jj: tuple[int, int], field: Field) -> Field:
-    """Second-order transform A_j1 A_j2 H^(-1) f."""
-    j1, j2 = jj
-    c = forward(field)
-    c = apply_multiplier(c, power_multiplier(field.grid, -1.0))
-    return inverse(apply_A(j1, apply_A(j2, c)))
 
 
 def _grad_coeffs(coeffs: SpectralCoeffs) -> Iterator[SpectralCoeffs]:

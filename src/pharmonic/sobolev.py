@@ -34,7 +34,6 @@ from .spectral import (SpectralCoeffs, _grid_series, forward, inverse,
                        spectral_frac_power)
 
 __all__ = [
-    "SobolevParams",
     "TestFamily",
     "potential_norm",
     "ladder_norm",
@@ -45,26 +44,7 @@ __all__ = [
     "strict_inclusion_demo",
 ]
 
-_FAMILY_TAGS = ("potential", "ladder", "classical", "hermite")
-_KINDS = ("band_limited", "gaussian", "hermite_mix", "mollified")
-
-
-@dataclass(frozen=True)
-class SobolevParams:
-    """Regularity order, integrability exponent and norm family tag."""
-    order: float
-    p: float
-    family: str = "potential"
-
-    def __post_init__(self) -> None:
-        if self.order <= 0:
-            raise InvalidParameterError("order must be positive")
-        if not 1.0 < self.p < math.inf:
-            raise InvalidParameterError("p must lie in (1, inf)")
-        if self.family not in _FAMILY_TAGS:
-            raise InvalidParameterError(f"unknown family {self.family!r}")
-        if self.family == "ladder" and self.order != int(self.order):
-            raise InvalidParameterError("ladder norms need integer order")
+_KINDS = ("band_limited", "gaussian", "mollified")
 
 
 @dataclass(frozen=True)
@@ -96,8 +76,8 @@ class TestFamily:
     def coeffs(self, grid: Grid, i: int) -> SpectralCoeffs:
         """Member i in the eigenbasis, without a grid field where the
         kind allows: band_limited members are defined by their
-        coefficients, of which member is the inverse made real (one
-        draw for both); the other kinds are forward(member)."""
+        coefficients, of which member is the inverse (one draw for
+        both); the other kinds are forward(member)."""
         rng = np.random.default_rng([self.seed, i])
         if self.kind == "band_limited":
             return _band_limited_coeffs(grid, rng)
@@ -105,8 +85,8 @@ class TestFamily:
 
     def draw(self, grid: Grid, i: int) -> tuple[SpectralCoeffs, np.ndarray]:
         """Member i's coefficients and its values on the grid, from one
-        draw: band_limited gives its coefficients and their real grid
-        series (float64, the real part of member), the other kinds give
+        draw: band_limited gives its coefficients and their grid series
+        (member's values, with no Field), the other kinds give
         forward(member) and the sampled member's values."""
         rng = np.random.default_rng([self.seed, i])
         if self.kind == "band_limited":
@@ -141,8 +121,6 @@ def _band_limited_coeffs(grid: Grid, rng, margin: int = 2) -> SpectralCoeffs:
 
 def _make_member(kind: str, grid: Grid, rng) -> Field:
     if kind == "band_limited":
-        # the coefficients are Hermitian bit for bit, so inverse sums
-        # them as a real series: an imaginary part of exactly 0
         return inverse(_band_limited_coeffs(grid, rng))
     if kind == "gaussian":
         r0 = rng.uniform(-1.5, 1.5)
@@ -157,17 +135,6 @@ def _make_member(kind: str, grid: Grid, rng) -> Field:
             return out
 
         return sample(grid, gauss)
-    if kind == "hermite_mix":
-        c = SpectralCoeffs(grid, np.zeros((grid.N_rho, len(grid.mu_abs)),
-                                          dtype=np.complex128))
-        usable = np.nonzero(grid.mu_abs <= grid.K - 2)[0]
-        for _ in range(6):
-            n = int(rng.integers(0, grid.N_rho // 4))
-            m = int(rng.choice(usable))
-            w = rng.standard_normal() + 1j * rng.standard_normal()
-            c.data[n, m] += w
-            c.data[-n % grid.N_rho, m] += np.conj(w)
-        return inverse(c)
     # mollified slow-decay profile, compactly supported in the window
     cut = 0.75 * grid.L_rho
     q = 1.0 + 0.5 * rng.uniform()

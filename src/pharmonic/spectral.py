@@ -75,15 +75,14 @@ def _from_cube(grid: Grid, cube: np.ndarray) -> np.ndarray:
 
 
 def _is_real_series(data: np.ndarray) -> bool:
-    """Whether the series of the (N_rho, n_mu) coefficients data is a
-    real field in exact arithmetic, by one exact test: c[-n] = conj c[n]
-    bit for bit, and a zero Nyquist row.  The Nyquist plane wave pairs
-    with no other frequency, so off the rho grid (a resampling box) it
-    is real only with a zero coefficient.  Only the input is read:
-    band_limited draws pass, forward of a grid field does not."""
+    """Whether the (N_rho, n_mu) coefficients data describe a real
+    field: c[-n] = conj c[n] bit for bit, which makes the DC and
+    Nyquist rows real.  forward of a float64 field and band_limited
+    draws pass.  The Nyquist plane wave pairs with no other frequency;
+    the real series reads it as c_N cos(tau_N rho), the real
+    trigonometric interpolant, which is e^(i tau_N rho) on the grid."""
     n = data.shape[0]
-    return (np.array_equal(data, np.conj(data[(-np.arange(n)) % n]))
-            and not data[n // 2].any())
+    return np.array_equal(data, np.conj(data[(-np.arange(n)) % n]))
 
 
 def forward(field: Field) -> SpectralCoeffs:
@@ -95,18 +94,29 @@ def forward(field: Field) -> SpectralCoeffs:
     the DFT is alias-free below the Nyquist ring.  Each x axis is
     projected in place, x_1 first, then the admissible degrees are
     gathered and the rho axis transformed by the FFT.  The real
-    weighted Hermite table meets the complex field as a real GEMM on
-    its float view (grid._contract_axis); x_1 first makes the step that
+    weighted Hermite table meets a complex field as a real GEMM on its
+    float view (grid._contract_axis); x_1 first makes the step that
     reads the whole field one of these, and leaves the complex
     post = 1 step, x_d, to the smallest array.
+
+    A float64 field takes real GEMMs throughout and an rfft in rho; the
+    negative frequencies are the exact conjugates of the positive ones,
+    so its coefficients pass _is_real_series.
     """
     g = field.grid
     wtab = g.hermite_table * g.weights_x[None, :]     # (K+1, M)
     u = field.values
     for axis in range(1, g.d + 1):
         u = _contract_axis(u, wtab, axis)
-    c = _alt_sign(g) * np.fft.fft(_from_cube(g, u), axis=0) / g.N_rho
-    return SpectralCoeffs(g, c)
+    u = _from_cube(g, u)
+    if np.iscomplexobj(u):
+        c = np.fft.fft(u, axis=0)
+    else:
+        half = g.N_rho // 2 + 1
+        c = np.empty(u.shape, dtype=np.complex128)
+        c[:half] = np.fft.rfft(u, axis=0)
+        c[half:] = np.conj(c[half - 2:0:-1])
+    return SpectralCoeffs(g, _alt_sign(g) * c / g.N_rho)
 
 
 def _grid_series(coeffs: SpectralCoeffs) -> np.ndarray:
@@ -129,16 +139,11 @@ def inverse(coeffs: SpectralCoeffs) -> Field:
     The reverse of forward's order: the complex post = 1 step, x_d,
     runs on the degree cube, and every later step, the one that writes
     the whole field included, is a real GEMM on the float view
-    (grid._contract_axis).
-
-    Coefficients that pass _is_real_series (band_limited draws, and
-    their ladder images) describe a real field, so after the rho step
-    only the real part is kept, its imaginary part being rounding, and
-    every x step is a real GEMM on half the bytes.  The result is still
-    a complex128 Field, with an imaginary part of exactly 0.
+    (grid._contract_axis).  Coefficients that pass _is_real_series give
+    a float64 Field: only the real part of the rho step is kept, and
+    every x step is a real GEMM on half the bytes.
     """
-    return Field(coeffs.grid,
-                 _grid_series(coeffs).astype(np.complex128, copy=False))
+    return Field(coeffs.grid, _grid_series(coeffs))
 
 
 def plancherel_norm(coeffs: SpectralCoeffs) -> float:

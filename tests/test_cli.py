@@ -161,6 +161,16 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("L_rho", ["1e308", "1e-320"])
+    def test_grid_that_is_not_finite_exits_two(self, L_rho, capsys):
+        # 1e308 overflows the rho points, 1e-320 the frequencies
+        code, out, err = run_main(["--suite", "semigroup", "--Nrho", "8",
+                                   "--Lrho", L_rho, "--K", "2", "--M", "4"],
+                                  capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: grid parameters")
+
+
 class TestCsv:
     def test_row_count_and_columns(self, capsys):
         code, out, _ = run_main(["--suite", "kernel-bounds"], capsys)

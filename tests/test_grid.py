@@ -71,6 +71,15 @@ def test_make_grid_rejects_bad_parameters():
         make_grid(d=1, N_rho=64, L_rho=-1.0, K=4, M=8)
 
 
+@pytest.mark.parametrize("L_rho", [np.nan, np.inf, 1e308, 1e-320])
+def test_make_grid_rejects_a_grid_that_is_not_finite(L_rho):
+    # NaN or inf rho points, or infinite frequencies; silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="not finite"):
+            make_grid(d=1, N_rho=8, L_rho=L_rho, K=2, M=4)
+
+
 def test_grid_frequencies_and_weights():
     g = make_grid(d=1, N_rho=8, L_rho=4.0, K=3, M=5)
     # fft ordering: 0, 1, 2, 3, -4, -3, -2, -1 times pi/L

@@ -22,7 +22,6 @@ from pharmonic.ladder import (
     grad_H,
     inverse_riesz_check,
     riesz,
-    riesz_multi,
 )
 
 
@@ -109,16 +108,6 @@ def test_riesz_l2_bound():
     n2 = lp_norm(f, 2) ** 2
     for j in range(-g.d, g.d + 1):
         assert lp_norm(riesz(j, f), 2) ** 2 <= 2 * n2 * (1 + 1e-12)
-
-
-def test_riesz_multi_modes():
-    g = make_grid(d=1, N_rho=16, L_rho=np.pi, K=4, M=6)
-    f = mode_field(g, 2, (0,))  # tau = 2
-    got = riesz_multi((0, 0), f)
-    np.testing.assert_allclose(got.values, -4.0 / 5.0 * f.values, atol=1e-12)
-    ground = mode_field(g, 0, (0,))
-    assert lp_norm(riesz_multi((-1, -1), ground), 2) < 1e-13
-    assert lp_norm(riesz_multi((1, -1), ground), 2) < 1e-13
 
 
 def test_grad_H_components_and_energy():
@@ -214,8 +203,7 @@ def test_duality_sandwich_random_fields():
         g = make_grid(d=d, N_rho=16, L_rho=5.0, K=5, M=8)
         for seed in range(5):
             f = band_limited(g, 100 + seed)
-            re = np.real(f.values)
-            f = type(f)(g, re.astype(np.complex128))
+            f = type(f)(g, np.ascontiguousarray(f.values.real))
             rep = duality_check(f, f)
             assert rep.all_passed
 
@@ -233,3 +221,39 @@ def test_inverse_riesz_p2():
         lp_norm(ground, 2), rel=1e-10)
     assert vals["rhs_ladder_sum"] == pytest.approx(
         np.sqrt(2) * lp_norm(ground, 2), rel=1e-10)
+
+
+def _nyquist_fields(g, seed):
+    """Fields that carry the Nyquist row: the real Nyquist mode
+    (cos(pi rho / dx) on the grid, a float64 sample) and random
+    complex coefficients with every rho row filled, the Nyquist row
+    dominant, and the top degree shells empty."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((g.N_rho, g.n_mu)) \
+        + 1j * rng.standard_normal((g.N_rho, g.n_mu))
+    data[g.N_rho // 2] *= 10.0
+    data[:, g.mu_abs > g.K - 2] = 0.0
+    real = mode_field(g, -g.N_rho // 2, (0,) * g.d)
+    assert real.values.dtype == np.float64
+    return [real, inverse(SpectralCoeffs(g, data))]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_nyquist_row_keeps_the_factorisation(d):
+    # A_0 = -i tau on every row, the Nyquist row included, so the
+    # mode-wise identities behind both checks hold there too: the
+    # p = 2 bound lambda <= tau^2 + 4|mu| + 2d and the sandwich
+    # I <= S <= 2I; a real field whose Nyquist row is nonzero has a
+    # complex A_0 image on the grid
+    g = make_grid(d=d, N_rho=16, L_rho=5.0, K=5, M=8)
+    for f in _nyquist_fields(g, 40 + d):
+        rep = inverse_riesz_check(f, 2)
+        sharp = [m for m in rep.metrics if m.name == "p2_sharp_ratio"][0]
+        assert sharp.passed and sharp.value <= 1.0 + 1e-12
+        assert duality_check(f, f).all_passed
+    f = _nyquist_fields(g, 40 + d)[0]
+    tau_n = g.tau[g.N_rho // 2]
+    lam = tau_n ** 2 + d
+    np.testing.assert_allclose(riesz(0, f).values,
+                               -1j * tau_n / np.sqrt(lam) * f.values,
+                               atol=1e-12)

@@ -16,7 +16,6 @@ import pytest
 from pharmonic import (
     InvalidParameterError,
     ResolutionWarning,
-    SobolevParams,
     TestFamily,
     equivalence_report,
     inclusion_chain_check,
@@ -45,24 +44,6 @@ def g_quartic():
     return make_grid(1, 64, 10.0, 12, 32)
 
 
-class TestParams:
-    def test_valid(self):
-        SobolevParams(1.0, 2.0, "potential")
-        SobolevParams(2.0, 4.0, "ladder")
-
-    @pytest.mark.parametrize("bad", [
-        dict(order=0.0, p=2.0),
-        dict(order=-1.0, p=2.0),
-        dict(order=1.0, p=1.0),
-        dict(order=1.0, p=math.inf),
-        dict(order=1.0, p=2.0, family="fourier"),
-        dict(order=1.5, p=2.0, family="ladder"),
-    ])
-    def test_invalid(self, bad):
-        with pytest.raises(InvalidParameterError):
-            SobolevParams(**bad)
-
-
 class TestFamilyType:
     def test_unknown_kind(self):
         with pytest.raises(InvalidParameterError):
@@ -80,13 +61,13 @@ class TestFamilyType:
 
     def test_band_limited_members_are_real_and_limited(self, g1):
         for f in TestFamily("band_limited", 4, seed=2).members(g1):
-            assert np.abs(f.values.imag).max() == 0.0
+            assert f.values.dtype == np.float64
             c = forward(f)
             top = np.abs(c.data[:, g1.mu_abs > g1.K - 2]) ** 2
             assert top.sum() < 1e-20 * (np.abs(c.data) ** 2).sum()
 
     @pytest.mark.parametrize("kind", ["band_limited", "gaussian",
-                                      "hermite_mix", "mollified"])
+                                      "mollified"])
     @pytest.mark.parametrize("d", [1, 3])
     def test_coeffs_are_the_members_transform(self, kind, d):
         g = make_grid(d, 16, 6.0, 6, 10)
@@ -97,7 +78,7 @@ class TestFamilyType:
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("kind", ["band_limited", "gaussian",
-                                      "hermite_mix", "mollified"])
+                                      "mollified"])
     def test_draw_is_one_draw_of_coeffs_and_member(self, kind):
         g = make_grid(2, 16, 6.0, 6, 10)
         fam = TestFamily(kind, 2, seed=8)
@@ -105,26 +86,22 @@ class TestFamilyType:
             c, values = fam.draw(g, i)
             f = fam.member(g, i)
             assert c.data.tobytes() == fam.coeffs(g, i).data.tobytes()
-            if kind == "band_limited":
-                assert values.dtype == np.float64
-                assert values.tobytes() == f.values.real.tobytes()
-                assert not f.values.imag.any()
-            else:
-                assert values.tobytes() == f.values.tobytes()
+            assert values.dtype == f.values.dtype == np.float64
+            assert values.tobytes() == f.values.tobytes()
 
     def test_band_limited_member_bits_pinned(self):
         # the bits of d = 1 members on the hls default grid: a change
-        # of draw, transform order or real-part handling shows here
+        # of draw, transform order or real-part handling shows here;
+        # hashed as complex128, the dtype the digest was first taken in
         g = make_grid(1, 64, 10.0, 8, 40)
         fam = TestFamily("band_limited", 3, seed=5)
         h = hashlib.sha256()
         for f in fam.members(g):
-            h.update(f.values.tobytes())
+            h.update(f.values.astype(np.complex128).tobytes())
         assert h.hexdigest() == ("d9a432711e42f39513334a2fa1a60c06"
                                  "b02319ff35dfc7146d0c27ae18564a34")
 
-    @pytest.mark.parametrize("kind", ["gaussian", "hermite_mix",
-                                      "mollified"])
+    @pytest.mark.parametrize("kind", ["gaussian", "mollified"])
     def test_kinds_produce_finite_members(self, g1, kind):
         for f in TestFamily(kind, 3, seed=4).members(g1):
             assert np.isfinite(f.values).all()

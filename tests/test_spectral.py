@@ -29,9 +29,11 @@ from pharmonic import (
     spectral_frac_power,
 )
 from pharmonic import spectral as spectral_module
-from pharmonic.grid import _box_lp_norm_coeffs, _box_series, box_lp_norm
-from pharmonic.hermite import hermite_all
-from pharmonic.ladder import apply_A
+from pharmonic.grid import (_box_lp_norm_coeffs, _box_series, _x_series,
+                            box_lp_norm)
+from pharmonic.heat_kernel import frac_power_kernel, heat_apply_kernel
+from pharmonic.hermite import hermite_all, hermite_eval
+from pharmonic.ladder import apply_A, riesz
 from pharmonic.spectral import _alt_sign, _grid_series, _is_real_series
 
 
@@ -270,11 +272,11 @@ def test_plancherel_on_ladder_images(g, seed):
 
 
 def _hermitian_coeffs(g, seed):
-    """Random coefficients with c[-n] = conj c[n] bit for bit and a
-    zero Nyquist row, the band_limited construction without envelope."""
+    """Random coefficients with c[-n] = conj c[n] bit for bit, so real
+    DC and Nyquist rows: the band_limited construction without envelope
+    or band limit."""
     c = _random_coeffs(g, seed=seed).data
     c = 0.5 * (c + np.conj(c[(-np.arange(g.N_rho)) % g.N_rho]))
-    c[g.N_rho // 2] = 0.0
     return SpectralCoeffs(g, c)
 
 
@@ -292,13 +294,12 @@ class TestRealSeries:
         c = _hermitian_coeffs(g, seed)
         assert _is_real_series(c.data)
         f = inverse(c)
-        assert f.values.dtype == np.complex128
-        assert not f.values.imag.any()
+        assert f.values.dtype == np.float64
         with mock.patch.object(spectral_module, "_is_real_series",
                                lambda data: False):
             ref = inverse(c).values
         tol = 1e-15 * np.abs(ref).max()
-        assert np.abs(f.values.real - ref.real).max() <= tol
+        assert np.abs(f.values - ref).max() <= tol
 
         box = UniformBox(tuple(half[:d + 1]),
                          tuple(2 * n for n in half_counts[:d + 1]))
@@ -334,20 +335,116 @@ class TestRealSeries:
             warnings.simplefilter("ignore", TruncationWarning)
             assert _box_series(bad, box)[0].dtype == np.complex128
 
-    def test_nonzero_nyquist_row_takes_complex_path(self):
-        # the Nyquist plane wave is real on the grid but not between
-        # grid points, so a box series with it is not a real field
+    def test_real_nyquist_row_takes_real_path(self):
+        # the real series reads the Nyquist plane wave as a cosine: its
+        # box values are the real part of the complex path's, which
+        # also holds the sine between the grid points
         g = make_grid(1, 8, 4.0, 2, 3)
-        c = _hermitian_coeffs(g, 3).data
-        c[g.N_rho // 2, 0] = 1.0
-        assert np.array_equal(c, np.conj(c[(-np.arange(g.N_rho)) % g.N_rho]))
-        assert not _is_real_series(c)
+        c = _hermitian_coeffs(g, 3)
+        c.data[g.N_rho // 2, 0] = 1.0
+        assert _is_real_series(c.data)
+        box = UniformBox((3.0, 2.0), (10, 6))
+        with warnings.catch_warnings():
+            # random coefficients fill the top shell; not tested here
+            warnings.simplefilter("ignore", TruncationWarning)
+            vals = _x_series(*_box_series(c, box))
+            with mock.patch.object(spectral_module, "_is_real_series",
+                                   lambda data: False):
+                ref = _x_series(*_box_series(c, box))
+        assert vals.dtype == np.float64 and ref.dtype == np.complex128
+        assert np.abs(ref.imag).max() > 0.1
+        assert np.abs(vals - ref.real).max() <= 1e-15 * np.abs(ref).max()
 
     def test_ladder_images_stay_real_series(self):
+        # A_{+-j} act on mu alone and keep a real series real; A_0 takes
+        # the real Nyquist row to an imaginary one (the grid values of
+        # -d/drho c_N e^(i tau_N rho) are imaginary), so its image is a
+        # real series only when that row is zero
         g = make_grid(2, 16, 5.0, 4, 6)
         c = _hermitian_coeffs(g, 11)
+        assert np.abs(c.data[g.N_rho // 2]).max() > 0.0
         low = c.data.copy()
         low[:, g.mu_abs == g.K] = 0.0
         c_low = SpectralCoeffs(g, low)
         for j in range(-g.d, g.d + 1):
-            assert _is_real_series(apply_A(j, c_low).data)
+            assert _is_real_series(apply_A(j, c_low).data) == (j != 0)
+        low[g.N_rho // 2] = 0.0
+        assert _is_real_series(apply_A(0, c_low).data)
+
+
+# ---------------------------------------------------------------------------
+# one realness rule: a field is real iff its values are float64
+
+
+def _band_sample(g, seed):
+    """A real sample in the span of the grid's modes below the top
+    Hermite shell and the Nyquist frequency: three terms
+    a cos(tau_n rho + phase) Phi_mu(x), |mu| <= K - 1."""
+    rng = np.random.default_rng(seed)
+    low = g.mu[g.mu_abs < g.K]
+    terms = [(rng.standard_normal(), rng.uniform(0.0, 2.0 * np.pi),
+              np.pi / g.L_rho * rng.integers(0, max(g.N_rho // 2 - 1, 1)),
+              low[rng.integers(len(low))]) for _ in range(3)]
+
+    def fn(r, *xs):
+        out = 0.0
+        for a, phase, tau, mu in terms:
+            term = a * np.cos(tau * r + phase)
+            for x, m in zip(xs, mu):
+                term = term * hermite_eval(int(m), x)
+            out = out + term
+        return out
+
+    return sample(g, fn)
+
+
+class TestRealnessRule:
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(1, 3), log2_n=st.integers(1, 4),
+           L=st.floats(2.0, 8.0), K=st.integers(1, 4),
+           extra=st.integers(0, 2), t=st.floats(0.05, 2.0),
+           alpha=st.sampled_from([-0.5, 0.5]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_real_sample_stays_float64(self, d, log2_n, L, K, extra, t,
+                                       alpha, seed):
+        g = make_grid(d, 2 ** log2_n, L, K, K + 1 + extra)
+        f = _band_sample(g, seed)
+        assert f.values.dtype == np.float64
+        c = forward(f)
+        assert _is_real_series(c.data)
+        back = inverse(c).values
+        assert back.dtype == np.float64
+        scale = max(np.abs(f.values).max(), 1e-300)
+        assert np.abs(back - f.values).max() < 1e-13 * scale
+        with warnings.catch_warnings():
+            # tails, and the kernel floor on these small grids: the
+            # dtype is tested here, not the accuracy
+            warnings.simplefilter("ignore")
+            images = [heat_spectral(f, t), spectral_frac_power(f, alpha),
+                      heat_apply_kernel(f, t), frac_power_kernel(f, alpha)]
+            images += [riesz(j, f) for j in range(-d, d + 1) if j != 0]
+            r0 = riesz(0, f)
+        for img in images:
+            assert img.values.dtype == np.float64
+        # A_0 = -i tau keeps the real Nyquist row only as an imaginary
+        # one: R_0 f is float64 exactly when that row of f is zero
+        nyquist = c.data[g.N_rho // 2].any()
+        assert r0.values.dtype == (np.complex128 if nyquist else np.float64)
+
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(1, 3), log2_n=st.integers(2, 4),
+           K=st.integers(0, 3), n=st.integers(-8, 7),
+           pick=st.integers(0, 2 ** 16))
+    def test_complex_fields_stay_complex(self, d, log2_n, K, n, pick):
+        g = make_grid(d, 2 ** log2_n, 4.0, K, K + 1)
+        n = n % g.N_rho - g.N_rho // 2      # in [-N/2, N/2)
+        mu = tuple(g.mu[pick % g.n_mu])
+        f = mode_field(g, n, mu)
+        # e^(i tau_n rho) is real on the grid at n = 0 and at Nyquist
+        real = n in (0, -g.N_rho // 2)
+        assert f.values.dtype == (np.float64 if real else np.complex128)
+        assert _is_real_series(forward(f).data) == real
+        z = sample(g, lambda r, *xs: np.exp(1j * r) + 0.0 * sum(xs))
+        assert z.values.dtype == np.complex128
+        assert heat_apply_kernel(z, 0.3).values.dtype == np.complex128
+        assert inverse(forward(z)).values.dtype == np.complex128
