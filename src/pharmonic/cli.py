@@ -359,8 +359,7 @@ def _suite_weighted_decay(cfg: SuiteConfig) -> Report:
     rep = Report(suite="weighted-decay",
                  params={"alpha": cfg.alpha, "p": cfg.p, "d": cfg.d,
                          "seed": cfg.seed})
-    rep.extend(schur_weighted_report(cfg.alpha, cfg.d, n_samples=24,
-                                     seed=cfg.seed))
+    rep.extend(schur_weighted_report(cfg.alpha, cfg.d, seed=cfg.seed))
     g = _grid(cfg)
     rep.extend(weighted_decay_check(cfg.alpha, cfg.p, g,
                                     TestFamily("gaussian", 5,
@@ -374,13 +373,8 @@ def _suite_riesz(cfg: SuiteConfig) -> Report:
     rep = Report(suite="riesz",
                  params={"alpha": cfg.alpha, "p": cfg.p, "d": cfg.d,
                          "seed": cfg.seed})
-    # both j score the same enlarged family; its head is member 0
-    members = fam.resized(4 * fam.count).members(g)
-    rep.extend(inverse_riesz_check(members[0], cfg.p))
-    for j in (0, 1):
-        rep.extend(riesz_on_potential_check(j, cfg.alpha, cfg.p, g, fam,
-                                            members=members),
-                   prefix=f"j{j}_")
+    rep.extend(inverse_riesz_check(fam.member(g, 0), cfg.p))
+    rep.extend(riesz_on_potential_check((0, 1), cfg.alpha, cfg.p, g, fam))
     return rep
 
 
@@ -426,11 +420,7 @@ def _suite_sobolev(cfg: SuiteConfig) -> Report:
     rep = Report(suite="sobolev-equivalence",
                  params={"d": cfg.d, "pairs": [list(pr) for pr in pairs],
                          "seed": cfg.seed})
-    # every pair scores the same enlarged family: build it once
-    members = fam.resized(4 * fam.count).members(g)
-    for k, p in pairs:
-        rep.extend(equivalence_report(g, fam, k, p, members=members),
-                   prefix=f"k{k}p{p:g}_")
+    rep.extend(equivalence_report(g, fam, pairs))
     return rep
 
 

@@ -273,15 +273,14 @@ def psi_alpha(s, alpha: float, d: int):
     return out
 
 
-def sample_pairs(d: int, n: int, seed: int,
-                 s_range=(0.05, 5.0), x_max: float = 4.0,
-                 rho_max: float = 4.0):
-    """n point pairs with log-uniform separations, packed (n, d+1)."""
+def sample_pairs(d: int, n: int, seed: int):
+    """n point pairs with log-uniform separations in [0.05, 5], the
+    first point uniform in [-4, 4]^(d+1), packed (n, d+1)."""
     rng = np.random.default_rng(seed)
     z = np.empty((n, d + 1))
-    z[:, 0] = rng.uniform(-rho_max, rho_max, n)
-    z[:, 1:] = rng.uniform(-x_max, x_max, (n, d))
-    s = np.exp(rng.uniform(np.log(s_range[0]), np.log(s_range[1]), n))
+    z[:, 0] = rng.uniform(-4.0, 4.0, n)
+    z[:, 1:] = rng.uniform(-4.0, 4.0, (n, d))
+    s = np.exp(rng.uniform(np.log(0.05), np.log(5.0), n))
     u = rng.standard_normal((n, d + 1))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     return z, z + s[:, None] * u
@@ -653,24 +652,24 @@ def _moment_integral(x_sq, alpha: float, d: int, order: float) -> np.ndarray:
         / math.gamma(alpha)
 
 
-def schur_weighted_report(alpha: float, d: int, n_samples: int = 24,
-                          seed: int = 0, x_max: float = 6.0) -> Report:
+def schur_weighted_report(alpha: float, d: int, seed: int = 0) -> Report:
     """Schur test for the weighted operator |x|^(2 alpha) H^(-alpha).
 
     Row side: sup_z |x(z)|^(2 alpha) int K_alpha(z, z') dz'.  Column
     side: sup_{z'} int |x|^(2 alpha) K_alpha(z, z') dz.  Both inner
     integrals are closed forms in space under the time integral
     (_moment_integral of order 0 and alpha), for every d.  Each sup is
-    over x uniform in [-x_max, x_max]^d; both must be finite and grow
+    over 24 points x uniform in [-6, 6]^d; both must be finite and grow
     by less than STABILITY_LIMIT when the sample count doubles.
     """
+    n_samples = 24
     rep = Report(suite="weighted-decay",
                  params={"alpha": alpha, "d": d, "n": n_samples})
     rng = np.random.default_rng(seed)
     for side, order in (("row", 0.0), ("column", alpha)):
         sups = []
         for _ in range(2):      # the second draw doubles the sample
-            x_sq = np.sum(rng.uniform(-x_max, x_max, (n_samples, d)) ** 2,
+            x_sq = np.sum(rng.uniform(-6.0, 6.0, (n_samples, d)) ** 2,
                           axis=-1)
             vals = x_sq ** (alpha - order) \
                 * _moment_integral(x_sq, alpha, d, order)

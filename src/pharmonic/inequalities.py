@@ -122,34 +122,28 @@ def _measured_box(g: Grid, members: Iterable[np.ndarray],
 
     members are the members' values on the grid g, real or complex
     arrays (a real series, TestFamily.draw, or Field.values).  Each is
-    read once, |f| taken once for all d + 1 axis profiles, so members
-    may be built one at a time as consumed."""
+    read once and |f| twice, so members may be built one at a time as
+    consumed: the rho profile is the max over each rho row, and the x
+    profiles come from the max over rho, an array of one rho row."""
     coords = [g.rho] + [g.nodes_x] * g.d
     caps = [g.L_rho] + [float(np.max(np.abs(g.nodes_x)))] * g.d
     need = [0.0] * (g.d + 1)
     for values in members:
         a = np.abs(values)
-        peak = float(a.max())
+        rho_prof = a.reshape(a.shape[0], -1).max(axis=1)
+        peak = float(rho_prof.max())
         if peak == 0.0:
             continue
-        for ax in range(a.ndim):
-            others = tuple(i for i in range(a.ndim) if i != ax)
-            prof = a.max(axis=others) if others else a
+        over_rho = a.max(axis=0)
+        profs = [rho_prof] + [
+            over_rho.max(axis=tuple(i for i in range(g.d) if i != ax))
+            for ax in range(g.d)]
+        for ax, prof in enumerate(profs):
             live = coords[ax][prof > tol * peak]
             if live.size:
                 need[ax] = max(need[ax], float(np.max(np.abs(live))))
     half = [min(max(pad * n, 1.0), cap) for n, cap in zip(need, caps)]
     return UniformBox(tuple(half), tuple(counts))
-
-
-def _split_members(family: TestFamily,
-                   g: Grid) -> tuple[list[Field], Iterator[Field]]:
-    """The base members, and the rest of the four-fold family built one
-    at a time as it is consumed (member i depends only on (seed, i)),
-    so a d = 3 family never holds more than its base at once."""
-    n = family.count
-    return family.members(g), (family.member(g, i)
-                               for i in range(n, 4 * n))
 
 
 def _family_grid(d: int, grid: Grid | None) -> Grid:
@@ -172,12 +166,12 @@ def _boxes(g: Grid, members: Iterable[np.ndarray]
 def _family_setup(family: TestFamily, d: int, grid: Grid | None
                   ) -> tuple[list[Field], Iterator[Field], UniformBox,
                              UniformBox]:
-    """The base members, the rest of the four-fold family (consumed
+    """The base members, the extras of the four-fold family (consumed
     once), the box measured on the base, and that box with its counts
     doubled."""
     g = _family_grid(d, grid)
-    base, extra = _split_members(family, g)
-    return (base, extra) + _boxes(g, (f.values for f in base))
+    base = family.members(g)
+    return (base, family.extras(g)) + _boxes(g, (f.values for f in base))
 
 
 def _sup_stats(rep: Report, name: str, base: list[float],
@@ -354,7 +348,7 @@ def gns_check(p: float, q: float, d: int, family: TestFamily,
     box, fine = _boxes(g, base_values())
     got = [_ratio_gns(c, p, q, box, fine) for c in base]
     got_e = [_ratio_gns(family.coeffs(g, i), p, q, box, None)
-             for i in range(n, 4 * n)]
+             for i in range(n, family.size)]
     rep = Report(suite="gns",
                  params={"p": p, "q": q, "d": d, "kind": family.kind,
                          "count": family.count, "seed": family.seed})
@@ -621,9 +615,8 @@ def hls_endpoint_demo(which: str, alpha: float, d: int, exponent: float,
             img = spectral_frac_power(f, -0.5 * alpha)
             return lp_norm(img, np.inf) / lp_norm(f, p)
 
-        base, extra = _split_members(fam, g)
-        sup_b = max(ratio(f) for f in base)
-        sup_a = max([sup_b] + [ratio(f) for f in extra])
+        sup_b = max(ratio(f) for f in fam.members(g))
+        sup_a = max([sup_b] + [ratio(f) for f in fam.extras(g)])
         rep.add("bounded_sup", sup_a, None, bool(np.isfinite(sup_a)),
                 note=f"sup |H^(-a/2)f|_inf / |f|_p, p > p* = {p_star:g}")
         growth = rep.add_growth("family_growth", sup_b, sup_a,

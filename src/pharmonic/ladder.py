@@ -185,16 +185,19 @@ def commute_check(j: int, alpha: float, field: Field,
     return rep
 
 
-def commute_matrix_report(field: Field,
-                          alphas=(-1.0, -0.5, 0.5),
-                          js=(0, 1, -1),
-                          tol: float = 1e-10) -> Report:
-    """All commutation residuals over a (j, alpha) matrix, one report."""
+# the (alpha, j) matrix of commute_matrix_report
+_COMMUTE_ALPHAS = (-1.0, -0.5, 0.5)
+_COMMUTE_JS = (0, 1, -1)
+
+
+def commute_matrix_report(field: Field, tol: float = 1e-10) -> Report:
+    """All commutation residuals over the (j, alpha) matrix of
+    _COMMUTE_JS and _COMMUTE_ALPHAS, one report."""
     rep = Report(suite="commute",
-                 params={"alphas": list(alphas), "js": list(js),
-                         "d": field.grid.d})
-    for a in alphas:
-        for j in js:
+                 params={"alphas": list(_COMMUTE_ALPHAS),
+                         "js": list(_COMMUTE_JS), "d": field.grid.d})
+    for a in _COMMUTE_ALPHAS:
+        for j in _COMMUTE_JS:
             sub = commute_check(j, a, field, tol=tol)
             rep.metrics.extend(replace(m, name=f"{m.name}[j={j},alpha={a}]")
                                for m in sub.metrics)
@@ -208,12 +211,14 @@ def duality_check(f: Field, g: Field) -> Report:
     lies in [1, 2]; for f = g the two-sided bound I <= S <= 2I is
     asserted.  A constant-2 identity, which the factor only attains at
     the bottom mode, cannot hold; the report carries that observation.
+    For g is f each R_j f is computed once.
     """
     I = inner(f, g).real
     S = 0.0
     d = f.grid.d
     for j in range(-d, d + 1):
-        S += inner(riesz(j, f), riesz(j, g)).real
+        rf = riesz(j, f)
+        S += inner(rf, rf if g is f else riesz(j, g)).real
     rep = Report(suite="duality", params={"d": d})
     rep.add("I", I, None, True, "inner product")
     rep.add("S", S, None, True, "sum over 2d+1 Riesz components")

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -50,11 +52,11 @@ _KINDS = ("band_limited", "gaussian", "mollified")
 @dataclass(frozen=True)
 class TestFamily:
     """Seeded, reproducible field family; member i depends only on
-    (seed, i), so enlarging count keeps the existing members."""
+    (seed, i).  The base members are the head of the enlarged family,
+    of size members, that every boundedness check also scores."""
     kind: str
     count: int
     seed: int = 0
-    name: str = ""
 
     __test__ = False        # not a pytest class, despite the name
 
@@ -64,8 +66,10 @@ class TestFamily:
         if self.count < 1:
             raise InvalidParameterError("family needs at least one member")
 
-    def resized(self, count: int) -> "TestFamily":
-        return replace(self, count=count)
+    @property
+    def size(self) -> int:
+        """Member count of the enlarged family, four times the base."""
+        return 4 * self.count
 
     def member(self, grid: Grid, i: int) -> Field:
         """Member i, which every family of this kind and seed with more
@@ -96,7 +100,13 @@ class TestFamily:
         return forward(f), f.values
 
     def members(self, grid: Grid) -> list[Field]:
+        """The base members 0 .. count - 1."""
         return [self.member(grid, i) for i in range(self.count)]
+
+    def extras(self, grid: Grid) -> Iterator[Field]:
+        """Members count .. size - 1, each built as it is consumed, so
+        a d = 3 family never holds more than its base at once."""
+        return (self.member(grid, i) for i in range(self.count, self.size))
 
 
 def _band_limited_coeffs(grid: Grid, rng, margin: int = 2) -> SpectralCoeffs:
@@ -185,83 +195,72 @@ def _nonzero(value: float) -> bool:
     return np.isfinite(value) and value > 0
 
 
-def equivalence_report(grid: Grid, family: TestFamily, k: int, p: float,
-                       enlarged: int | None = None,
-                       members: list[Field] | None = None) -> Report:
-    """Bracket of ladder_norm / potential_norm over the family.
+def equivalence_report(grid: Grid, family: TestFamily,
+                       pairs: tuple[tuple[int, float], ...]) -> Report:
+    """Bracket of ladder_norm / potential_norm over the family for each
+    (k, p) in pairs, its metrics prefixed k{k}p{p:g}_.
 
     PASS iff the ratios stay in (0, inf) and the bracket width grows by
     less than 2, not STABILITY_LIMIT, when the family is enlarged
-    (default 4x the base count).  A caller scoring several (k, p) pairs
-    may pass the enlarged family's members, built once; they are built
-    here otherwise.
+    four-fold (TestFamily.size).  Each member is built once and scored
+    for every pair.
     """
-    if enlarged is None:
-        enlarged = 4 * family.count
-    n_members = max(family.count, enlarged)
-    if members is None:
-        members = family.resized(n_members).members(grid)
-    elif len(members) < n_members:
-        raise InvalidParameterError(
-            f"{len(members)} members given, {n_members} needed")
     rep = Report(suite="sobolev-equivalence",
-                 params={"d": grid.d, "k": k, "p": p, "kind": family.kind,
-                         "count": family.count, "enlarged": enlarged,
-                         "seed": family.seed})
+                 params={"d": grid.d, "pairs": [list(pr) for pr in pairs],
+                         "kind": family.kind, "count": family.count,
+                         "enlarged": family.size, "seed": family.seed})
 
-    def one(f: Field) -> float:
+    def one(f: Field, k: int, p: float) -> float:
         denom = potential_norm(f, float(k), p)
         if not _nonzero(denom):
             return np.nan
         return ladder_norm(f, k, p) / denom
 
-    # member i depends only on (seed, i), so both families are heads of
-    # the larger one: score it once and slice
-    vals = np.array([one(f) for f in members[:n_members]])
-    base = vals[:family.count][np.isfinite(vals[:family.count])]
-    wide = vals[:enlarged][np.isfinite(vals[:enlarged])]
-    lo, hi = float(wide.min()), float(wide.max())
-    rep.add("ratio_min", lo, None, _nonzero(lo), "enlarged family")
-    rep.add("ratio_max", hi, None, _nonzero(hi), "enlarged family")
-    rep.add_growth("bracket_growth", float(base.max()) / float(base.min()),
-                   hi / lo, f"family {family.count} -> {enlarged}", limit=2.0)
+    # one row per member, one column per pair; the base is the head
+    vals = np.array([[one(f, k, p) for k, p in pairs] for f in
+                     chain(family.members(grid), family.extras(grid))])
+    for (k, p), col in zip(pairs, vals.T):
+        pre = f"k{k}p{p:g}_"
+        base = col[:family.count][np.isfinite(col[:family.count])]
+        wide = col[np.isfinite(col)]
+        lo, hi = float(wide.min()), float(wide.max())
+        rep.add(pre + "ratio_min", lo, None, _nonzero(lo), "enlarged family")
+        rep.add(pre + "ratio_max", hi, None, _nonzero(hi), "enlarged family")
+        rep.add_growth(pre + "bracket_growth",
+                       float(base.max()) / float(base.min()), hi / lo,
+                       f"family {family.count} -> {family.size}", limit=2.0)
     return rep
 
 
-def riesz_on_potential_check(j: int, alpha: float, p: float, grid: Grid,
-                             family: TestFamily,
-                             members: list[Field] | None = None) -> Report:
-    """Empirical sup of ||R_j f||_(alpha,p) / ||f||_(alpha,p); PASS
-    iff it grows by less than STABILITY_LIMIT on the enlarged family.
-
-    A caller scoring several j may pass the enlarged (4x) family's
-    members, built once; they are built here otherwise.
+def riesz_on_potential_check(js: tuple[int, ...], alpha: float, p: float,
+                             grid: Grid, family: TestFamily) -> Report:
+    """Empirical sup of ||R_j f||_(alpha,p) / ||f||_(alpha,p) for each j
+    in js, its metrics prefixed j{j}_; PASS iff it grows by less than
+    STABILITY_LIMIT on the enlarged family.  Each member is built once
+    and scored for every j.
     """
     from .ladder import riesz
-    n_members = 4 * family.count
-    if members is None:
-        members = family.resized(n_members).members(grid)
-    elif len(members) < n_members:
-        raise InvalidParameterError(
-            f"{len(members)} members given, {n_members} needed")
     rep = Report(suite="sobolev-equivalence",
-                 params={"j": j, "alpha": alpha, "p": p, "d": grid.d,
-                         "kind": family.kind, "seed": family.seed})
+                 params={"js": list(js), "alpha": alpha, "p": p,
+                         "d": grid.d, "kind": family.kind,
+                         "seed": family.seed})
 
-    def one(f: Field) -> float:
+    def ratios(f: Field) -> list[float]:
         denom = potential_norm(f, alpha, p)
         if not _nonzero(denom):
-            return 0.0
-        return potential_norm(riesz(j, f), alpha, p) / denom
+            return [0.0] * len(js)
+        return [potential_norm(riesz(j, f), alpha, p) / denom for j in js]
 
-    # the base family is the head of the enlarged one
-    vals = [one(f) for f in members[:n_members]]
-    base = max(vals[:family.count])
-    wide = max(vals)
-    rep.add("operator_ratio_sup", wide, None, np.isfinite(wide),
-            "potential-norm ratio over enlarged family")
-    rep.add_growth("refinement_growth", base, wide,
-                   f"family {family.count} -> {4 * family.count}")
+    # one row per member, the base at the head
+    vals = [ratios(f) for f in
+            chain(family.members(grid), family.extras(grid))]
+    for col, j in enumerate(js):
+        base = max(row[col] for row in vals[:family.count])
+        wide = max(row[col] for row in vals)
+        rep.add(f"j{j}_operator_ratio_sup", wide, None, np.isfinite(wide),
+                "potential-norm ratio over enlarged family")
+        rep.add_growth(f"j{j}_refinement_growth", base, wide,
+                       f"family {family.count} -> {family.size}")
     return rep
 
 
@@ -273,17 +272,20 @@ def _space_weight(box: UniformBox, alpha: float) -> np.ndarray:
     return (_sum_sq(box.axes()[1:]) ** (alpha / 2.0))[None, ...]
 
 
+def _decay_box(grid: Grid) -> UniformBox:
+    # the rho window at the grid's spacing, |x| <= 8 on 48 points per axis
+    return UniformBox((grid.L_rho,) + (8.0,) * grid.d,
+                      (grid.N_rho,) + (48,) * grid.d)
+
+
 def weighted_decay_check(alpha: float, p: float, grid: Grid,
-                         family: TestFamily, box: UniformBox | None = None
-                         ) -> Report:
+                         family: TestFamily) -> Report:
     """sup over the family of || |x|^(2 alpha) H^(-alpha) f ||_p / ||f||_p
     on a uniform box, stable to STABILITY_LIMIT on the enlarged family,
     plus the corollary form || |x|^alpha g ||_p for g = H^(-alpha/2) f."""
     if alpha < 0:
         raise InvalidParameterError("alpha must be nonnegative")
-    if box is None:
-        box = UniformBox((grid.L_rho,) + (8.0,) * grid.d,
-                         (grid.N_rho,) + (48,) * grid.d)
+    box = _decay_box(grid)
     rep = Report(suite="weighted-decay",
                  params={"alpha": alpha, "p": p, "d": grid.d,
                          "kind": family.kind, "seed": family.seed})
@@ -302,21 +304,21 @@ def weighted_decay_check(alpha: float, p: float, grid: Grid,
         return op, cor
 
     # the base family is the head of the enlarged one
-    vals = [one(f) for f in family.resized(4 * family.count).members(grid)]
+    vals = [one(f) for f in
+            chain(family.members(grid), family.extras(grid))]
     base_op = max(op for op, _ in vals[:family.count])
     wide_op = max(op for op, _ in vals)
     rep.add("weighted_operator_sup", wide_op, None, np.isfinite(wide_op),
             "|| |x|^2a H^-a f ||_p / ||f||_p")
     rep.add_growth("refinement_growth", base_op, wide_op,
-                   f"family {family.count} -> {4 * family.count}")
+                   f"family {family.count} -> {family.size}")
     sup_cor = max(cor for _, cor in vals)
     rep.add("corollary_weighted_sup", sup_cor, None, np.isfinite(sup_cor),
             "|| |x|^a g ||_p for g = H^(-a/2) f")
     return rep
 
 
-def inclusion_chain_check(grid: Grid, family: TestFamily,
-                          box: UniformBox | None = None) -> Report:
+def inclusion_chain_check(grid: Grid, family: TestFamily) -> Report:
     """Quadratic-form ranking at order 1, p = 2: the rho^2-augmented
     (full Hermite) form dominates the oscillator form, which dominates
     the flat Bessel form up to sqrt(2).
@@ -330,9 +332,7 @@ def inclusion_chain_check(grid: Grid, family: TestFamily,
     ratio and the measured sups sit far from the thresholds, so the
     tail chatter from the spectral routines is silenced here.
     """
-    if box is None:
-        box = UniformBox((grid.L_rho,) + (8.0,) * grid.d,
-                         (grid.N_rho,) + (48,) * grid.d)
+    box = _decay_box(grid)
     rep = Report(suite="sobolev-equivalence",
                  params={"d": grid.d, "kind": family.kind,
                          "seed": family.seed})
@@ -371,6 +371,12 @@ def inclusion_chain_check(grid: Grid, family: TestFamily,
 # ---------------------------------------------------------------------------
 # strict inclusion witnesses
 
+# the witnesses' window half-width, and the p-th-power mass growth
+# across the radii that certifies non-stabilization
+_HALF_WIDTH = 48.0
+_MASS_GROWTH = 2.0
+
+
 def _bessel_power(a: np.ndarray, b: np.ndarray, box: UniformBox,
                   alpha: float) -> np.ndarray:
     """(I - Laplacian)^(alpha/2) of the separable field a(rho) b(x) on
@@ -390,9 +396,7 @@ def _bessel_power(a: np.ndarray, b: np.ndarray, box: UniformBox,
 
 def strict_inclusion_demo(which: str, alpha: float, p: float,
                           radii: tuple[float, ...] = (4.0, 8.0, 16.0, 32.0),
-                          growth_factor: float = 2.0,
                           control: bool = False,
-                          half_width: float = 48.0,
                           n_points: int = 1024,
                           mu: int = 0) -> Report:
     """Weighted norms of the two strict-inclusion witnesses over nested
@@ -403,9 +407,10 @@ def strict_inclusion_demo(which: str, alpha: float, p: float,
     |z| <= R.  which = "f2": f2 = H^(-alpha/2) [slow rho profile times
     the Hermite mode mu], tracked with weight |rho|^alpha.  PASS iff
     the weighted norms increase strictly across the radii and the
-    p-th-power mass grows by more than growth_factor overall (the
+    p-th-power mass grows by more than _MASS_GROWTH overall (the
     norm itself is also reported); control = True swaps in a Gaussian
-    profile, for which the same numbers must stabilize instead.
+    profile, for which the same numbers must stabilize instead.  Both
+    witnesses live on the window |z| <= _HALF_WIDTH.
     """
     if which not in ("f1", "f2"):
         raise InvalidParameterError("which must be 'f1' or 'f2'")
@@ -415,17 +420,17 @@ def strict_inclusion_demo(which: str, alpha: float, p: float,
         raise InvalidParameterError("p must lie in (1, inf)")
     if len(radii) < 4 or np.any(np.diff(radii) <= 0):
         raise InvalidParameterError("need >= 4 strictly increasing radii")
-    if radii[-1] > half_width / 1.4:
+    if radii[-1] > _HALF_WIDTH / 1.4:
         raise InvalidParameterError("largest radius too close to the box "
-                                    "boundary; raise half_width")
+                                    f"boundary at {_HALF_WIDTH:g}")
     decay = 1.0 / p + alpha
     rep = Report(suite="inclusions",
                  params={"which": which, "alpha": alpha, "p": p,
                          "radii": list(radii), "control": control,
-                         "half_width": half_width, "n": n_points})
+                         "half_width": _HALF_WIDTH, "n": n_points})
 
     if which == "f1":
-        box = UniformBox((half_width, half_width), (n_points, n_points))
+        box = UniformBox((_HALF_WIDTH, _HALF_WIDTH), (n_points, n_points))
         rho_ax, x_ax = box.axes()
         rr, xx = rho_ax[:, None], x_ax[None, :]
         if control:
@@ -437,8 +442,8 @@ def strict_inclusion_demo(which: str, alpha: float, p: float,
         inside = lambda R: (np.abs(rr) <= R) & (np.abs(xx) <= R)
         cell = box.cell_volume
     else:
-        h = 2.0 * half_width / n_points
-        rho = -half_width + h * np.arange(n_points)
+        h = 2.0 * _HALF_WIDTH / n_points
+        rho = -_HALF_WIDTH + h * np.arange(n_points)
         if control:
             prof = np.exp(-rho ** 2 / 2.0)
         else:
@@ -482,8 +487,8 @@ def strict_inclusion_demo(which: str, alpha: float, p: float,
     else:
         rep.add("monotone", float(diffs_increase), None, diffs_increase,
                 "strictly increasing across radii")
-        rep.add("mass_growth", growth_mass, growth_factor,
-                growth_mass > growth_factor,
+        rep.add("mass_growth", growth_mass, _MASS_GROWTH,
+                growth_mass > _MASS_GROWTH,
                 f"p-th power mass, R {radii[0]} -> {radii[-1]}")
         rep.add("norm_growth", growth_norm, None,
                 np.isfinite(growth_norm), "same growth on the norm scale")

@@ -8,11 +8,14 @@ config gives identical CSV bytes run to run.
 """
 import json
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from pharmonic import ConfigError, Report, UnknownSuiteError
+from pharmonic import sobolev
 from pharmonic.cli import (SUITES, SuiteConfig, build_config, emit, main,
                            run_suite, _parser)
 
@@ -285,6 +288,34 @@ class TestDispatch:
         assert main(["--suite", "hardy", "--out", str(b),
                      "--seed", "5"]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+
+# (members built by sobolev._make_member, band_limited coefficient draws
+# by sobolev._band_limited_coeffs) per default suite at seed 0; a check
+# that built its family twice would double its row.  riesz builds member
+# 0 once more, for inverse_riesz_check.
+_BUILDS = {
+    "sobolev-equivalence": (24, 24),
+    "riesz": (21, 21),
+    "weighted-decay": (20, 0),
+    "hls": (40, 40),
+    "hardy": (40, 40),
+    "gns": (0, 40),
+    "duality": (20, 20),
+    "commute": (1, 1),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_BUILDS))
+def test_each_member_built_once(suite):
+    with mock.patch.object(sobolev, "_make_member",
+                           wraps=sobolev._make_member) as made, \
+            mock.patch.object(sobolev, "_band_limited_coeffs",
+                              wraps=sobolev._band_limited_coeffs) as drawn, \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_suite(cfg_for(["--suite", suite]))
+    assert (made.call_count, drawn.call_count) == _BUILDS[suite]
 
 
 class TestReport:

@@ -591,14 +591,14 @@ class TestBoundReports:
         assert v.max() < 1.0
 
     def test_schur_weighted_report(self):
-        rep = schur_weighted_report(0.5, 1, n_samples=24, seed=5)
+        rep = schur_weighted_report(0.5, 1, seed=5)
         assert rep.all_passed, rep.failures()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_schur_weighted_report_seed_186(self, d):
         # a column sample of seed 186 used to land next to a node of the
         # old fixed x-quadrature, and d > 1 had no column side at all
-        rep = schur_weighted_report(0.5, d, n_samples=24, seed=186)
+        rep = schur_weighted_report(0.5, d, seed=186)
         assert rep.all_passed, rep.failures()
 
     @pytest.mark.parametrize("d", [1, 2, 3])

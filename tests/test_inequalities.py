@@ -47,7 +47,6 @@ from pharmonic.inequalities import (
     _measured_box,
     _ratio_gns,
     _singular_weight,
-    _split_members,
 )
 from pharmonic.ladder import apply_A, grad_H
 from pharmonic.spectral import SpectralCoeffs, forward, inverse, \
@@ -180,18 +179,20 @@ class TestShiftedHls:
 
 
 class TestSplitMembers:
+    """The family the checks score, split into the base members and the
+    extras of TestFamily.size."""
+
     @pytest.mark.parametrize("kind", ["band_limited", "gaussian",
                                       "mollified"])
     def test_lazy_extras_equal_the_enlarged_family(self, kind):
         g = make_grid(1, 16, 5.0, 6, 10)
         fam = TestFamily(kind, 3, seed=5)
-        base, extra = _split_members(fam, g)
+        base, extra = fam.members(g), fam.extras(g)
         assert iter(extra) is extra        # built as consumed, not held
-        want = fam.resized(12).members(g)
         got = list(extra)
-        assert len(base) == 3 and len(got) == 9
-        for f, w in zip(base + got, want):
-            assert f.values.tobytes() == w.values.tobytes()
+        assert fam.size == 12 and len(base) == 3 and len(got) == 9
+        for i, f in enumerate(base + got):
+            assert f.values.tobytes() == fam.member(g, i).values.tobytes()
 
 
 def per_axis_box(members, tol=1e-6, pad=1.3):

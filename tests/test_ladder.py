@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from pharmonic import (
     mode_field,
     power_multiplier,
 )
+from pharmonic import ladder as ladder_module
 from pharmonic.ladder import (
     apply_A,
     commute_check,
@@ -206,6 +209,21 @@ def test_duality_sandwich_random_fields():
             f = type(f)(g, np.ascontiguousarray(f.values.real))
             rep = duality_check(f, f)
             assert rep.all_passed
+
+
+def test_duality_with_itself_computes_each_image_once():
+    # duality_check(f, f) reuses each R_j f; a copy of f is a second
+    # field, whose images are computed again, to the same sums
+    for d in (1, 2):
+        g = make_grid(d=d, N_rho=16, L_rho=5.0, K=5, M=8)
+        f = band_limited(g, 30 + d)
+        with mock.patch.object(ladder_module, "riesz", wraps=riesz) as spy:
+            same = duality_check(f, f)
+        assert spy.call_count == 2 * d + 1
+        with mock.patch.object(ladder_module, "riesz", wraps=riesz) as spy:
+            copied = duality_check(f, type(f)(g, f.values.copy()))
+        assert spy.call_count == 2 * (2 * d + 1)
+        assert same.metrics == copied.metrics
 
 
 def test_inverse_riesz_p2():

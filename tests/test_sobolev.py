@@ -168,20 +168,22 @@ class TestNormAxioms:
 class TestEquivalence:
     def test_gaussian_bracket(self, g1):
         rep = equivalence_report(g1, TestFamily("gaussian", 10, seed=1),
-                                 1, 2.0)
+                                 ((1, 2.0),))
         assert rep.all_passed, rep.failures()
         vals = {m.name: m.value for m in rep.metrics}
-        assert 0 < vals["ratio_min"] <= vals["ratio_max"] < 20
+        assert 0 < vals["k1p2_ratio_min"] <= vals["k1p2_ratio_max"] < 20
 
-    def test_prebuilt_members_give_the_same_report(self, g1):
-        fam = TestFamily("gaussian", 3, seed=4)
-        members = fam.resized(12).members(g1)
-        built = equivalence_report(g1, fam, 1, 2.0)
-        given = equivalence_report(g1, fam, 1, 2.0, members=members)
-        assert [(m.name, m.value) for m in given.metrics] == \
-            [(m.name, m.value) for m in built.metrics]
-        with pytest.raises(InvalidParameterError):
-            equivalence_report(g1, fam, 1, 2.0, members=members[:11])
+    def test_pairs_score_as_single_pairs(self, g1):
+        # scoring every pair on each member, built once, gives each
+        # pair's report, prefixed, bit for bit
+        fam = TestFamily("gaussian", 2, seed=4)
+        pairs = ((1, 2.0), (2, 2.0), (1, 4.0))
+        both = equivalence_report(g1, fam, pairs)
+        one_by_one = [m for pr in pairs
+                      for m in equivalence_report(g1, fam, (pr,)).metrics]
+        assert both.metrics == one_by_one
+        assert [m.name for m in both.metrics[::3]] == \
+            ["k1p2_ratio_min", "k2p2_ratio_min", "k1p4_ratio_min"]
 
     def test_ground_mode_ratio_exact(self, g1):
         f = mode_field(g1, 0, (0,))
@@ -197,8 +199,8 @@ class TestEquivalence:
 
     def test_second_order_quartic(self, g_quartic):
         rep = equivalence_report(g_quartic,
-                                 TestFamily("band_limited", 8, seed=3),
-                                 2, 4.0, enlarged=24)
+                                 TestFamily("band_limited", 6, seed=3),
+                                 ((2, 4.0),))
         assert rep.all_passed, rep.failures()
 
     def test_p2_sharp_sandwich(self, g1):
@@ -217,36 +219,20 @@ class TestEquivalence:
 
 class TestRieszOnPotential:
     def test_j0_mode_bound(self, g1):
-        rep = riesz_on_potential_check(0, 1.0, 2.0, g1,
+        rep = riesz_on_potential_check((0,), 1.0, 2.0, g1,
                                        TestFamily("band_limited", 5,
                                                   seed=12))
         assert rep.all_passed, rep.failures()
-        assert rep.metrics[0].value <= 1.0 + 1e-10
+        vals = {m.name: m.value for m in rep.metrics}
+        assert vals["j0_operator_ratio_sup"] <= 1.0 + 1e-10
 
     def test_j1_finite_stable(self, g1):
-        rep = riesz_on_potential_check(1, 1.0, 2.0, g1,
+        rep = riesz_on_potential_check((1,), 1.0, 2.0, g1,
                                        TestFamily("band_limited", 5,
                                                   seed=13))
         assert rep.all_passed, rep.failures()
-
-    def test_prebuilt_members_give_the_same_report(self, g1):
-        fam = TestFamily("band_limited", 3, seed=14)
-        members = fam.resized(12).members(g1)
-        built = riesz_on_potential_check(1, 1.0, 2.0, g1, fam)
-        given = riesz_on_potential_check(1, 1.0, 2.0, g1, fam,
-                                         members=members)
-        assert [(m.name, m.value) for m in given.metrics] == \
-            [(m.name, m.value) for m in built.metrics]
-        # the given members are scored, in order, not rebuilt
-        other = TestFamily("gaussian", 3, seed=15)
-        swapped = riesz_on_potential_check(
-            1, 1.0, 2.0, g1, fam, members=other.resized(12).members(g1))
-        assert [m.value for m in swapped.metrics] == \
-            [m.value for m in riesz_on_potential_check(1, 1.0, 2.0, g1,
-                                                       other).metrics]
-        with pytest.raises(InvalidParameterError):
-            riesz_on_potential_check(1, 1.0, 2.0, g1, fam,
-                                     members=members[:11])
+        assert [m.name for m in rep.metrics] == \
+            ["j1_operator_ratio_sup", "j1_refinement_growth"]
 
     def test_base_sup_is_the_head_of_the_family(self, g1):
         # one base member, so its ratio alone is the base sup; the
@@ -257,13 +243,14 @@ class TestRieszOnPotential:
             return (potential_norm(riesz(1, f), 1.0, 2.0)
                     / potential_norm(f, 1.0, 2.0))
 
-        base = max(ratio(f) for f in fam.members(g1)[:fam.count])
-        wide = max(ratio(f) for f in fam.resized(4).members(g1))
-        rep = riesz_on_potential_check(1, 1.0, 2.0, g1, fam)
+        base = ratio(fam.member(g1, 0))
+        wide = max(ratio(fam.member(g1, i)) for i in range(fam.size))
+        rep = riesz_on_potential_check((1,), 1.0, 2.0, g1, fam)
         vals = {m.name: m.value for m in rep.metrics}
-        assert vals["operator_ratio_sup"] == pytest.approx(wide, rel=1e-12)
-        assert vals["refinement_growth"] == pytest.approx(wide / base,
-                                                          rel=1e-12)
+        assert vals["j1_operator_ratio_sup"] == pytest.approx(wide,
+                                                             rel=1e-12)
+        assert vals["j1_refinement_growth"] == pytest.approx(wide / base,
+                                                             rel=1e-12)
 
 
 class TestWeightedDecay:

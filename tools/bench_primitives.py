@@ -11,6 +11,8 @@ The field is member 0 of the seed-0 band_limited family on the grid.
 box_lp_norm is the streamed box L^q norm (grid._box_lp_norm_coeffs) of
 that member's coefficients, TestFamily.coeffs, at q = 2.5 on the box
 gns norms at that size: 64^2 at d1, the fine 48^4 box at d3.
+measured_box is the box sizing of the gns, hls and hardy checks
+(inequalities._measured_box) on that member's grid values.
 Each primitive makes one untimed call (per-grid constants, caches),
 then --repeat timed calls; the JSON holds the median of those in ms,
 keyed "<primitive>.<grid>", with the settings and the Python and numpy
@@ -36,13 +38,14 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
-from pharmonic import grid, heat_kernel, spectral, symbols  # noqa: E402
+from pharmonic import grid, heat_kernel, inequalities, spectral  # noqa: E402
+from pharmonic import symbols  # noqa: E402
 from pharmonic.sobolev import TestFamily  # noqa: E402
 
 GRIDS = {"d1": (1, 64, 10.0, 8, 40), "d3": (3, 32, 8.0, 8, 32)}
 PRIMITIVES = ("forward", "inverse", "heat_apply_kernel", "frac_power_kernel",
-              "resample", "box_lp_norm", "k_alpha", "sigma_alpha",
-              "quantize")
+              "resample", "box_lp_norm", "measured_box", "k_alpha",
+              "sigma_alpha", "quantize")
 
 
 def primitives(g: grid.Grid) -> dict:
@@ -67,6 +70,8 @@ def primitives(g: grid.Grid) -> dict:
         "frac_power_kernel": lambda: heat_kernel.frac_power_kernel(f, -0.25),
         "resample": lambda: grid.resample(f, box),
         "box_lp_norm": lambda: grid._box_lp_norm_coeffs(fc, norm_box, 2.5),
+        "measured_box": lambda: inequalities._measured_box(
+            g, [f.values], box.counts),
         "k_alpha": lambda: heat_kernel.k_alpha(z, zp, 0.75),
         "sigma_alpha": lambda: symbols.sigma_alpha(x, tau, xi, -0.5, d),
     }
