@@ -39,7 +39,7 @@ print(f"T_riesz(0) f  vs ladder A_0 H^(-1/2) f:   rel L2 {rel(got, want):.2e}")
 # symbol-class membership: normalized derivative sups over a growing
 # sample domain, stable when the cap doubles
 dom = SampleDomain(d=1, cap=64.0, per_shell=2, seed=0)
-rep = gm_bound_estimate(sigma_symbol_fn(-0.5, 1), -1.0, dom, r=2)
+rep = gm_bound_estimate(sigma_symbol_fn(-0.5, 1), dom, r=2)
 print("\nsigma_(-1/2) in the anisotropic class of order -1:")
 for m in rep.metrics:
     print(f"  {m.name:20s} {m.value:10.4f}   "

@@ -33,7 +33,7 @@ from .grid import (
     sample,
 )
 from .inequalities import (
-    IneqCase,
+    check_exponents,
     gns_check,
     hardy_check,
     hls_check,

@@ -34,7 +34,7 @@ from .heat_kernel import (frac_power_kernel, heat_apply_kernel,
                           kernel_bound_report, sample_pairs,
                           schur_weighted_report)
 from .hermite import mehler_closed_form, mehler_partial_sum
-from .inequalities import IneqCase, gns_check, hardy_check, hls_check
+from .inequalities import check_exponents, gns_check, hardy_check, hls_check
 from .ladder import commute_matrix_report, duality_check, inverse_riesz_check
 from .report import Report
 from .sobolev import (TestFamily, equivalence_report,
@@ -229,11 +229,11 @@ def _validate(cfg: SuiteConfig) -> None:
     # suite-specific exponent windows
     try:
         if cfg.suite == "hls":
-            IneqCase("hls", cfg.alpha, cfg.p, cfg.q, cfg.d)
+            check_exponents("hls", cfg.alpha, cfg.p, cfg.q, cfg.d)
         elif cfg.suite == "gns":
-            IneqCase("gns", 1.0, cfg.p, cfg.q, cfg.d)
+            check_exponents("gns", 1.0, cfg.p, cfg.q, cfg.d)
         elif cfg.suite == "hardy":
-            IneqCase("hardy", cfg.alpha, cfg.p, 2.0, cfg.d)
+            check_exponents("hardy", cfg.alpha, cfg.p, 2.0, cfg.d)
     except InvalidParameterError as e:
         relation = ("1/p - alpha/(d+1) <= 1/q < 1/p" if cfg.suite == "hls"
                     else "1/p - 1/(d+1) <= 1/q < 1/p" if cfg.suite == "gns"
@@ -248,8 +248,13 @@ def _validate(cfg: SuiteConfig) -> None:
             raise ConfigError("inclusions needs 1 < p < inf")
     if cfg.suite == "symbols" and (cfg.alpha == 0 or cfg.alpha >= 1):
         raise ConfigError("symbols needs alpha < 0 or 0 < alpha < 1")
-    if cfg.suite == "kernel-bounds" and cfg.alpha <= 0:
-        raise ConfigError("kernel-bounds needs alpha > 0")
+    if cfg.suite in ("kernel-bounds", "weighted-decay") and cfg.alpha <= 0:
+        raise ConfigError(f"{cfg.suite} needs alpha > 0")
+    if cfg.suite == "riesz" and cfg.alpha < 0:
+        raise ConfigError("riesz needs alpha >= 0")
+    # the suite checks (H - 2)^alpha, whose spectrum starts at d - 2
+    if cfg.suite == "commute" and cfg.d < 3:
+        raise ConfigError("commute needs d >= 3")
     if cfg.suite == "mehler" and cfg.K < 1:
         raise ConfigError("mehler needs a positive partial-sum depth K")
 
@@ -384,7 +389,7 @@ def _suite_duality(cfg: SuiteConfig) -> Report:
     ratios = []
     ok = True
     for f in fields:
-        sub = duality_check(f, f)
+        sub = duality_check(f)
         m = {mm.name: mm for mm in sub.metrics}["sandwich_I_le_S_le_2I"]
         ratios.append(m.value)
         ok = ok and m.passed
@@ -406,8 +411,7 @@ def _suite_symbols(cfg: SuiteConfig) -> Report:
                          "seed": cfg.seed})
     rep.extend(symbol_decay_report(cfg.alpha, cfg.d, dom))
     for j in (0, 1):
-        rep.extend(gm_bound_estimate(riesz_symbol_fn(j, cfg.d), 0.0, dom,
-                                     r=0),
+        rep.extend(gm_bound_estimate(riesz_symbol_fn(j, cfg.d), dom, r=0),
                    prefix=f"riesz{j}_")
     return rep
 

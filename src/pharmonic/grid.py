@@ -350,12 +350,12 @@ def box_lp_norm(values: np.ndarray, box: UniformBox, p: float) -> float:
     return float((np.sum(a) * box.cell_volume) ** (1.0 / p))
 
 
-def resample(field: Field, box: UniformBox, tail_tol: float = 1e-6) -> np.ndarray:
+def resample(field: Field, box: UniformBox) -> np.ndarray:
     """Evaluate the truncated Fourier-Hermite series of field on a box.
 
     The box must have 1 + d axes matching the field's grid.  Warns with
     TruncationWarning when the relative coefficient energy in the top
-    Hermite shell or the top rho-frequency ring exceeds tail_tol, since
+    Hermite shell or the top rho-frequency ring exceeds 1e-6, since
     the series truncation then limits off-grid accuracy.  The series is
     summed one axis at a time: the rho plane waves first, on the small
     degree cube, then h_k at the box points on x_d, .., x_1, so the
@@ -366,7 +366,7 @@ def resample(field: Field, box: UniformBox, tail_tol: float = 1e-6) -> np.ndarra
     # layering: the transform lives one level up
     from .spectral import forward
 
-    return _x_series(*_box_series(forward(field), box, tail_tol))
+    return _x_series(*_box_series(forward(field), box))
 
 
 # box rows per slab of _box_lp_norm_coeffs: as many as fit in this many
@@ -374,7 +374,7 @@ def resample(field: Field, box: UniformBox, tail_tol: float = 1e-6) -> np.ndarra
 _SLAB_BYTES = 2 << 20
 
 
-def _box_series(coeffs, box: UniformBox, tail_tol: float = 1e-6
+def _box_series(coeffs, box: UniformBox
                 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """The series of coeffs summed over rho only: the rho plane waves
     applied to the degree cube, shape (n_rho_box, K+1, ..., K+1), and
@@ -386,15 +386,15 @@ def _box_series(coeffs, box: UniformBox, tail_tol: float = 1e-6
 
     Checks the box and warns, for resample and _box_lp_norm_coeffs.
     """
-    from .spectral import _is_real_series, _to_cube, tail_energy
+    from .spectral import _TAIL_TOL, _is_real_series, _to_cube, tail_energy
 
     g = coeffs.grid
     if box.ndim != g.d + 1:
         raise InvalidParameterError("box dimension must be d + 1")
     tail = tail_energy(coeffs)
-    if tail > tail_tol:
+    if tail > _TAIL_TOL:
         warnings.warn(
-            f"coefficient tail energy {tail:.3e} exceeds {tail_tol:.1e}; "
+            f"coefficient tail energy {tail:.3e} exceeds {_TAIL_TOL:.1e}; "
             "resampled values limited by series truncation",
             TruncationWarning, stacklevel=3)
     axes = box.axes()

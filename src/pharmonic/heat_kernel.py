@@ -9,11 +9,12 @@ with the quadratic form B; grouping the prefactor as
 (4 pi t)^(-1/2) (2 pi sinh 2t)^(-d/2) splits E into a free Gaussian in
 rho times a product of one-dimensional oscillator kernels in x, which
 is what heat_apply_kernel exploits.  Fractional powers come from Gamma-
-weighted time integrals of E: pointwise kernels by the log-t trapezoid
-of TQuadrature, and (H + s)^alpha f on a grid, for both signs of alpha,
-by the single formula of frac_power_kernel.  Everything here is
-independent of the eigenbasis route in spectral.py, so agreement
-between the two is a meaningful check and not a tautology.
+weighted time integrals of E: the pointwise kernels of H^(-alpha) by
+the log-t trapezoid of TQuadrature, and (H + s)^alpha f on a grid, for
+both signs of alpha, by the single formula of frac_power_kernel.
+Everything here is independent of the eigenbasis route in
+spectral.py, so agreement between the two is a meaningful check and
+not a tautology.
 
 On a grid the kernel acts on a stack of real planes, shape
 (B,) + grid.shape: one plane per real (float64) field, two (real,
@@ -145,15 +146,10 @@ class TQuadrature:
     which keeps alpha << 1 exact.  h = 0.15 (refine halves it) is the
     coarsest step that resolves integrands with a c/t term, the Bessel-K
     form with 2 sqrt(c lambda) <= 28, to 3e-14; 0.2 leaves 5e-9 and 0.3
-    leaves 5e-4.  When d + a = 0 the integrand only decays algebraically
-    (t^(alpha-3/2), from sinh 2t ~ e^(2t)/2) and the caller adds the
-    lattice past t_max (_algebraic_remainder).
+    leaves 5e-4.
     """
     alpha: float
-    a: float
-    d: int
     t_max: float
-    algebraic_tail: bool = False
 
     def nodes(self, refine: bool = False):
         h = _log_t_step(refine)
@@ -164,79 +160,37 @@ class TQuadrature:
         return t, w
 
 
-def _validate_power_domain(alpha: float, a: float, d: int) -> None:
+def t_quadrature(alpha: float, d: int) -> TQuadrature:
+    """The rule for the kernels of H^(-alpha) in d oscillator axes: the
+    integrand decays like e^(-td), so it is cut at t_max = 40/d."""
     if alpha <= 0:
         raise InvalidParameterError("kernel order alpha must be positive")
-    if d + a < 0:
-        raise DomainError(
-            f"shift a = {a} with d = {d}: e^(-t(d+a)) grows, "
-            "the kernel integral diverges")
-    if d + a == 0 and alpha >= 0.5:
-        raise DomainError(
-            f"shift a = {a} with d = {d} leaves only t^(alpha-3/2) decay; "
-            "needs alpha < 1/2")
+    if d < 1:
+        raise InvalidParameterError("the kernel needs d >= 1 oscillator axes")
+    return TQuadrature(alpha, t_max=max(40.0 / d, 2.0))
 
 
-def t_quadrature(alpha: float, a: float, d: int) -> TQuadrature:
-    _validate_power_domain(alpha, a, d)
-    if d + a > 0:
-        return TQuadrature(alpha, a, d, t_max=max(40.0 / (d + a), 2.0))
-    # algebraic tail: integrate far out, caller adds the remainder
-    return TQuadrature(alpha, a, d, t_max=200.0, algebraic_tail=True)
+def k_alpha(z, zp, alpha: float, with_error: bool = False):
+    """Kernel of H^(-alpha) by time quadrature.
 
-
-def _algebraic_remainder(alpha: float, z, zp, d: int, t0: float,
-                         refine: bool) -> np.ndarray:
-    """The lattice of TQuadrature.nodes(refine) past t0, for d + a = 0.
-
-    Past t0 the kernel is E ~ (1/2) pi^(-(d+1)/2) e^(-(|x|^2+|x'|^2)/2)
-    t^(-1/2) e^(-td) e^(-(rho-rho')^2/4t); with e^(-ta) = e^(td) the
-    exponential cancels and the summand is expanded in powers of c/t,
-    c = (rho-rho')^2/4.  Each term t^p summed over t0 e^(j h), j >= 1,
-    is h t0^p e^(p h)/(1 - e^(p h)), with the step h of that call.
-    """
-    h = _log_t_step(refine)
-    rho, x = _split_z(z)
-    rhop, xp = _split_z(zp)
-    c = (rho - rhop) ** 2 / 4.0
-    c_inf = 0.5 * math.pi ** (-(d + 1) / 2.0) * np.exp(
-        -(np.sum(x ** 2, axis=-1) + np.sum(xp ** 2, axis=-1)) / 2.0)
-    acc = np.zeros_like(c)
-    for m in range(4):
-        power = alpha - 0.5 - m
-        acc = acc + (-c) ** m / math.factorial(m) \
-            * h * t0 ** power / math.expm1(-power * h)
-    return c_inf * acc
-
-
-def k_alpha(z, zp, alpha: float, a: float = 0.0,
-            with_error: bool = False):
-    """Kernel of (H + a)^(-alpha) by time quadrature.
-
-    a = 0, 2, -2 give the three kernels of interest.  Rules: d + a > 0,
-    or d + a = 0 with alpha < 1/2; points with |z - z'| < 1e-3 are
-    refused when 2 alpha <= d + 1 (the kernel is genuinely singular on
-    the diagonal there).
+    Points need d >= 1 oscillator coordinates; points with
+    |z - z'| < 1e-3 are refused when 2 alpha <= d + 1 (the kernel is
+    genuinely singular on the diagonal there).
     """
     z = np.asarray(z, dtype=np.float64)
     zp = np.asarray(zp, dtype=np.float64)
     d = z.shape[-1] - 1
-    _validate_power_domain(alpha, a, d)
+    quad = t_quadrature(alpha, d)
     s = np.sqrt(np.sum((z - zp) ** 2, axis=-1))
     if 2 * alpha <= d + 1 and np.any(s < 1e-3):
         raise SingularPointError(
             "points within 1e-3 of the diagonal with 2 alpha <= d+1")
-    quad = t_quadrature(alpha, a, d)
 
     def run(refine):
         t, w = quad.nodes(refine)
-        logs = ((alpha - 1.0) * np.log(t) - a * t
+        logs = ((alpha - 1.0) * np.log(t)
                 + log_heat_kernel_E(t, z[..., None, :], zp[..., None, :], d))
-        val = np.sum(w * np.exp(logs), axis=-1)
-        if quad.algebraic_tail:
-            val = val + _algebraic_remainder(alpha, z, zp, d, quad.t_max,
-                                             refine)
-        return val / math.gamma(alpha)
+        return np.sum(w * np.exp(logs), axis=-1) / math.gamma(alpha)
 
     val = run(False)
     if with_error:
@@ -301,7 +255,7 @@ def kernel_bound_report(alpha: float, d: int, levels) -> Report:
     low_cs = []
     err_max = 0.0
     for z, zp in levels:
-        val, err = k_alpha(z, zp, alpha, 0.0, with_error=True)
+        val, err = k_alpha(z, zp, alpha, with_error=True)
         err_max = max(err_max, err)
         s = np.sqrt(np.sum((z - zp) ** 2, axis=-1))
         ratio = val / psi_alpha(s, alpha, d)
@@ -467,8 +421,8 @@ def heat_apply_kernel(field: Field, t: float) -> Field:
 # ---------------------------------------------------------------------------
 # fractional powers through the kernel route
 
-def _kernel_t_floor(grid: Grid, target: float = 1e-8) -> float:
-    """Smallest t the kernel application resolves to the target accuracy.
+def _kernel_t_floor(grid: Grid) -> float:
+    """Smallest t the kernel application resolves to 1e-8 accuracy.
 
     The Gauss-Hermite error for the oscillator kernel at time t decays
     like (c/(c+2))^(M-K) with c = (coth 2t - 1)/2, and the rho
@@ -476,6 +430,7 @@ def _kernel_t_floor(grid: Grid, target: float = 1e-8) -> float:
     The model is deliberately conservative (measurements beat it by an
     order of magnitude or two).
     """
+    target = 1e-8
     m_eff = max(grid.M - grid.K, 4)
     q = target ** (1.0 / m_eff)
     c = 2.0 * q / (1.0 - q)
@@ -639,7 +594,7 @@ def _moment_integral(x_sq, alpha: float, d: int, order: float) -> np.ndarray:
     """
     from scipy.special import hyp1f1    # kept out of the package import
 
-    t, w = t_quadrature(alpha, 0.0, d).nodes()
+    t, w = t_quadrature(alpha, d).nodes()
     x_sq = np.asarray(x_sq, dtype=np.float64)[..., None]
     s_sq = np.tanh(2.0 * t)
     vals = np.exp((alpha - 1.0) * np.log(t)

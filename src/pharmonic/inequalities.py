@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -44,11 +43,10 @@ GATE_TOL = 1e-3
 _PROFILE_EPS = 0.1
 
 _TAGS = ("hls", "gns", "hardy")
-_VERDICTS = ("bounded", "divergent")
 
 
 # ---------------------------------------------------------------------------
-# case type
+# exponent windows
 
 def _admissible(p: float, q: float, gap: float) -> None:
     """1/p - gap <= 1/q < 1/p, the HLS/GNS exponent window."""
@@ -62,46 +60,30 @@ def _admissible(p: float, q: float, gap: float) -> None:
             "inadmissible exponents")
 
 
-@dataclass(frozen=True)
-class IneqCase:
-    """One inequality instance: tag, exponents, dimension, family, and
-    the verdict the theory predicts.
-
-    Construction validates the exponent window of the tag, so an
-    IneqCase that exists is runnable.  Unused exponent slots (q for
-    hardy, alpha for gns) are ignored.
-    """
-    tag: str
-    alpha: float
-    p: float
-    q: float
-    d: int
-    family: TestFamily | None = None
-    expected: str = "bounded"
-
-    def __post_init__(self) -> None:
-        if self.tag not in _TAGS:
-            raise InvalidParameterError(f"unknown tag {self.tag!r}")
-        if self.expected not in _VERDICTS:
+def check_exponents(tag: str, alpha: float, p: float, q: float,
+                    d: int) -> None:
+    """Raise InvalidParameterError unless (alpha, p, q, d) lies in the
+    exponent window of the inequality tag ("hls", "gns" or "hardy").
+    Unused exponent slots (q for hardy, alpha for gns) are ignored."""
+    if tag not in _TAGS:
+        raise InvalidParameterError(f"unknown tag {tag!r}")
+    if d < 1:
+        raise InvalidParameterError("d must be a positive integer")
+    dim = d + 1.0
+    if tag == "hls":
+        if not 0.0 < alpha < dim:
+            raise InvalidParameterError("alpha must lie in (0, d+1)")
+        _admissible(p, q, alpha / dim)
+    elif tag == "gns":
+        if d < 3:
+            raise InvalidParameterError("gns requires d >= 3")
+        _admissible(p, q, 1.0 / dim)
+    else:  # hardy
+        if p not in (2.0, 4.0):
+            raise InvalidParameterError("hardy supports p in {2, 4}")
+        if not 0.0 < alpha < dim / p:
             raise InvalidParameterError(
-                f"expected must be one of {_VERDICTS}")
-        if self.d < 1:
-            raise InvalidParameterError("d must be a positive integer")
-        dim = self.d + 1.0
-        if self.tag == "hls":
-            if not 0.0 < self.alpha < dim:
-                raise InvalidParameterError("alpha must lie in (0, d+1)")
-            _admissible(self.p, self.q, self.alpha / dim)
-        elif self.tag == "gns":
-            if self.d < 3:
-                raise InvalidParameterError("gns requires d >= 3")
-            _admissible(self.p, self.q, 1.0 / dim)
-        else:  # hardy
-            if self.p not in (2.0, 4.0):
-                raise InvalidParameterError("hardy supports p in {2, 4}")
-            if not 0.0 < self.alpha < dim / self.p:
-                raise InvalidParameterError(
-                    "hardy needs 0 < alpha < (d+1)/p")
+                "hardy needs 0 < alpha < (d+1)/p")
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +97,10 @@ def _default_grid(d: int) -> Grid:
 
 
 def _measured_box(g: Grid, members: Iterable[np.ndarray],
-                  counts: tuple[int, ...], tol: float = 1e-6,
-                  pad: float = 1.3) -> UniformBox:
-    """Box sized so every member has decayed below tol relative
-    amplitude at the boundary, capped by the grid windows.
+                  counts: tuple[int, ...]) -> UniformBox:
+    """Box sized so every member has decayed below 1e-6 relative
+    amplitude at the boundary, padded by 1.3 and capped by the grid
+    windows.
 
     members are the members' values on the grid g, real or complex
     arrays (a real series, TestFamily.draw, or Field.values).  Each is
@@ -139,10 +121,10 @@ def _measured_box(g: Grid, members: Iterable[np.ndarray],
             over_rho.max(axis=tuple(i for i in range(g.d) if i != ax))
             for ax in range(g.d)]
         for ax, prof in enumerate(profs):
-            live = coords[ax][prof > tol * peak]
+            live = coords[ax][prof > 1e-6 * peak]
             if live.size:
                 need[ax] = max(need[ax], float(np.max(np.abs(live))))
-    half = [min(max(pad * n, 1.0), cap) for n, cap in zip(need, caps)]
+    half = [min(max(1.3 * n, 1.0), cap) for n, cap in zip(need, caps)]
     return UniformBox(tuple(half), tuple(counts))
 
 
@@ -273,7 +255,7 @@ def hls_check(alpha: float, p: float, q: float, d: int,
     that moves by less than STABILITY_LIMIT under a four-fold family
     enlargement and a doubling of the box resolution.
     """
-    IneqCase("hls", alpha, p, q, d, family, "bounded")
+    check_exponents("hls", alpha, p, q, d)
     return _hls_core(alpha, p, q, d, 0.0, family, grid)
 
 
@@ -291,7 +273,7 @@ def shifted_hls_check(alpha: float, p: float, q: float, d: int, a: float,
         raise InvalidParameterError("a must be +2 or -2")
     if a == -2.0 and d < 3:
         raise DomainError("a = -2 needs d >= 3: H - 2 is not positive")
-    IneqCase("hls", alpha, p, q, d, family, "bounded")
+    check_exponents("hls", alpha, p, q, d)
     return _hls_core(alpha, p, q, d, float(a), family, grid)
 
 
@@ -334,7 +316,7 @@ def gns_check(p: float, q: float, d: int, family: TestFamily,
     (grid._box_lp_norm_coeffs).  PASS needs a sup that moves by less
     than STABILITY_LIMIT, as in hls_check.
     """
-    IneqCase("gns", 1.0, p, q, d, family, "bounded")
+    check_exponents("gns", 1.0, p, q, d)
     g = _family_grid(d, grid)
     n = family.count
     base = []
@@ -380,7 +362,7 @@ def hardy_check(alpha: float, p: float, d: int, family: TestFamily,
     | |z|^(-1) f |_p / sum_j |A_j f|_p is reported as well.  Each sup
     passes when it moves by less than STABILITY_LIMIT, as in hls_check.
     """
-    IneqCase("hardy", alpha, p, 2.0, d, family, "bounded")
+    check_exponents("hardy", alpha, p, 2.0, d)
     base, extra, box, fine = _family_setup(family, d, grid)
     w0 = _singular_weight(box, alpha)
     w1 = _singular_weight(fine, alpha)
@@ -519,11 +501,10 @@ def _l1_image_q_norm(sigma: float, alpha: float, q: float,
     return float(total) ** (1.0 / q)
 
 
-def _polar_nodes(r_lo: float, r_hi: float, n_theta: int = 32,
-                 order: int = 10):
+def _polar_nodes(r_lo: float, r_hi: float, n_theta: int = 32):
     n_pan = max(2, int(np.ceil(np.log2(r_hi / r_lo))))
     edges = r_lo * (r_hi / r_lo) ** (np.arange(n_pan + 1) / n_pan)
-    r, wr = _gl_panels(edges, order)
+    r, wr = _gl_panels(edges, 10)
     th = 2.0 * np.pi * np.arange(n_theta) / n_theta
     return r, wr, th, 2.0 * np.pi / n_theta
 
@@ -596,7 +577,7 @@ def hls_endpoint_demo(which: str, alpha: float, d: int, exponent: float,
         q_star = (d + 1.0) / (d + 1.0 - alpha)
         sigs = [1.0] * levels if control \
             else [2.0 ** -n for n in range(levels)]
-        t, w = t_quadrature(0.5 * alpha, 0.0, d).nodes()
+        t, w = t_quadrature(0.5 * alpha, d).nodes()
         norms = [_l1_image_q_norm(s, alpha, q, t, w) for s in sigs]
         expected_divergent = (not control) and q >= q_star - 1e-12
         notes = [f"sigma = {s:g}, q = {q:g}" for s in sigs]

@@ -204,26 +204,24 @@ def commute_matrix_report(field: Field, tol: float = 1e-10) -> Report:
     return rep
 
 
-def duality_check(f: Field, g: Field) -> Report:
-    """Compare I = <f, g> with S = sum_j <R_j f, R_j g>.
+def duality_check(f: Field) -> Report:
+    """Compare I = <f, f> with S = sum_j <R_j f, R_j f>.
 
     Mode-wise S/I is (tau^2 + 4|mu| + 2d)/(tau^2 + 2|mu| + d), which
-    lies in [1, 2]; for f = g the two-sided bound I <= S <= 2I is
-    asserted.  A constant-2 identity, which the factor only attains at
-    the bottom mode, cannot hold; the report carries that observation.
-    For g is f each R_j f is computed once.
+    lies in [1, 2], so the two-sided bound I <= S <= 2I is asserted.
+    A constant-2 identity, which the factor only attains at the bottom
+    mode, cannot hold; the report carries that observation.
     """
-    I = inner(f, g).real
+    I = inner(f, f).real
     S = 0.0
     d = f.grid.d
     for j in range(-d, d + 1):
         rf = riesz(j, f)
-        S += inner(rf, rf if g is f else riesz(j, g)).real
+        S += inner(rf, rf).real
     rep = Report(suite="duality", params={"d": d})
     rep.add("I", I, None, True, "inner product")
     rep.add("S", S, None, True, "sum over 2d+1 Riesz components")
-    same = f is g or np.array_equal(f.values, g.values)
-    if same and I > 0:
+    if I > 0:
         ok = (I <= S * (1 + 1e-12)) and (S <= 2 * I * (1 + 1e-12))
         rep.add("sandwich_I_le_S_le_2I", S / I, 2.0, ok,
                 "two-sided bound; an exact constant-2 identity is "

@@ -109,15 +109,15 @@ class TestFamily:
         return (self.member(grid, i) for i in range(self.count, self.size))
 
 
-def _band_limited_coeffs(grid: Grid, rng, margin: int = 2) -> SpectralCoeffs:
+def _band_limited_coeffs(grid: Grid, rng) -> SpectralCoeffs:
     # random coefficients under a smooth decay envelope, zeroed on the
-    # top `margin` Hermite shells and the outer half of the tau ring so
+    # top two Hermite shells and the outer half of the tau ring so
     # ladder chains and positive powers stay inside the representation
     n_idx = np.fft.fftfreq(grid.N_rho) * grid.N_rho
     keep_n = np.abs(n_idx) <= grid.N_rho // 4
     env_n = np.exp(-(n_idx / max(grid.N_rho / 8.0, 1.0)) ** 2)
     env_mu = np.exp(-(grid.mu_abs / max(grid.K / 3.0, 1.0)) ** 2)
-    keep_mu = grid.mu_abs <= grid.K - margin
+    keep_mu = grid.mu_abs <= grid.K - 2
     data = (rng.standard_normal((grid.N_rho, len(grid.mu_abs)))
             + 1j * rng.standard_normal((grid.N_rho, len(grid.mu_abs))))
     data *= env_n[:, None] * env_mu[None, :]
@@ -397,15 +397,14 @@ def _bessel_power(a: np.ndarray, b: np.ndarray, box: UniformBox,
 def strict_inclusion_demo(which: str, alpha: float, p: float,
                           radii: tuple[float, ...] = (4.0, 8.0, 16.0, 32.0),
                           control: bool = False,
-                          n_points: int = 1024,
-                          mu: int = 0) -> Report:
+                          n_points: int = 1024) -> Report:
     """Weighted norms of the two strict-inclusion witnesses over nested
     boxes; d = 1.
 
     which = "f1": f1 = (I - Laplacian)^(-alpha/2) g1 with the slow
     product profile g1; the report tracks || |x|^alpha f1 ||_p over
     |z| <= R.  which = "f2": f2 = H^(-alpha/2) [slow rho profile times
-    the Hermite mode mu], tracked with weight |rho|^alpha.  PASS iff
+    the ground Hermite mode], tracked with weight |rho|^alpha.  PASS iff
     the weighted norms increase strictly across the radii and the
     p-th-power mass grows by more than _MASS_GROWTH overall (the
     norm itself is also reported); control = True swaps in a Gaussian
@@ -449,11 +448,11 @@ def strict_inclusion_demo(which: str, alpha: float, p: float,
         else:
             prof = (1.0 + np.abs(rho)) ** -decay
         tau = 2.0 * np.pi * np.fft.fftfreq(n_points, d=h)
-        lam = tau ** 2 + 2.0 * mu + 1.0
+        lam = tau ** 2 + 1.0
         line = np.fft.ifft(lam ** (-alpha / 2.0) * np.fft.fft(prof))
         # the Hermite factor is weight-independent; fold its L^p norm
         xg = np.linspace(-10, 10, 2001)
-        phi = hermite_eval(mu, xg)
+        phi = hermite_eval(0, xg)
         phi_p = (np.trapezoid(np.abs(phi) ** p, xg)) ** (1.0 / p)
         weighted = np.abs(rho) ** alpha * np.abs(line) * phi_p
         rr = rho

@@ -152,6 +152,11 @@ def plancherel_norm(coeffs: SpectralCoeffs) -> float:
     return float(np.sqrt(2.0 * g.L_rho * np.sum(np.abs(coeffs.data) ** 2)))
 
 
+# the tail_energy above which spectral_frac_power (alpha > 0) and the
+# box series (grid.resample, grid._box_lp_norm_coeffs) warn
+_TAIL_TOL = 1e-6
+
+
 def tail_energy(coeffs: SpectralCoeffs) -> float:
     """Relative coefficient energy in the top Hermite shell and Nyquist ring."""
     g = coeffs.grid
@@ -190,19 +195,19 @@ def power_multiplier(grid: Grid, alpha: float, shift: float = 0.0) -> np.ndarray
     return np.power(base, alpha)
 
 
-def spectral_frac_power(field: Field, alpha: float, shift: float = 0.0,
-                        tail_tol: float = 1e-6) -> Field:
+def spectral_frac_power(field: Field, alpha: float, shift: float = 0.0
+                        ) -> Field:
     """(H + shift)^alpha f through the eigenbasis.
 
-    For alpha > 0 the top modes are amplified, so a noticeable
-    coefficient tail means the answer is truncation-limited; that case
-    warns rather than fails.
+    For alpha > 0 the top modes are amplified, so a coefficient tail
+    energy above _TAIL_TOL means the answer is truncation-limited; that
+    case warns rather than fails.
     """
     c = forward(field)
-    if alpha > 0 and tail_energy(c) > tail_tol:
+    if alpha > 0 and tail_energy(c) > _TAIL_TOL:
         warnings.warn(
             f"relative tail energy {tail_energy(c):.3e} exceeds "
-            f"{tail_tol:.1e}; positive power amplifies truncation error",
+            f"{_TAIL_TOL:.1e}; positive power amplifies truncation error",
             TruncationWarning, stacklevel=2)
     return inverse(apply_multiplier(c, power_multiplier(field.grid, alpha, shift)))
 

@@ -116,7 +116,7 @@ class _TimeNodes(NamedTuple):
 
 
 def _time_nodes(gamma_: float, d: int, refine: bool) -> _TimeNodes:
-    t, w = t_quadrature(gamma_, 0.0, d).nodes(refine)
+    t, w = t_quadrature(gamma_, d).nodes(refine)
     cosh2 = np.cosh(2.0 * t)
     return _TimeNodes(t, w,
                       (gamma_ - 1.0) * np.log(t) - 0.5 * d * np.log(cosh2),
@@ -458,11 +458,12 @@ def _derivative_stencil(symbol: SymbolFn, x, tau, xi, r: int):
     return out
 
 
-def _normalized_sups(symbol: SymbolFn, m: float, dom: SampleDomain,
-                     r: int, weights) -> dict:
+def _normalized_sups(symbol: SymbolFn, dom: SampleDomain, r: int,
+                     weights) -> dict:
     """{weight: {|beta|: sup |D^beta sigma| / <w>^(m - |beta|)}} over the
-    points of dom, for each weight kind in weights, all from one
-    evaluation of the order-r stencil."""
+    points of dom, m = symbol.order, for each weight kind in weights,
+    all from one evaluation of the order-r stencil."""
+    m = symbol.order
     x, tau, xi = dom.points()
     stencil = _derivative_stencil(symbol, x, tau, xi, r)
     out = {}
@@ -476,12 +477,12 @@ def _normalized_sups(symbol: SymbolFn, m: float, dom: SampleDomain,
     return out
 
 
-def _gm_report(symbol: SymbolFn, m: float, domain: SampleDomain, r: int,
+def _gm_report(symbol: SymbolFn, domain: SampleDomain, r: int,
                weight: str, base: dict, wide: dict) -> Report:
     """The metrics of gm_bound_estimate from the sups of orders 0..r on
     domain (base) and on domain.doubled() (wide)."""
     rep = Report(suite="symbols",
-                 params={"label": symbol.label, "m": m, "r": r,
+                 params={"label": symbol.label, "m": symbol.order, "r": r,
                          "cap": domain.cap, "weight": weight})
     for order in range(r + 1):
         sup_w = max(wide[order], base[order])
@@ -492,9 +493,10 @@ def _gm_report(symbol: SymbolFn, m: float, domain: SampleDomain, r: int,
     return rep
 
 
-def gm_bound_estimate(symbol: SymbolFn, m: float, domain: SampleDomain,
-                      r: int = 0, weight: str = "combined") -> Report:
-    """Empirical membership check: |D^beta sigma| <= C <w>^(m - |beta|).
+def gm_bound_estimate(symbol: SymbolFn, domain: SampleDomain, r: int = 0,
+                      weight: str = "combined") -> Report:
+    """Empirical membership check: |D^beta sigma| <= C <w>^(m - |beta|)
+    with m = symbol.order.
 
     Sups of the normalized derivatives over the sample domain, compared
     against the same sups with the domain cap doubled; PASS iff the
@@ -503,9 +505,9 @@ def gm_bound_estimate(symbol: SymbolFn, m: float, domain: SampleDomain,
     """
     if r not in (0, 1, 2):
         raise InvalidParameterError("derivative order r must be 0, 1 or 2")
-    base, wide = (_normalized_sups(symbol, m, dom, r, (weight,))[weight]
+    base, wide = (_normalized_sups(symbol, dom, r, (weight,))[weight]
                   for dom in (domain, domain.doubled()))
-    return _gm_report(symbol, m, domain, r, weight, base, wide)
+    return _gm_report(symbol, domain, r, weight, base, wide)
 
 
 def symbol_decay_report(alpha: float, d: int, domain: SampleDomain
@@ -523,13 +525,12 @@ def symbol_decay_report(alpha: float, d: int, domain: SampleDomain
     rep = Report(suite="symbols", params={"alpha": alpha, "d": d,
                                           "cap": domain.cap})
     sym = sigma_symbol_fn(alpha, d)
-    m = 2.0 * alpha
-    base, wide = (_normalized_sups(sym, m, dom, 2, ("combined", "omega"))
+    base, wide = (_normalized_sups(sym, dom, 2, ("combined", "omega"))
                   for dom in (domain, domain.doubled()))
     for weight in ("combined", "omega"):
-        rep.extend(_gm_report(sym, m, domain, 0, weight, base[weight],
+        rep.extend(_gm_report(sym, domain, 0, weight, base[weight],
                               wide[weight]), prefix=f"{weight}_")
-    rep.extend(_gm_report(sym, m, domain, 2, "combined", base["combined"],
+    rep.extend(_gm_report(sym, domain, 2, "combined", base["combined"],
                           wide["combined"]), prefix="deriv_")
     return rep
 
@@ -537,8 +538,8 @@ def symbol_decay_report(alpha: float, d: int, domain: SampleDomain
 # ---------------------------------------------------------------------------
 # quantization on a uniform box (d = 1)
 
-def quantize(symbol: SymbolFn, values: np.ndarray, box: UniformBox,
-             tail_tol: float = 1e-6) -> np.ndarray:
+def quantize(symbol: SymbolFn, values: np.ndarray, box: UniformBox
+             ) -> np.ndarray:
     """Kohn-Nirenberg quantization T_sigma f on a 2-D uniform box.
 
     T_sigma f(z) = (2 pi)^(-2) iint e^(i(z-z')w) sigma(x, w) f(z') dz' dw,
@@ -562,10 +563,10 @@ def quantize(symbol: SymbolFn, values: np.ndarray, box: UniformBox,
     power = np.abs(fhat) ** 2
     ring = (power[n_r // 2, :].sum() + power[:, n_x // 2].sum())
     total = power.sum()
-    if total > 0 and ring / total > tail_tol:
+    if total > 0 and ring / total > 1e-6:
         warnings.warn(
             f"boundary spectral energy {ring / total:.2e} exceeds "
-            f"{tail_tol:.1e}; the box under-resolves the field",
+            "1.0e-06; the box under-resolves the field",
             AliasingWarning, stacklevel=2)
     # axes (x, tau, xi), each variable with its trailing d = 1 axis
     sig = np.broadcast_to(symbol(xs[:, None, None, None], taus[None, :, None],

@@ -241,7 +241,7 @@ def test_criterion_08_duality_sandwich():
                  (3, make_grid(3, 8, 4.0, 6, 8))):
         for seed in range(10):
             f = band_limited(g, 100 * d + seed)
-            rep = duality_check(f, f)
+            rep = duality_check(f)
             m = metric(rep, "sandwich_I_le_S_le_2I")
             assert m.passed, f"d={d} seed={seed}: ratio {m.value}"
             worst = max(worst, m.value)
@@ -256,9 +256,9 @@ def test_criterion_08_duality_sandwich():
 
 def test_criterion_09_symbols():
     dom = SampleDomain(d=1, cap=64.0, per_shell=2, seed=0)
-    sig = gm_bound_estimate(sigma_symbol_fn(-0.5, 1), -1.0, dom, r=2)
+    sig = gm_bound_estimate(sigma_symbol_fn(-0.5, 1), dom, r=2)
     riesz_ok = all(
-        gm_bound_estimate(riesz_symbol_fn(j, 1), 0.0, dom, r=0).all_passed
+        gm_bound_estimate(riesz_symbol_fn(j, 1), dom, r=0).all_passed
         for j in (0, 1))
 
     g = make_grid(1, 64, 10.0, 24, 32)

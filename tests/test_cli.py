@@ -173,6 +173,21 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and err.startswith("error: grid parameters")
 
+    @pytest.mark.parametrize("argv,needs", [
+        (["--suite", "weighted-decay", "--alpha", "0"], "alpha > 0"),
+        (["--suite", "weighted-decay", "--alpha", "-1"], "alpha > 0"),
+        (["--suite", "riesz", "--alpha", "-1"], "alpha >= 0"),
+        (["--suite", "commute", "--d", "1"], "d >= 3"),
+        (["--suite", "commute", "--d", "2"], "d >= 3"),
+    ])
+    def test_suite_precondition_exits_two(self, argv, needs, capsys):
+        # each of these raised mid-suite (exit 1) before it was
+        # checked with the configuration
+        code, out, err = run_main(argv, capsys)
+        assert code == 2
+        assert out == "" and err.startswith(f"error: {argv[1]} needs")
+        assert needs in err
+
 
 class TestCsv:
     def test_row_count_and_columns(self, capsys):

@@ -185,20 +185,15 @@ def test_commute_low_dimension_needs_d3():
 def test_duality_mode_ratios():
     g = make_grid(d=1, N_rho=32, L_rho=np.pi, K=4, M=6)
     ground = mode_field(g, 0, (0,))
-    rep = duality_check(ground, ground)
+    rep = duality_check(ground)
     ratio = [m for m in rep.metrics if m.name.startswith("sandwich")][0]
     assert ratio.value == pytest.approx(2.0, rel=1e-10)  # bottom mode hits 2
     assert ratio.passed
 
     fast = mode_field(g, 15, (0,))  # tau = 15, factor ~ 1 + d/tau^2
-    rep2 = duality_check(fast, fast)
+    rep2 = duality_check(fast)
     r2 = [m for m in rep2.metrics if m.name.startswith("sandwich")][0]
     assert 1.0 <= r2.value < 1.02
-
-    other = mode_field(g, 3, (1,))
-    rep3 = duality_check(ground, other)
-    vals = {m.name: m.value for m in rep3.metrics}
-    assert abs(vals["I"]) < 1e-12 and abs(vals["S"]) < 1e-12
 
 
 def test_duality_sandwich_random_fields():
@@ -207,23 +202,20 @@ def test_duality_sandwich_random_fields():
         for seed in range(5):
             f = band_limited(g, 100 + seed)
             f = type(f)(g, np.ascontiguousarray(f.values.real))
-            rep = duality_check(f, f)
+            rep = duality_check(f)
             assert rep.all_passed
 
 
 def test_duality_with_itself_computes_each_image_once():
-    # duality_check(f, f) reuses each R_j f; a copy of f is a second
-    # field, whose images are computed again, to the same sums
+    # duality_check(f) pairs each R_j f with itself: one riesz call
+    # per component, 2d + 1 in all
     for d in (1, 2):
         g = make_grid(d=d, N_rho=16, L_rho=5.0, K=5, M=8)
         f = band_limited(g, 30 + d)
         with mock.patch.object(ladder_module, "riesz", wraps=riesz) as spy:
-            same = duality_check(f, f)
+            rep = duality_check(f)
         assert spy.call_count == 2 * d + 1
-        with mock.patch.object(ladder_module, "riesz", wraps=riesz) as spy:
-            copied = duality_check(f, type(f)(g, f.values.copy()))
-        assert spy.call_count == 2 * (2 * d + 1)
-        assert same.metrics == copied.metrics
+        assert rep.all_passed
 
 
 def test_inverse_riesz_p2():
@@ -268,7 +260,7 @@ def test_nyquist_row_keeps_the_factorisation(d):
         rep = inverse_riesz_check(f, 2)
         sharp = [m for m in rep.metrics if m.name == "p2_sharp_ratio"][0]
         assert sharp.passed and sharp.value <= 1.0 + 1e-12
-        assert duality_check(f, f).all_passed
+        assert duality_check(f).all_passed
     f = _nyquist_fields(g, 40 + d)[0]
     tau_n = g.tau[g.N_rho // 2]
     lam = tau_n ** 2 + d

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pharmonic import (
+    AliasingWarning,
     Field,
     InvalidParameterError,
     SingularMultiplierError,
@@ -27,6 +28,7 @@ from pharmonic import (
     resample,
     sample,
     spectral_frac_power,
+    tail_energy,
 )
 from pharmonic import spectral as spectral_module
 from pharmonic.grid import (_box_lp_norm_coeffs, _box_series, _x_series,
@@ -35,6 +37,7 @@ from pharmonic.heat_kernel import frac_power_kernel, heat_apply_kernel
 from pharmonic.hermite import hermite_all, hermite_eval
 from pharmonic.ladder import apply_A, riesz
 from pharmonic.spectral import _alt_sign, _grid_series, _is_real_series
+from pharmonic.symbols import constant_symbol_fn, quantize
 
 
 def _random_coeffs(g, seed=0):
@@ -101,9 +104,10 @@ def test_power_semigroup_law():
     g = make_grid(d=1, N_rho=32, L_rho=6.0, K=8, M=12)
     f = inverse(_random_coeffs(g, seed=5))
     # random coefficients fill the top shell; the tail warning is moot here
-    half = spectral_frac_power(spectral_frac_power(f, 0.5, tail_tol=1), 0.5,
-                               tail_tol=1)
-    full = spectral_frac_power(f, 1.0, tail_tol=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        half = spectral_frac_power(spectral_frac_power(f, 0.5), 0.5)
+        full = spectral_frac_power(f, 1.0)
     num = lp_norm(half - full, 2)
     den = lp_norm(full, 2)
     assert num < 1e-12 * den
@@ -112,7 +116,9 @@ def test_power_semigroup_law():
 def test_power_inverse_composition():
     g = make_grid(d=1, N_rho=32, L_rho=6.0, K=8, M=12)
     f = inverse(_random_coeffs(g, seed=6))
-    back = spectral_frac_power(spectral_frac_power(f, -0.5), 0.5, tail_tol=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        back = spectral_frac_power(spectral_frac_power(f, -0.5), 0.5)
     assert lp_norm(back - f, 2) < 1e-12 * lp_norm(f, 2)
 
 
@@ -157,6 +163,48 @@ def test_positive_power_tail_warning():
     f = mode_field(g, 0, (g.K,))
     with pytest.warns(TruncationWarning):
         spectral_frac_power(f, 0.5)
+
+
+def _tail_field(g, tail):
+    """A real field whose tail_energy is tail: the ground mode plus the
+    top-shell mode, energies 1 - tail and tail."""
+    c = np.zeros((g.N_rho, g.n_mu), dtype=np.complex128)
+    c[0, g.mode_index((0,))] = np.sqrt(1.0 - tail)
+    c[0, g.mode_index((g.K,))] = np.sqrt(tail)
+    return inverse(SpectralCoeffs(g, c))
+
+
+def _ring_values(n, ring):
+    """Box values whose fft2 puts the share ring of its energy on the
+    Nyquist rings: a constant plus the rho-Nyquist alternation."""
+    alt = (-1.0) ** np.arange(n)[:, None] * np.ones((1, n))
+    return np.sqrt(1.0 - ring) + np.sqrt(ring) * alt
+
+
+@pytest.mark.parametrize("route", ["spectral_frac_power", "resample",
+                                   "quantize"])
+def test_tail_warnings_fire_above_1e_6_only(route):
+    # each route warns on a tail share just above 1e-6, never just below
+    g = make_grid(d=1, N_rho=16, L_rho=5.0, K=4, M=6)
+    box = UniformBox((2.0, 2.0), (8, 8))
+
+    def run(tail):
+        if route == "spectral_frac_power":
+            f = _tail_field(g, tail)
+            assert tail_energy(forward(f)) == pytest.approx(tail, rel=1e-6)
+            spectral_frac_power(f, 0.5)
+        elif route == "resample":
+            resample(_tail_field(g, tail), box)
+        else:
+            quantize(constant_symbol_fn(), _ring_values(8, tail), box)
+
+    category = AliasingWarning if route == "quantize" else TruncationWarning
+    with pytest.warns(category, match="1.0e-06"):
+        run(1.01e-6)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        run(0.99e-6)
+    assert [w for w in got if issubclass(w.category, category)] == []
 
 
 # The transforms as first written, one tensordot per x axis that consumes

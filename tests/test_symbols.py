@@ -189,7 +189,7 @@ class TestRieszSymbol:
         # S^0 behaviour: uniformly bounded over the dyadic shells
         dom = SampleDomain(d=1, cap=64.0, per_shell=2, seed=5)
         for j in (0, 1):
-            rep = gm_bound_estimate(riesz_symbol_fn(j, 1), 0.0, dom, r=0)
+            rep = gm_bound_estimate(riesz_symbol_fn(j, 1), dom, r=0)
             assert rep.all_passed, rep.failures()
             sup = rep.metrics[0].value
             assert np.isfinite(sup) and sup < 5.0
@@ -202,14 +202,14 @@ class TestRieszSymbol:
 class TestGmBound:
     def test_constant_symbol(self):
         dom = SampleDomain(d=1, cap=16.0, per_shell=2, seed=1)
-        rep = gm_bound_estimate(constant_symbol_fn(), 0.0, dom, r=0)
+        rep = gm_bound_estimate(constant_symbol_fn(), dom, r=0)
         assert rep.all_passed
         assert rep.metrics[0].value == pytest.approx(1.0, abs=1e-12)
 
     def test_frequency_symbol(self):
         # |i tau| <= <|x|+|w|>: sup approaches 1 from below on shells
         dom = SampleDomain(d=1, cap=64.0, per_shell=2, seed=1)
-        rep = gm_bound_estimate(frequency_symbol_fn(), 1.0, dom, r=1)
+        rep = gm_bound_estimate(frequency_symbol_fn(), dom, r=1)
         assert rep.all_passed, rep.failures()
         by_name = {m.name: m.value for m in rep.metrics}
         assert 0.99 < by_name["sup_order_0"] <= 1.0 + 1e-9
@@ -217,7 +217,7 @@ class TestGmBound:
 
     def test_sigma_half_is_order_minus_one(self):
         dom = SampleDomain(d=1, cap=32.0, per_shell=2, seed=2)
-        rep = gm_bound_estimate(sigma_symbol_fn(-0.5, 1), -1.0, dom, r=0)
+        rep = gm_bound_estimate(sigma_symbol_fn(-0.5, 1), dom, r=0)
         assert rep.all_passed, rep.failures()
 
     def test_sup_leaving_zero_is_unstable(self):
@@ -228,7 +228,7 @@ class TestGmBound:
                         order=0.0, label="step")
         dom = SampleDomain(d=1, cap=64.0, per_shell=1)
         by_name = {m.name: m for m in
-                   gm_bound_estimate(step, 0.0, dom, r=0).metrics}
+                   gm_bound_estimate(step, dom, r=0).metrics}
         assert by_name["sup_order_0"].value == 1.0
         stab = by_name["stability_order_0"]
         assert stab.value == math.inf and not stab.passed
@@ -236,7 +236,7 @@ class TestGmBound:
     def test_invalid_r(self):
         dom = SampleDomain(d=1, cap=16.0)
         with pytest.raises(InvalidParameterError):
-            gm_bound_estimate(constant_symbol_fn(), 0.0, dom, r=3)
+            gm_bound_estimate(constant_symbol_fn(), dom, r=3)
 
     def test_domain_needs_four_shells(self):
         with pytest.raises(InvalidParameterError):
@@ -258,7 +258,7 @@ class TestGmBound:
                 for prefix, r, weight in (("combined_", 0, "combined"),
                                           ("omega_", 0, "omega"),
                                           ("deriv_", 2, "combined"))
-                for m in gm_bound_estimate(sym, -1.0, dom, r=r,
+                for m in gm_bound_estimate(sym, dom, r=r,
                                            weight=weight).metrics]
         assert symbol_decay_report(-0.5, 1, dom).metrics == want
 
@@ -384,11 +384,11 @@ def sigma_reference(x, tau, xi, alpha, d, refine=False):
     xx, tt, xxi = x[..., None, :], tau[..., None], xi[..., None, :]
     if alpha < 0:
         gamma_ = -alpha
-        t, w = t_quadrature(gamma_, 0.0, d).nodes(refine)
+        t, w = t_quadrature(gamma_, d).nodes(refine)
         logs = (gamma_ - 1.0) * np.log(t) + log_p_free_reference(
             t, xx, tt, xxi, d)
         return np.sum(w * np.exp(logs), axis=-1) / math.gamma(gamma_)
-    t, w = t_quadrature(1.0 - alpha, 0.0, d).nodes(refine)
+    t, w = t_quadrature(1.0 - alpha, d).nodes(refine)
     sq = np.sum(xx * xx, axis=-1) + np.sum(xxi * xxi, axis=-1)
     dot = np.sum(xx * xxi, axis=-1)
     sech = 1.0 / np.cosh(2.0 * t)
@@ -400,7 +400,7 @@ def sigma_reference(x, tau, xi, alpha, d, refine=False):
 
 def riesz_reference(j, x, tau, xi, d, refine=False):
     x, tau, xi = broadcast_reference_point(x, tau, xi, d)
-    t, w = t_quadrature(0.5, 0.0, d).nodes(refine)
+    t, w = t_quadrature(0.5, d).nodes(refine)
     xx, tt, xxi = x[..., None, :], tau[..., None], xi[..., None, :]
     p = np.exp(log_p_free_reference(t, xx, tt, xxi, d))
     if j == 0:
