@@ -415,6 +415,44 @@ def _x_series(rows: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
     return rows
 
 
+def _pow_nonneg(a: np.ndarray, e: float) -> np.ndarray:
+    """a^e for a float64 array a >= 0 and e > 0, overwriting a.
+
+    When 4e is an integer, a^e = a^j a^(r/4) with e = j + r/4: a^j by
+    repeated squaring in place, a^(1/2) by one square root and a^(1/4)
+    by a second, each pass far cheaper than a pow per point.  At e = 1
+    and 2 the result (a and a*a) has the bits of pow; other exponents
+    are within a few ulps of it.  Any other e takes one pow.
+    """
+    n = 4.0 * e
+    if not (n > 0 and n.is_integer()):
+        a **= e
+        return a
+    j, r = divmod(int(n), 4)
+    root = None
+    if r:
+        root = np.sqrt(a)
+        if r != 2:
+            quarter = np.sqrt(root)
+            root = quarter if r == 1 else np.multiply(root, quarter,
+                                                      out=root)
+    power = None
+    while j:
+        if j & 1:
+            if power is None:
+                power = a if j == 1 else a.copy()
+            else:
+                power *= a
+        j >>= 1
+        if j:
+            a *= a
+    if power is None:
+        return root
+    if root is not None:
+        power *= root
+    return power
+
+
 def _box_lp_norm_coeffs(coeffs, box: UniformBox, p: float,
                         weight: np.ndarray | None = None) -> float:
     """box_lp_norm(weight * resample(...), box, p) from coefficients
@@ -422,14 +460,16 @@ def _box_lp_norm_coeffs(coeffs, box: UniformBox, p: float,
     resample, with no box-sized array: the series is finished and
     summed one slab of rho rows at a time.
 
-    Each slab is squared in place on its float view and its (re, im)
-    pairs added, s = |f|^2; s^(p/2) is then one pow, where |f|^p would
-    be a hypot and a pow.  When the series is a real field
-    (spectral._is_real_series) the slabs are float64 and s = v v is one
-    in-place square with no pair add.  weight is real and broadcasts to
-    box.counts; it enters squared, and p = inf returns sqrt(max w^2 s).
-    A slab holds as many rows as fit in _SLAB_BYTES of complex128 on
-    either path.
+    A complex slab is squared in place on its float view and its
+    (re, im) pairs added, s = |f|^2; a weight enters squared, s w^2.
+    |f w|^p is then s^(p/2), which _pow_nonneg takes from products and
+    at most two square roots when 2p is an integer and with one pow
+    otherwise.  When the series is a real field
+    (spectral._is_real_series) the slabs are float64: with no weight
+    and 2p an integer, |v|^p is taken from |v| itself, with at most
+    one square root (v^2 sqrt|v| at p = 2.5); otherwise s = v v is one
+    in-place square.  p = inf returns sqrt(max w^2 s).  A slab holds as
+    many rows as fit in _SLAB_BYTES of complex128 on either path.
     """
     if p != np.inf and p < 1:
         raise InvalidParameterError("p must be >= 1 or inf")
@@ -437,23 +477,26 @@ def _box_lp_norm_coeffs(coeffs, box: UniformBox, p: float,
     step = max(1, _SLAB_BYTES // (16 * math.prod(box.counts[1:])))
     w2 = None if weight is None else np.broadcast_to(np.square(weight),
                                                      box.counts)
+    abs_power = (w2 is None and p != np.inf
+                 and float(2 * p).is_integer())
     acc = 0.0
     for i in range(0, box.counts[0], step):
         v = _x_series(rows[i:i + step], tables)
         if np.iscomplexobj(v):
             v = v.view(np.float64)
             v *= v
-            s = v[..., 0::2] + v[..., 1::2]
+            a, e = v[..., 0::2] + v[..., 1::2], 0.5 * p
+        elif abs_power:
+            a, e = np.abs(v, out=v), p
         else:
-            s = v
-            s *= s
+            v *= v
+            a, e = v, 0.5 * p
         if w2 is not None:
-            s *= w2[i:i + step]
+            a *= w2[i:i + step]
         if p == np.inf:
-            acc = max(acc, float(s.max()))
+            acc = max(acc, float(a.max()))
         else:
-            s **= 0.5 * p
-            acc += float(np.sum(s))
+            acc += float(np.sum(_pow_nonneg(a, e)))
     if p == np.inf:
         return math.sqrt(acc)
     return float((acc * box.cell_volume) ** (1.0 / p))

@@ -590,7 +590,9 @@ def _moment_integral(x_sq, alpha: float, d: int, order: float) -> np.ndarray:
     x'/cosh 2t and variance s^2 = tanh 2t per axis, whose absolute
     moment is (2 s^2)^order Gamma(order + d/2)/Gamma(d/2)
     1F1(-order; d/2; -|x'|^2/sinh 4t).  K_alpha is symmetric, so order
-    0 is also the row integral int K_alpha(z, z') dz'.
+    0 is also the row integral int K_alpha(z, z') dz'.  At small t and
+    large order the 1F1 overflows while the power underflows; those
+    nodes take the product from _large_z_moment.
     """
     from scipy.special import hyp1f1    # kept out of the package import
 
@@ -600,11 +602,40 @@ def _moment_integral(x_sq, alpha: float, d: int, order: float) -> np.ndarray:
     vals = np.exp((alpha - 1.0) * np.log(t)
                   - 0.5 * d * np.log(np.cosh(2.0 * t))
                   - 0.5 * x_sq * s_sq)
-    vals *= (2.0 * s_sq) ** order * hyp1f1(-order, 0.5 * d,
-                                           -x_sq / np.sinh(4.0 * t))
+    z = x_sq / np.sinh(4.0 * t)
+    m = hyp1f1(-order, 0.5 * d, -z)
+    big = np.isinf(m)
+    m[big] = 0.0            # filled below; (2 s^2)^order may be 0 there
+    m *= (2.0 * s_sq) ** order
+    if np.any(big):
+        m[big] = _large_z_moment(
+            np.broadcast_to(x_sq / np.cosh(2.0 * t) ** 2, m.shape)[big],
+            np.broadcast_to(z, m.shape)[big], 0.5 * d, order)
+    vals *= m
     return np.sum(w * vals, axis=-1) \
         * (math.gamma(order + 0.5 * d) / math.gamma(0.5 * d)) \
         / math.gamma(alpha)
+
+
+def _large_z_moment(mu_sq, z, b: float, order: float) -> np.ndarray:
+    """(2 s^2)^order 1F1(-order; b; -z) at the z where the 1F1
+    overflows.  With 2 s^2 z = |mu|^2 it is |mu|^(2 order)
+    Gamma(b)/Gamma(order + b) times the large-z series
+    sum_k (-order)_k (1 - order - b)_k / (k! z^k) (DLMF 13.7.2), whose
+    e^(-z) companion is far below roundoff at such z.  The terms fall
+    to roundoff as k passes order (to 0 when order is an integer), so
+    the sum stops once every term is below 1e-17 of it.  The prefactor
+    is taken in logs, so no factor overflows or underflows on the way.
+    """
+    term = np.ones_like(z)
+    total = term.copy()
+    k = 0
+    while np.any(np.abs(term) > 1e-17 * total):
+        term *= (k - order) * (k + 1 - order - b) / ((k + 1) * z)
+        total += term
+        k += 1
+    return np.exp(order * np.log(mu_sq) + math.lgamma(b)
+                  - math.lgamma(order + b)) * total
 
 
 def schur_weighted_report(alpha: float, d: int, seed: int = 0) -> Report:

@@ -37,10 +37,11 @@ def test_one_primitive_once(tmp_path, capsys):
 def test_box_lp_norm_on_both_grids(tmp_path):
     tool = load_tool()
     out = tmp_path / "BENCH_primitives.json"
-    assert tool.main(["--only", "box_lp_norm", "--repeat", "1",
-                      "--out", str(out)]) == 0
+    assert tool.main(["--only", "box_lp_norm", "--only", "box_lp_norm_q4",
+                      "--repeat", "1", "--out", str(out)]) == 0
     p50 = json.loads(out.read_text())["p50_ms"]
-    assert sorted(p50) == ["box_lp_norm.d1", "box_lp_norm.d3"]
+    assert sorted(p50) == ["box_lp_norm.d1", "box_lp_norm.d3",
+                           "box_lp_norm_q4.d1", "box_lp_norm_q4.d3"]
     assert all(v > 0.0 for v in p50.values())
 
 

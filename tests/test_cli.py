@@ -129,6 +129,17 @@ class TestExitCodes:
         assert "FAIL" in err
         assert ",false," in out  # report still emitted
 
+    @pytest.mark.parametrize("alpha", ["20", "30"])
+    def test_weighted_decay_large_alpha_exits_zero(self, alpha, capsys):
+        # the column moment's 1F1 overflows at the small-t nodes; 20
+        # ended with "metric 'column_refinement_growth' is NaN" and 30
+        # with "'column_sup' is NaN", both exit 1
+        code, out, err = run_main(["--suite", "weighted-decay",
+                                   "--alpha", alpha], capsys)
+        assert code == 0 and err == ""
+        assert ",false," not in out
+        assert len(out.strip().split("\n")) == 8
+
     def test_bad_flag_value_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["--suite", "mehler", "--format", "yaml"])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -23,10 +24,12 @@ from pharmonic import (
     sample,
 )
 from pharmonic import grid as grid_module
-from pharmonic.grid import _box_lp_norm_coeffs, _contract_axis, _sum_sq
+from pharmonic.grid import (_box_lp_norm_coeffs, _box_series,
+                            _contract_axis, _pow_nonneg, _sum_sq, _x_series)
 from pharmonic.hermite import hermite_all
 from pharmonic.sobolev import TestFamily
-from pharmonic.spectral import SpectralCoeffs, _to_cube, forward
+from pharmonic.spectral import (SpectralCoeffs, _is_real_series, _to_cube,
+                                forward)
 
 
 def old_lp_norm(field, p):
@@ -304,7 +307,7 @@ def old_resample_coeffs(coeffs, box):
 @given(d=st.integers(1, 3), half_counts=st.lists(st.integers(1, 7),
                                                  min_size=4, max_size=4),
        half=st.lists(st.floats(0.5, 8.0), min_size=4, max_size=4),
-       p=st.sampled_from([1, 2, 2.5, 4, np.inf]),
+       p=st.sampled_from([1, 1.5, 2, 2.3, 2.5, 3.5, 4, np.inf]),
        weight=st.sampled_from([None, "box", "x"]),
        slab_rows=st.none() | st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -333,6 +336,80 @@ def test_box_lp_norm_coeffs_matches_reference(d, half_counts, half, p,
     vals = old_resample_coeffs(c, box)
     want = box_lp_norm(vals if w is None else w * vals, box, p)
     assert abs(out - want) <= 1e-14 * want
+
+
+def pow_box_lp_norm_coeffs(coeffs, box, p, weight=None):
+    """_box_lp_norm_coeffs with one pow per point, as before
+    _pow_nonneg: s = |f|^2 w^2 on each slab, then s **= p/2; kept as
+    the bit-exact reference where the power path keeps pow's bits."""
+    rows, tables = _box_series(coeffs, box)
+    step = max(1, grid_module._SLAB_BYTES
+               // (16 * math.prod(box.counts[1:])))
+    w2 = None if weight is None else np.broadcast_to(np.square(weight),
+                                                     box.counts)
+    acc = 0.0
+    for i in range(0, box.counts[0], step):
+        v = _x_series(rows[i:i + step], tables)
+        if np.iscomplexobj(v):
+            v = v.view(np.float64)
+            v *= v
+            s = v[..., 0::2] + v[..., 1::2]
+        else:
+            s = v
+            s *= s
+        if w2 is not None:
+            s *= w2[i:i + step]
+        if p == np.inf:
+            acc = max(acc, float(s.max()))
+        else:
+            s **= 0.5 * p
+            acc += float(np.sum(s))
+    if p == np.inf:
+        return math.sqrt(acc)
+    return float((acc * box.cell_volume) ** (1.0 / p))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_box_lp_norm_coeffs_power_path(kind, weighted, seed):
+    """q = 2, 4 and inf (the hls, hardy and weighted-decay exponents)
+    keep the bits of one pow per point; q = 1.5, 2.5 and 3.5 come from
+    products and square roots within 1e-15 of it; q = 2.3, whose 2q is
+    not an integer, still takes the pow."""
+    g = make_grid(2, 8, 4.0, 5, 7)
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(g.shape)
+    if kind == "complex":
+        f = f + 1j * rng.standard_normal(g.shape)
+    c = forward(Field(g, f))
+    assert _is_real_series(c.data) == (kind == "real")
+    box = UniformBox((4.0, 3.0, 3.0), (12, 10, 8))
+    w = rng.uniform(0.0, 2.0, box.counts) if weighted else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for q in (2, 4, np.inf, 2.3):
+            assert _box_lp_norm_coeffs(c, box, q, w) == \
+                pow_box_lp_norm_coeffs(c, box, q, w)
+        for q in (1.5, 2.5, 3.5):
+            want = pow_box_lp_norm_coeffs(c, box, q, w)
+            assert abs(_box_lp_norm_coeffs(c, box, q, w) - want) \
+                <= 1e-15 * want
+
+
+@pytest.mark.parametrize("e", [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5,
+                               3.0, 3.25, 4.0, 5.5, 7.75, 1.15, 2.3])
+def test_pow_nonneg_matches_pow(e):
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal(4096) ** 2 * 10.0 ** rng.uniform(-30, 30, 4096)
+    a[:3] = (0.0, 5e-324, 1.0)
+    want = a ** e
+    got = _pow_nonneg(a.copy(), e)
+    if e in (1.0, 2.0) or (4 * e) % 1:      # pow's own bits
+        assert np.array_equal(got, want)
+    else:                                   # a few ulps
+        eps = np.finfo(np.float64).eps
+        assert np.all(np.abs(got - want) <= (2.0 + 0.5 * e) * eps * want)
 
 
 def test_box_lp_norm_coeffs_warns_once_per_call():

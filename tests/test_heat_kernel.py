@@ -616,6 +616,33 @@ class TestBoundReports:
         assert float(_moment_integral(xp_sq, alpha, d, alpha)) == \
             pytest.approx(float(want), rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("alpha", [20.0, 30.0, 30.5])
+    def test_column_moment_at_large_order(self, d, alpha):
+        # at these orders scipy's 1F1 overflows at the small-t nodes,
+        # where (2 s^2)^alpha underflows: the node sum of the same rule
+        # with mpmath's moment, which forms neither, is the reference
+        xp_sq = 30.0
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        t, w = t_quadrature(alpha, d).nodes()
+        want = mp.mpf(0)
+        for tk, wk in zip(t, w):
+            tk = mp.mpf(float(tk))
+            s_sq = mp.tanh(2 * tk)
+            moment = ((2 * s_sq) ** alpha
+                      * mp.hyp1f1(-alpha, d / 2.0,
+                                  -xp_sq / mp.sinh(4 * tk)))
+            want += (float(wk) * tk ** (alpha - 1)
+                     * mp.cosh(2 * tk) ** (-d / 2.0)
+                     * mp.exp(-xp_sq * s_sq / 2) * moment)
+        want *= mp.gamma(alpha + d / 2.0) / mp.gamma(d / 2.0) \
+            / mp.gamma(alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = float(_moment_integral(xp_sq, alpha, d, alpha))
+        assert got == pytest.approx(float(want), rel=1e-12)
+
 
 class TestFracPowerKernel:
     def test_two_route_agreement(self):

@@ -10,7 +10,8 @@ The grids are those of the kernel-route suites: d1 is 64 x 40
 The field is member 0 of the seed-0 band_limited family on the grid.
 box_lp_norm is the streamed box L^q norm (grid._box_lp_norm_coeffs) of
 that member's coefficients, TestFamily.coeffs, at q = 2.5 on the box
-gns norms at that size: 64^2 at d1, the fine 48^4 box at d3.
+gns norms at that size: 64^2 at d1, the fine 48^4 box at d3;
+box_lp_norm_q4 is the same norm at the hls exponent q = 4.
 measured_box is the box sizing of the gns, hls and hardy checks
 (inequalities._measured_box) on that member's grid values.
 Each primitive makes one untimed call (per-grid constants, caches),
@@ -44,8 +45,8 @@ from pharmonic.sobolev import TestFamily  # noqa: E402
 
 GRIDS = {"d1": (1, 64, 10.0, 8, 40), "d3": (3, 32, 8.0, 8, 32)}
 PRIMITIVES = ("forward", "inverse", "heat_apply_kernel", "frac_power_kernel",
-              "resample", "box_lp_norm", "measured_box", "k_alpha",
-              "sigma_alpha", "quantize")
+              "resample", "box_lp_norm", "box_lp_norm_q4", "measured_box",
+              "k_alpha", "sigma_alpha", "quantize")
 
 
 def primitives(g: grid.Grid) -> dict:
@@ -70,6 +71,7 @@ def primitives(g: grid.Grid) -> dict:
         "frac_power_kernel": lambda: heat_kernel.frac_power_kernel(f, -0.25),
         "resample": lambda: grid.resample(f, box),
         "box_lp_norm": lambda: grid._box_lp_norm_coeffs(fc, norm_box, 2.5),
+        "box_lp_norm_q4": lambda: grid._box_lp_norm_coeffs(fc, norm_box, 4.0),
         "measured_box": lambda: inequalities._measured_box(
             g, [f.values], box.counts),
         "k_alpha": lambda: heat_kernel.k_alpha(z, zp, 0.75),
