@@ -415,6 +415,19 @@ def _x_series(rows: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
     return rows
 
 
+# every GEMM operand is an exact 0 or at least _TINY, so no product of
+# two is subnormal; below _LOG_TINY an exponent is sent to -inf, since
+# exp is many times slower on arguments whose result underflows
+_TINY = 2.0 ** -500
+_LOG_TINY = -500.0 * math.log(2.0)
+
+
+def _exp_floored(arg: np.ndarray) -> np.ndarray:
+    """e^arg in place, with every value below _TINY an exact 0."""
+    np.copyto(arg, -np.inf, where=arg < _LOG_TINY)
+    return np.exp(arg, out=arg)
+
+
 def _pow_nonneg(a: np.ndarray, e: float) -> np.ndarray:
     """a^e for a float64 array a >= 0 and e > 0, overwriting a.
 

@@ -161,13 +161,30 @@ class TQuadrature:
 
 
 def t_quadrature(alpha: float, d: int) -> TQuadrature:
-    """The rule for the kernels of H^(-alpha) in d oscillator axes: the
-    integrand decays like e^(-td), so it is cut at t_max = 40/d."""
+    """The rule for the kernels of H^(-alpha) in d oscillator axes.
+
+    The integrand decays like t^(alpha-1) e^(-td).  At alpha <= 1 it is
+    cut at t_max = max(40/d, 2), where e^(-td) has fallen by e^(-40).
+    Above 1 it peaks at t_p = (alpha-1)/d, and t_max reaches the same
+    margin past the peak: t_max = s t_p where t^(alpha-1) e^(-td) is
+    e^(-40) times its peak value, s - 1 - log s = 40/(alpha-1), solved
+    by Newton's method from the right (the left side is convex in s).
+    """
     if alpha <= 0:
         raise InvalidParameterError("kernel order alpha must be positive")
     if d < 1:
         raise InvalidParameterError("the kernel needs d >= 1 oscillator axes")
-    return TQuadrature(alpha, t_max=max(40.0 / d, 2.0))
+    t_max = max(40.0 / d, 2.0)
+    if alpha > 1.0:
+        m = 40.0 / (alpha - 1.0)
+        s = 2.0 * (1.0 + m)
+        for _ in range(100):
+            step = (s - 1.0 - math.log(s) - m) / (1.0 - 1.0 / s)
+            s -= step
+            if step <= 1e-15 * s:
+                break
+        t_max = max(t_max, s * (alpha - 1.0) / d)
+    return TQuadrature(alpha, t_max=t_max)
 
 
 def k_alpha(z, zp, alpha: float, with_error: bool = False):
@@ -599,18 +616,22 @@ def _moment_integral(x_sq, alpha: float, d: int, order: float) -> np.ndarray:
     t, w = t_quadrature(alpha, d).nodes()
     x_sq = np.asarray(x_sq, dtype=np.float64)[..., None]
     s_sq = np.tanh(2.0 * t)
-    vals = np.exp((alpha - 1.0) * np.log(t)
-                  - 0.5 * d * np.log(np.cosh(2.0 * t))
-                  - 0.5 * x_sq * s_sq)
-    z = x_sq / np.sinh(4.0 * t)
+    # past t ~ 177 (large alpha) sinh 4t and cosh^2 2t overflow to inf,
+    # which gives z and |mu|^2 their exact limit 0
+    with np.errstate(over="ignore"):
+        vals = np.exp((alpha - 1.0) * np.log(t)
+                      - 0.5 * d * np.log(np.cosh(2.0 * t))
+                      - 0.5 * x_sq * s_sq)
+        z = x_sq / np.sinh(4.0 * t)
+        mu_sq = x_sq / np.cosh(2.0 * t) ** 2
     m = hyp1f1(-order, 0.5 * d, -z)
     big = np.isinf(m)
     m[big] = 0.0            # filled below; (2 s^2)^order may be 0 there
     m *= (2.0 * s_sq) ** order
     if np.any(big):
-        m[big] = _large_z_moment(
-            np.broadcast_to(x_sq / np.cosh(2.0 * t) ** 2, m.shape)[big],
-            np.broadcast_to(z, m.shape)[big], 0.5 * d, order)
+        m[big] = _large_z_moment(np.broadcast_to(mu_sq, m.shape)[big],
+                                 np.broadcast_to(z, m.shape)[big], 0.5 * d,
+                                 order)
     vals *= m
     return np.sum(w * vals, axis=-1) \
         * (math.gamma(order + 0.5 * d) / math.gamma(0.5 * d)) \

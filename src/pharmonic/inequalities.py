@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import (DomainError, InvalidParameterError, QuadratureError,
                      ResolutionWarning)
-from .grid import (Field, Grid, UniformBox, _box_lp_norm_coeffs, lp_norm,
-                   make_grid)
+from .grid import (_TINY, Field, Grid, UniformBox, _box_lp_norm_coeffs,
+                   _exp_floored, lp_norm, make_grid)
 from .heat_kernel import (_frac_power_images, _gl_panels, k_alpha,
                           t_quadrature)
 from .ladder import _grad_coeffs
@@ -450,10 +450,12 @@ def _trend(rep: Report, seq: list[float], stem: str, notes: list[str],
             "is insufficient", ResolutionWarning, stacklevel=3)
 
 
-def _gauss_image_axes(sigma: float, t: np.ndarray, rho: np.ndarray,
-                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_image_axes(sigma: float, t: np.ndarray, amp: np.ndarray,
+                      rho: np.ndarray, x: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """e^(-tH) applied to the unit-mass Gaussian of width sigma, in
-    closed form, split into a rho factor and one x-axis factor.
+    closed form, split into a rho factor, scaled by amp per node, and
+    one x-axis factor.
 
     The x factor is the Mehler integral of a Gaussian, again Gaussian:
     amplitude (cosh 2t + sinh 2t / s^2)^(-1/2) and exponent
@@ -461,36 +463,43 @@ def _gauss_image_axes(sigma: float, t: np.ndarray, rho: np.ndarray,
     reduced so that no large-coth cancellation occurs at small t.
     sigma = 1 reproduces e^(-t) times the stationary profile, which is
     the ground-mode eigenvalue check used in the tests.
+
+    Both factors are GEMM operands, so every entry is an exact 0 or at
+    least _TINY: the exponents go through _exp_floored, and the whole
+    factor, prefactor and amp included, is floored after.
     """
     s2 = sigma * sigma
     tt = t[:, None]
-    u = (1.0 + 2.0 * tt / s2) ** -0.5 \
-        * np.exp(-rho[None, :] ** 2 / (2.0 * (s2 + 2.0 * tt)))
+    u = amp[:, None] * ((1.0 + 2.0 * tt / s2) ** -0.5 * _exp_floored(
+        -rho[None, :] ** 2 / (2.0 * (s2 + 2.0 * tt))))
     ch, sh = np.cosh(2.0 * tt), np.sinh(2.0 * tt)
     coth = ch / sh
-    v = (ch + sh / s2) ** -0.5 \
-        * np.exp(-x[None, :] ** 2
-                 * (coth + s2) / (2.0 * (1.0 + s2 * coth)))
+    v = (ch + sh / s2) ** -0.5 * _exp_floored(
+        -x[None, :] ** 2 * (coth + s2) / (2.0 * (1.0 + s2 * coth)))
+    for f in (u, v):
+        f[f < _TINY] = 0.0
     return u, v
+
+
+def _l1_image(sigma: float, alpha: float, t: np.ndarray, w: np.ndarray,
+              box: UniformBox) -> np.ndarray:
+    """H^(-alpha/2) f_sigma on box for the unit-mass width-sigma
+    Gaussian, d = 1, in closed form under the time quadrature: one GEMM
+    of the two image factors over the nodes."""
+    gam = 0.5 * alpha
+    amp = w * t ** (gam - 1.0) / math.gamma(gam) \
+        * (2.0 * math.pi * sigma * sigma) ** -1.0
+    u, v = _gauss_image_axes(sigma, t, amp, *box.axes())
+    return u.T @ v
 
 
 def _l1_image_q_norm(sigma: float, alpha: float, q: float,
                      t: np.ndarray, w: np.ndarray) -> float:
-    """|H^(-alpha/2) f_sigma|_q for the unit-mass width-sigma Gaussian,
-    d = 1, by closed-form evaluation under the time quadrature."""
-    gam = 0.5 * alpha
-    amp = w * t ** (gam - 1.0) / math.gamma(gam) \
-        * (2.0 * math.pi * sigma * sigma) ** -1.0
-
-    def image(box: UniformBox) -> np.ndarray:
-        rho_ax, x_ax = box.axes()
-        u, v = _gauss_image_axes(sigma, t, rho_ax, x_ax)
-        return (amp[:, None] * u).T @ v
-
+    """|H^(-alpha/2) f_sigma|_q on the two-scale box."""
     out = UniformBox((_OUT_HALF, _OUT_HALF), (_OUT_N, _OUT_N))
     core = UniformBox((_CORE_HALF, _CORE_HALF), (_CORE_N, _CORE_N))
-    a_out = np.abs(image(out)) ** q
-    a_core = np.abs(image(core)) ** q
+    a_out = np.abs(_l1_image(sigma, alpha, t, w, out)) ** q
+    a_core = np.abs(_l1_image(sigma, alpha, t, w, core)) ** q
     # Riemann cell sums; the core window is removed at the coarse
     # spacing and re-added at the fine one
     ax = out.axes()[0]

@@ -132,53 +132,140 @@ def _slab(a, sl, batch_axis: int):
     return a[(Ellipsis, sl) + (slice(None),) * (-batch_axis - 1)]
 
 
+# a phase below 2^-27 has cos rounding to 1 and sin to the phase itself
+_PHASE_EXACT = 2.0 ** -27
+# largest (x, xi) block and tau block, in bytes, contracted by one GEMM
+_GEMM_BYTES = 16 << 20
+
+
+def _fill(nodes: _TimeNodes, sq, dot, out):
+    """out[..., 0, :] + i out[..., 1, :] = w_k e^(logc_k - sq A_k - i dot B_k)
+    for sq and dot with a trailing node axis of length 1.
+
+    The magnitude is one real exp (grid._exp_floored: an exact 0 or at
+    least 2^-500).  cos and sin of the phase -dot B_k run only on the
+    nodes where the block's largest |phase| reaches _PHASE_EXACT: B_k
+    rises with t_k, so those nodes are a suffix, and on the rest cos
+    and sin round to 1 and to the phase itself."""
+    re, im = out[..., 0, :], out[..., 1, :]
+    np.multiply(sq, -nodes.A, out=re)
+    re += nodes.logc
+    grid._exp_floored(re)
+    re *= nodes.w
+    np.multiply(dot, -nodes.B, out=im)
+    k = int(np.searchsorted(float(np.abs(dot).max(initial=0.0)) * nodes.B,
+                            _PHASE_EXACT))
+    cos = np.cos(im[..., k:])
+    np.sin(im[..., k:], out=im[..., k:])
+    im *= re
+    re[..., k:] *= cos
+
+
+def _times(out, f):
+    """Multiply the complex block out[..., 0, :] + i out[..., 1, :] by f
+    in place."""
+    re, im = out[..., 0, :], out[..., 1, :]
+    cross = re * f.imag
+    re *= f.real
+    re -= im * f.imag
+    im *= f.real
+    im += cross
+
+
+def _is_outer(a: tuple, b: tuple) -> bool:
+    """No axis of the broadcast of shapes a and b is longer than 1 in
+    both."""
+    n = max(len(a), len(b))
+    a, b = (1,) * (n - len(a)) + a, (1,) * (n - len(b)) + b
+    return all(p == 1 or q == 1 for p, q in zip(a, b))
+
+
 def _node_sums(nodes: _TimeNodes, x, tau, xi, factors=(None,)) -> list:
     """sum_k w_k t_k^(gamma-1) (cosh 2t_k)^(-d/2) e^(-b(t_k)) F_k for each
     F in factors (None stands for 1), on the broadcast point shape of
     x[..., 0], tau and xi[..., 0].
 
     The tau term of b is apart from the (x, xi) terms, so each summand
-    is E_k(tau) G_k(x, xi): E_k = w_k e^(-t_k tau^2), a real array on
-    tau's own shape, and G_k = e^(logc_k - |x, xi|^2 A_k - i x.xi B_k) on
-    the broadcast shape of x and xi.  tau may run along axes that x and
-    xi lack or hold at length 1 (quantize's box axis, the tau shifts of
-    _derivative_stencil), and G is built once for all of them.
+    is E_k(tau) G_k(x, xi): E_k = e^(-t_k tau^2), a real array on tau's
+    own shape, and G_k = w_k e^(logc_k - |x, xi|^2 A_k - i x.xi B_k) on
+    the broadcast shape of x and xi, held as its real and imaginary
+    parts (_fill).  A factor f(x, xi, sq, dot) (the points, sq =
+    |x|^2+|xi|^2 and dot = x.xi with a trailing node axis) multiplies
+    into G in place, so it also scales the sums after it: callers pass
+    at most one, last.  The node axis is contracted in real arithmetic,
+    and G is built once for every tau:
 
-    The last batch axis of the point shape is walked in slabs, each
-    slab's complex (x, xi, node) block G within grid._SLAB_BYTES; an
-    array whose last batch axis is broadcast is not sliced.  Per slab G
-    is built in place, a factor f(x, xi, sq, dot) (the slab's points,
-    sq = |x|^2+|xi|^2 and dot = x.xi with a trailing node axis)
-    multiplies into it in place, and the node axis is contracted last,
-    by one broadcast (1, K) @ (K, 1) matmul per point, so no (x, tau,
-    xi, node) array exists.  A factor therefore also scales the sums
-    after it: callers pass at most one, last.
+    - when tau runs only on axes that x and xi lack or hold at length
+      1 (quantize's box) and both blocks fit in _GEMM_BYTES, by one
+      GEMM of the whole (x, xi) block, built in slabs of
+      grid._SLAB_BYTES, against the (tau, node) block;
+    - otherwise (the tau shifts of _derivative_stencil against one
+      (x, xi), scattered points) the last batch axis of the point shape
+      is walked in slabs, each slab's (x, xi, node) block G and (tau,
+      node) block E together within grid._SLAB_BYTES (an array whose
+      last batch axis is broadcast is not sliced), and the node axis is
+      contracted point by point, one (2, K) @ (K, 1) product each, so
+      no (x, tau, xi, node) array exists and a row of a tau stack gets
+      the bits it gets alone (a GEMM per point would not).
+
+    Each result is a function of its own point alone, whatever the
+    slabs and whatever else tau holds.
     """
     sq = np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1)
     dot = np.sum(x * xi, axis=-1)
+    if _is_outer(sq.shape, tau.shape) and 8 * nodes.t.size * (
+            2 * sq.size + tau.size) <= _GEMM_BYTES:
+        return _gemm_sums(nodes, x, tau, xi, sq, dot, factors)
     shape = np.broadcast_shapes(sq.shape, tau.shape)
     sums = [np.empty(shape, dtype=np.complex128) for _ in factors]
-    n = shape[-1] if shape else 1
-    step = max(1, grid._SLAB_BYTES
-               // (16 * nodes.t.size * math.prod(sq.shape[:-1])))
-    for i in range(0, n, step):
+    step = max(1, grid._SLAB_BYTES // (8 * nodes.t.size * (
+        2 * math.prod(sq.shape[:-1]) + math.prod(tau.shape[:-1]))))
+    for i in range(0, shape[-1], step):
         sl = slice(i, i + step)
         x_s, xi_s = _slab(x, sl, -2), _slab(xi, sl, -2)
         sq_s = _slab(sq, sl, -1)[..., None]
         dot_s = _slab(dot, sl, -1)[..., None]
-        e = np.exp(-nodes.t * _slab(tau, sl, -1)[..., None] ** 2)
-        e *= nodes.w
-        g = np.empty(np.broadcast_shapes(sq_s.shape, nodes.t.shape),
-                     dtype=np.complex128)
-        np.multiply(sq_s, -nodes.A, out=g.real)
-        g.real += nodes.logc
-        np.multiply(dot_s, -nodes.B, out=g.imag)
-        np.exp(g, out=g)
+        e = grid._exp_floored(-nodes.t * _slab(tau, sl, -1)[..., None] ** 2)
+        g = np.empty(sq_s.shape[:-1] + (2, nodes.t.size))
+        _fill(nodes, sq_s, dot_s, g)
         for out, f in zip(sums, factors):
             if f is not None:
-                g *= f(x_s, xi_s, sq_s, dot_s)
-            out[(Ellipsis, sl) if shape else Ellipsis] = np.matmul(
-                g[..., None, :], e[..., :, None])[..., 0, 0]
+                _times(g, f(x_s, xi_s, sq_s, dot_s))
+            r = np.matmul(g, e[..., :, None])
+            out[..., sl].real, out[..., sl].imag = r[..., 0, 0], r[..., 1, 0]
+    return sums
+
+
+def _gemm_sums(nodes: _TimeNodes, x, tau, xi, sq, dot, factors) -> list:
+    """_node_sums when tau and (x, xi) run on disjoint axes: the points
+    of (x, xi) flattened to X rows, G as an (X, 2, K) block, one GEMM
+    (T, K) @ (K, 2X) per factor against the T taus; its rows read as
+    complex (T, X) and are put back on the broadcast point shape."""
+    pts = sq.shape
+    n = max(len(pts), tau.ndim)
+    d = x.shape[-1]
+    x = np.broadcast_to(x, pts + (d,)).reshape(-1, d)
+    xi = np.broadcast_to(xi, pts + (d,)).reshape(-1, d)
+    sq, dot = sq.reshape(-1, 1), dot.reshape(-1, 1)
+    e = grid._exp_floored(-nodes.t * tau.reshape(-1, 1) ** 2)
+    g = np.empty((sq.shape[0], 2, nodes.t.size))
+    step = max(1, grid._SLAB_BYTES // (16 * nodes.t.size))
+    # axes (tau_0, pts_0, tau_1, pts_1, ...): of each pair at most one
+    # is longer than 1, so merging the pairs gives the point shape
+    pairs = np.arange(2 * n).reshape(2, n).T.ravel()
+    shape = np.broadcast_shapes(pts, tau.shape)
+    sums = []
+    for j, f in enumerate(factors):
+        for i in range(0, sq.shape[0], step):
+            sl = slice(i, i + step)
+            if j == 0:
+                _fill(nodes, sq[sl], dot[sl], g[sl])
+            if f is not None:
+                _times(g[sl], f(x[sl], xi[sl], sq[sl], dot[sl]))
+        r = np.matmul(e, g.reshape(-1, nodes.t.size).T).view(np.complex128)
+        r = r.reshape((1,) * (n - tau.ndim) + tau.shape
+                      + (1,) * (n - len(pts)) + pts)
+        sums.append(r.transpose(pairs).reshape(shape))
     return sums
 
 

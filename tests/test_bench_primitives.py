@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 
+import numpy as np
 import pytest
 
 TOOL = os.path.join(os.path.dirname(__file__), "..", "tools",
@@ -43,6 +44,25 @@ def test_box_lp_norm_on_both_grids(tmp_path):
     assert sorted(p50) == ["box_lp_norm.d1", "box_lp_norm.d3",
                            "box_lp_norm_q4.d1", "box_lp_norm_q4.d3"]
     assert all(v > 0.0 for v in p50.values())
+
+
+def test_d1_only_primitives(tmp_path):
+    tool = load_tool()
+    out = tmp_path / "BENCH_primitives.json"
+    assert tool.main(["--only", "sigma_stencil", "--only", "l1_image",
+                      "--repeat", "1", "--out", str(out)]) == 0
+    p50 = json.loads(out.read_text())["p50_ms"]
+    assert sorted(p50) == ["l1_image.d1", "sigma_stencil.d1"]
+    assert all(v > 0.0 for v in p50.values())
+
+
+def test_stencil_and_image_calls_return_their_arrays():
+    tool = load_tool()
+    calls = tool.primitives(tool.grid.make_grid(*tool.GRIDS["d1"]))
+    sig = calls["sigma_stencil"]()
+    assert sig.ndim == 2 and sig.shape[0] == 3
+    assert np.all(np.isfinite(sig))
+    assert calls["l1_image"]().shape == (512, 512)
 
 
 def test_every_primitive_has_a_call():

@@ -440,6 +440,21 @@ class TestTimeRule:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_cut_grows_only_past_alpha_one(self, d):
+        # up to alpha = 1 the cut stays at max(40/d, 2); above it t_max
+        # lies past the peak (alpha-1)/d, where t^(alpha-1) e^(-td) has
+        # fallen e^(-40) below its peak
+        for alpha in (0.05, 0.5, 1.0):
+            assert t_quadrature(alpha, d).t_max == max(40.0 / d, 2.0)
+        for alpha in (1.5, 5.0, 30.0):
+            t_max = t_quadrature(alpha, d).t_max
+            peak = (alpha - 1.0) / d
+            assert t_max > max(40.0 / d, peak)
+            drop = ((alpha - 1.0) * math.log(t_max / peak)
+                    - d * (t_max - peak))
+            assert drop == pytest.approx(-40.0, rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_node_budget(self, d):
         for g in (0.05, 0.5, 2.5):
             t, w = t_quadrature(g, d).nodes()
@@ -642,6 +657,30 @@ class TestBoundReports:
             warnings.simplefilter("error")
             got = float(_moment_integral(xp_sq, alpha, d, alpha))
         assert got == pytest.approx(float(want), rel=1e-12)
+
+
+    @pytest.mark.parametrize("alpha", [20.0, 25.0, 30.0])
+    def test_row_integral_at_large_order_against_mpmath(self, alpha):
+        # t^(alpha-1) e^(-t) peaks at t = alpha - 1: cut at a fixed
+        # t_max = 40 this row integral erred -1.8e-5, -7.8e-4 and
+        # -1.2e-2; the reference runs to infinity
+        mp = mpmath.mp.clone()
+        mp.dps = 30
+        want = mp.quad(lambda t: t ** (alpha - 1) / mp.sqrt(mp.cosh(2 * t)),
+                       [0, 1, alpha - 1, 2 * alpha, mp.inf]) \
+            / mp.gamma(alpha)
+        got = float(_moment_integral(0.0, alpha, 1, 0.0))
+        assert got == pytest.approx(float(want), rel=1e-10)
+
+    @pytest.mark.parametrize("order", [0.0, 2.0])
+    def test_moment_past_the_overflow_of_sinh(self, order):
+        # alpha = 80 puts nodes past t = 177, where sinh 4t and
+        # cosh^2 2t overflow; the terms take their limit 0 silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert t_quadrature(80.0, 1).t_max > 180.0
+            got = float(_moment_integral(4.0, 80.0, 1, order))
+        assert np.isfinite(got) and got > 0.0
 
 
 class TestFracPowerKernel:

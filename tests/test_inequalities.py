@@ -35,6 +35,7 @@ from pharmonic import (
     shifted_hls_check,
 )
 from pharmonic import grid as grid_module
+from pharmonic import inequalities
 from pharmonic import sobolev as sobolev_module
 from pharmonic.cli import _parser, build_config, run_suite
 from pharmonic.grid import (Field, UniformBox, _box_lp_norm_coeffs,
@@ -396,8 +397,8 @@ class TestEndpointL1:
         sv = resample(s, box)
         t, w = t_quadrature(0.25, 1).nodes()
         amp = w * t ** -0.75 / math.gamma(0.25) / (2.0 * math.pi)
-        u, v = _gauss_image_axes(1.0, t, *box.axes())
-        cv = (amp[:, None] * u).T @ v
+        u, v = _gauss_image_axes(1.0, t, amp, *box.axes())
+        cv = u.T @ v
         rel = np.sqrt(np.sum(np.abs(cv - sv) ** 2)
                       / np.sum(np.abs(sv) ** 2))
         assert rel < 1e-5
@@ -407,9 +408,72 @@ class TestEndpointL1:
         # Gaussian, the ground eigenvalue per axis
         t = np.array([0.3, 1.0, 2.5])
         x = np.linspace(-3.0, 3.0, 7)
-        _, v = _gauss_image_axes(1.0, t, x, x)
+        _, v = _gauss_image_axes(1.0, t, np.ones(3), x, x)
         expect = np.exp(-t)[:, None] * np.exp(-x[None, :] ** 2 / 2.0)
         assert np.max(np.abs(v - expect)) < 1e-12
+
+
+# norm_level_0..6 of the three L1-range demos (alpha = 1/2, d = 1) as
+# float.hex, bit for bit as the image factors first gave them: sending
+# factor entries below 2^-500 to exact zeros does not move them
+L1_RANGE_NORM_LEVELS = {
+    1.2: [
+        "0x1.3a72788f87451p-1",
+        "0x1.84e5122bd714cp-1",
+        "0x1.b8dce7803c36fp-1",
+        "0x1.df8670c1ac80bp-1",
+        "0x1.fe430c8051fbcp-1",
+        "0x1.0c26ff329f45ap+0",
+        "0x1.174fa34cfc8ffp+0",
+    ],
+    4.0 / 3.0: [
+        "0x1.f3b7611ac0cddp-2",
+        "0x1.4d4b8e754a7ebp-1",
+        "0x1.928c63fc99538p-1",
+        "0x1.cefeac7df8a1bp-1",
+        "0x1.033b6d40d2813p+0",
+        "0x1.1dc9561def8bap+0",
+        "0x1.37729efee971dp+0",
+    ],
+    1.5: [
+        "0x1.912be1142f563p-2",
+        "0x1.2206eb6088067p-1",
+        "0x1.78da848c354bbp-1",
+        "0x1.d08b1425549b1p-1",
+        "0x1.1664324928577p+0",
+        "0x1.487a523598322p+0",
+        "0x1.7f5be6644bb19p+0",
+    ],
+}
+
+
+class TestL1ImageFactors:
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_entry_is_zero_or_normal(self, n):
+        # GEMM operands: each entry of amp u and of v is an exact 0 or at
+        # least 2^-500, so no product of two is subnormal
+        sigma = 2.0 ** -n
+        t, w = t_quadrature(0.25, 1).nodes()
+        amp = w * t ** -0.75 / math.gamma(0.25) \
+            / (2.0 * math.pi * sigma * sigma)
+        zeros = 0
+        for half, count in ((inequalities._OUT_HALF, inequalities._OUT_N),
+                            (inequalities._CORE_HALF,
+                             inequalities._CORE_N)):
+            box = UniformBox((half, half), (count, count))
+            for f in _gauss_image_axes(sigma, t, amp, *box.axes()):
+                assert f.shape == (t.size, count)
+                assert np.all((f == 0.0) | (f >= 2.0 ** -500))
+                zeros += int(np.count_nonzero(f == 0.0))
+        # from sigma = 2^-2 on, the early-time Gaussians underflow on the
+        # outer box, and the floor sends them to exact zeros
+        assert (zeros > 0) == (n >= 2)
+
+    @pytest.mark.parametrize("q", sorted(L1_RANGE_NORM_LEVELS))
+    def test_norm_levels_pinned(self, q):
+        rep = hls_endpoint_demo("L1-range", 0.5, 1, q)
+        got = [metric(rep, f"norm_level_{i}").value.hex() for i in range(7)]
+        assert got == L1_RANGE_NORM_LEVELS[q]
 
 
 class TestEndpointLinf:

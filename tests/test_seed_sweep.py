@@ -1,10 +1,13 @@
 """The committed seed sweep, tools/seed_sweep.py: a smoke run on a fast
-suite, and its failure report on made-up failing and raising suites."""
+suite, its failure report on made-up failing and raising suites, and
+its --against diff of two sweeps' CSVs."""
 import importlib.util
 import os
 import subprocess
 import sys
 from unittest import mock
+
+import pytest
 
 from pharmonic import cli
 from pharmonic.report import Report
@@ -57,3 +60,65 @@ def test_failures_are_listed_not_hidden(capsys, tmp_path):
     assert "boom" in out[1]
     assert out[2] == "2 of 3 runs failed (1 suites x 3 seeds)"
     assert sorted(os.listdir(tmp_path)) == ["hardy-0.csv", "hardy-1.csv"]
+
+
+def test_against_lists_every_moved_value(capsys, tmp_path):
+    tool = load_tool()
+    saved, now = tmp_path / "saved", tmp_path / "now"
+
+    def fake_at(shift):
+        def fake(cfg):
+            rep = Report(suite=cfg.suite, params={"seed": cfg.seed})
+            rep.add("steady", 1.0, 1.5, True)
+            rep.add("drift", 2.0 + shift * cfg.seed, 2.5,
+                    2.0 + shift * cfg.seed < 2.5)
+            return rep
+        return fake
+
+    with mock.patch.object(cli, "run_suite", fake_at(0.0)):
+        assert tool.main(["--suite", "hardy", "--seeds", "0-2",
+                          "--out", str(saved)]) == 0
+    os.remove(saved / "hardy-2.csv")
+    capsys.readouterr()
+    with mock.patch.object(cli, "run_suite", fake_at(0.25)):
+        code = tool.main(["--suite", "hardy", "--seeds", "0-2",
+                          "--out", str(now), "--against", str(saved)])
+    out = capsys.readouterr().out.splitlines()
+    # seed 2 fails its drift verdict now; the exit code says so
+    assert code == 1
+    assert out[0] == "MOVED hardy seed=1 drift 2 -> 2.25 rel=0.12"
+    assert out[1] == "FAIL hardy seed=2 drift value=2.5 tol=2.5"
+    assert out[2] == f"MISSING hardy seed=2 {saved / 'hardy-2.csv'}"
+    assert out[3] == "hardy: 1 values moved in 1 of 3 CSVs, max rel 0.12"
+    assert out[4] == "1 of 3 runs failed (1 suites x 3 seeds)"
+
+
+def test_against_a_verdict_that_moved(capsys, tmp_path):
+    tool = load_tool()
+
+    def fake_at(value):
+        def fake(cfg):
+            rep = Report(suite=cfg.suite, params={"seed": cfg.seed})
+            rep.add("growth", value, 1.5, value < 1.5)
+            return rep
+        return fake
+
+    with mock.patch.object(cli, "run_suite", fake_at(1.0)):
+        tool.main(["--suite", "hardy", "--seeds", "0",
+                   "--out", str(tmp_path / "a")])
+    capsys.readouterr()
+    with mock.patch.object(cli, "run_suite", fake_at(2.0)):
+        tool.main(["--suite", "hardy", "--seeds", "0",
+                   "--against", str(tmp_path / "a")])
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "FAIL hardy seed=0 growth value=2 tol=1.5"
+    assert out[1] == ("MOVED hardy seed=0 growth 1 -> 2 rel=1 "
+                      "verdict true -> false")
+
+
+def test_against_its_own_out_dir_refused(tmp_path):
+    tool = load_tool()
+    with pytest.raises(SystemExit) as exc:
+        tool.main(["--suite", "hardy", "--seeds", "0", "--out",
+                   str(tmp_path), "--against", str(tmp_path)])
+    assert exc.value.code == 2

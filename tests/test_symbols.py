@@ -703,3 +703,61 @@ class TestSlabbedNodeSums:
         want = evaluate(x, tau, xi)
         with mock.patch.object(grid_module, "_SLAB_BYTES", 3000):
             assert same_bits(evaluate(x, tau, xi), want)
+
+
+def node_sums_by_complex_exp(nodes, x, tau, xi, factors=(None,)):
+    """The direct formula _node_sums replaced: one complex exp of the
+    whole (point, node) block, the weights w e^(-t tau^2) on the tau
+    side, and a sum over the node axis."""
+    sq = (np.sum(x * x, axis=-1) + np.sum(xi * xi, axis=-1))[..., None]
+    dot = np.sum(x * xi, axis=-1)[..., None]
+    g = np.exp(nodes.logc - sq * nodes.A - 1.0j * (dot * nodes.B))
+    e = nodes.w * np.exp(-nodes.t * tau[..., None] ** 2)
+    sums = []
+    for f in factors:
+        if f is not None:
+            g = g * f(x, xi, sq, dot)
+        sums.append(np.sum(e * g, axis=-1))
+    return sums
+
+
+def node_sum_points(layout, d, scale, rng):
+    """x, tau, xi of a layout _node_sums is called with; x and xi are
+    scaled by scale (1e-5 keeps every phase x.xi B_k below 2^-27) and
+    about a fifth of the x entries are exact zeros (x.xi = 0)."""
+    if layout == "scalar":
+        shapes = (d,), (), (d,)
+    elif layout == "grouped":
+        n = int(rng.integers(1, 40))
+        shapes = (1, n, d), (3, n), (1, n, d)
+    else:                                   # quantize's box
+        nx, nt, nxi = (int(k) for k in rng.integers(1, 7, size=3))
+        shapes = (nx, 1, 1, d), (1, nt, 1), (1, 1, nxi, d)
+    x, tau, xi = (rng.uniform(-6.0, 6.0, sh) for sh in shapes)
+    x[rng.uniform(size=x.shape) < 0.2] = 0.0
+    return x * scale, np.asarray(tau), xi * scale
+
+
+class TestNodeSumsAgainstComplexExp:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(1, 3),
+           layout=st.sampled_from(["grouped", "box", "scalar"]),
+           gamma_=st.floats(0.05, 2.5),
+           scale=st.sampled_from([1.0, 1e-2, 1e-5]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_within_roundoff_of_the_largest_value(self, d, layout, gamma_,
+                                                  scale, seed):
+        x, tau, xi = node_sum_points(layout, d, scale,
+                                     np.random.default_rng(seed))
+        nodes = _time_nodes(gamma_, d, False)
+
+        def factor(xx, xxi, sq, dot):
+            return (sq + xx[..., 0, None] * nodes.A) \
+                - 1.0j * (dot + xxi[..., -1, None] * nodes.B)
+
+        got = _node_sums(nodes, x, tau, xi, (None, factor))
+        want = node_sums_by_complex_exp(nodes, x, tau, xi, (None, factor))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == np.complex128
+            top = float(np.abs(w).max())
+            assert float(np.abs(g - w).max()) <= 2e-15 * top

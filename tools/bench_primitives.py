@@ -14,10 +14,16 @@ gns norms at that size: 64^2 at d1, the fine 48^4 box at d3;
 box_lp_norm_q4 is the same norm at the hls exponent q = 4.
 measured_box is the box sizing of the gns, hls and hardy checks
 (inequalities._measured_box) on that member's grid values.
+sigma_stencil is sigma_alpha(-1/2) in the layout of the symbols suite's
+derivative stencil: x and xi of SampleDomain(1, 64.0, 2, 0) as
+(1, P, 1), tau and its two shifted copies as (3, P).  l1_image is the
+sigma = 2^-3 image on the 512^2 outer box of the L1-range endpoint
+demo (alpha = 1/2), two closed-form factors and one GEMM.
 Each primitive makes one untimed call (per-grid constants, caches),
 then --repeat timed calls; the JSON holds the median of those in ms,
 keyed "<primitive>.<grid>", with the settings and the Python and numpy
-versions.  quantize is two-dimensional, so it has no d3 entry.
+versions.  quantize, sigma_stencil and l1_image are d = 1 only, so they
+have no d3 entry.
 
 Warnings (truncation, resolution) are silenced: the script measures
 time, not accuracy.  It imports pharmonic from the `src/` next to this
@@ -46,7 +52,8 @@ from pharmonic.sobolev import TestFamily  # noqa: E402
 GRIDS = {"d1": (1, 64, 10.0, 8, 40), "d3": (3, 32, 8.0, 8, 32)}
 PRIMITIVES = ("forward", "inverse", "heat_apply_kernel", "frac_power_kernel",
               "resample", "box_lp_norm", "box_lp_norm_q4", "measured_box",
-              "k_alpha", "sigma_alpha", "quantize")
+              "k_alpha", "sigma_alpha", "quantize", "sigma_stencil",
+              "l1_image")
 
 
 def primitives(g: grid.Grid) -> dict:
@@ -82,6 +89,17 @@ def primitives(g: grid.Grid) -> dict:
         values = grid.resample(f, qbox)
         fn = symbols.sigma_symbol_fn(-0.5, 1)
         calls["quantize"] = lambda: symbols.quantize(fn, values, qbox)
+        sx, stau, sxi = symbols.SampleDomain(1, 64.0, 2, 0).points()
+        h = 1e-3 * np.maximum(1.0, np.sqrt(sx[:, 0] ** 2 + stau ** 2
+                                           + sxi[:, 0] ** 2))
+        taus = np.stack([stau, stau + h, stau - h])
+        calls["sigma_stencil"] = lambda: symbols.sigma_alpha(
+            sx[None], taus, sxi[None], -0.5, 1)
+        t, w = heat_kernel.t_quadrature(0.25, 1).nodes()
+        out = grid.UniformBox((inequalities._OUT_HALF,) * 2,
+                              (inequalities._OUT_N,) * 2)
+        calls["l1_image"] = lambda: inequalities._l1_image(
+            2.0 ** -3, 0.5, t, w, out)
     return calls
 
 
