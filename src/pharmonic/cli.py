@@ -183,6 +183,16 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
     return cfg
 
 
+# The suites that raise grid or sample quantities to powers of order
+# alpha: |x|^(2 alpha) weights (squared again in an L^2 norm),
+# s^(2 alpha - (d+1)) near-diagonal profiles and lambda^(alpha/2)
+# multipliers.  On the default grids the squared weight overflows past
+# alpha = 88, the profile of the closest sampled pairs underflows past
+# 118 and the time rule's 1/Gamma(alpha) past 171.
+_POWER_SUITES = ("kernel-bounds", "weighted-decay", "riesz")
+_ALPHA_MAX = 80.0
+
+
 def _validate(cfg: SuiteConfig) -> None:
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg.format!r}")
@@ -252,6 +262,10 @@ def _validate(cfg: SuiteConfig) -> None:
         raise ConfigError(f"{cfg.suite} needs alpha > 0")
     if cfg.suite == "riesz" and cfg.alpha < 0:
         raise ConfigError("riesz needs alpha >= 0")
+    if cfg.suite in _POWER_SUITES and cfg.alpha > _ALPHA_MAX:
+        raise ConfigError(
+            f"{cfg.suite} needs alpha <= {_ALPHA_MAX:g}: past it, its powers "
+            "of order alpha reach the limits of the double range")
     # the suite checks (H - 2)^alpha, whose spectrum starts at d - 2
     if cfg.suite == "commute" and cfg.d < 3:
         raise ConfigError("commute needs d >= 3")

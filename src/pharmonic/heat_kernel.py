@@ -21,17 +21,19 @@ On a grid the kernel acts on a stack of real planes, shape
 imaginary) per complex field.  _heat_stack applies e^(-tH) to the
 whole stack, one rho matrix and one x matrix per t, contracting axis
 by axis into two reused work buffers.  heat_apply_kernel is one
-field's stack; frac_power_kernel adds 6 + _FRAC_NODES weighted
-applies into one accumulator, each weight folded into its rho
-matrix, the series head taken as six weighted semigroup differences;
-the hls checks run a whole family's members as one stack, up to
-grid._SLAB_BYTES (_frac_power_images).
+field's stack; frac_power_kernel adds 6 + n weighted applies into
+one accumulator, each weight folded into its rho matrix, the series
+head taken as six weighted semigroup differences and the rest as an
+n-node panel sized to its error budget (_frac_nodes, n = 20 for the
+default d = 3 gate); the hls checks run a whole family's members as
+one stack, up to grid._SLAB_BYTES (_frac_power_images).
 
 Points z are packed as arrays (..., d+1) with z[..., 0] = rho and
 z[..., 1:] = x.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Iterable, Iterator
@@ -130,8 +132,13 @@ def _gl_panels(edges: np.ndarray, order: int):
 _LOG_T_STEP = 0.15
 
 
-def _log_t_step(refine: bool) -> float:
-    return _LOG_T_STEP / (2.0 if refine else 1.0)
+def _log_t_step(alpha: float, refine: bool) -> float:
+    """_LOG_T_STEP up to alpha = 10 and shrinking like alpha^(-1/2)
+    above, halved by refine: t^(alpha-1) e^(-td) peaks at (alpha-1)/d
+    with a width of about alpha^(-1/2) in log t, which _LOG_T_STEP
+    resolves to roundoff up to alpha = 10."""
+    h = _LOG_T_STEP * math.sqrt(min(1.0, 10.0 / alpha))
+    return h / (2.0 if refine else 1.0)
 
 
 @dataclass(frozen=True)
@@ -146,13 +153,17 @@ class TQuadrature:
     which keeps alpha << 1 exact.  h = 0.15 (refine halves it) is the
     coarsest step that resolves integrands with a c/t term, the Bessel-K
     form with 2 sqrt(c lambda) <= 28, to 3e-14; 0.2 leaves 5e-9 and 0.3
-    leaves 5e-4.
+    leaves 5e-4.  Above alpha = 10 the step shrinks like alpha^(-1/2),
+    with the width of the integrand's peak in log t (_log_t_step): a
+    row integral errs by 2e-16 at alpha = 10 and by at most 8e-15 up to
+    alpha = 80, where 0.15 throughout erred 8.3e-11 at alpha = 30 and
+    2.2e-6 at 60.
     """
     alpha: float
     t_max: float
 
     def nodes(self, refine: bool = False):
-        h = _log_t_step(refine)
+        h = _log_t_step(self.alpha, refine)
         n = math.ceil(math.log(self.t_max / 1e-16) / h)
         t = self.t_max * np.exp(-h * np.arange(n, -1, -1, dtype=np.float64))
         w = h * t
@@ -438,8 +449,13 @@ def heat_apply_kernel(field: Field, t: float) -> Field:
 # ---------------------------------------------------------------------------
 # fractional powers through the kernel route
 
+# the relative accuracy the kernel route resolves: its time floor
+# (_kernel_t_floor) and its fractional-power panel (_frac_nodes)
+_RESOLUTION = 1e-8
+
+
 def _kernel_t_floor(grid: Grid) -> float:
-    """Smallest t the kernel application resolves to 1e-8 accuracy.
+    """Smallest t the kernel application resolves to _RESOLUTION.
 
     The Gauss-Hermite error for the oscillator kernel at time t decays
     like (c/(c+2))^(M-K) with c = (coth 2t - 1)/2, and the rho
@@ -447,12 +463,11 @@ def _kernel_t_floor(grid: Grid) -> float:
     The model is deliberately conservative (measurements beat it by an
     order of magnitude or two).
     """
-    target = 1e-8
     m_eff = max(grid.M - grid.K, 4)
-    q = target ** (1.0 / m_eff)
+    q = _RESOLUTION ** (1.0 / m_eff)
     c = 2.0 * q / (1.0 - q)
     t_gh = 0.5 * math.atanh(1.0 / (2.0 * c + 1.0))
-    t_rho = math.log(1.0 / target) * (grid.drho / (2.0 * math.pi)) ** 2
+    t_rho = math.log(1.0 / _RESOLUTION) * (grid.drho / (2.0 * math.pi)) ** 2
     floor = max(t_gh, t_rho, 5e-3)
     if floor > 0.2:
         warnings.warn(
@@ -492,7 +507,35 @@ def _head_weights(tf: float, alpha: float, shift: float
     return b[0] + float(gamma.sum()), ts, gamma
 
 
-_FRAC_NODES = 32
+_FRAC_LADDER = (12, 16, 20, 24, 28, 32, 40, 48, 64)
+
+
+@functools.lru_cache(maxsize=64)
+def _frac_nodes(tf: float, rate: float, alpha: float) -> int:
+    """Node count of the fractional-power panel over [tf, 40/rate],
+    rate = d + shift: the first of _FRAC_LADDER (else its last) whose
+    panel meets _RESOLUTION.
+
+    The panel sums t^(-alpha-1) e^(-t mu) for each eigenvalue mu >=
+    rate of H + shift; its error is measured against the panel with
+    twice the nodes, relative to the whole integral Gamma(-alpha)
+    mu^alpha, as a sup over 120 log-spaced mu in [rate, 40/tf] (past
+    40/tf the panel's integrand is below e^(-40)).  The mu are a
+    continuous range, not the grid's eigenvalues, so the count depends
+    on tf, rate and alpha alone and the route stays spectrum-free.
+    """
+    edges = np.log([tf, 40.0 / rate])
+    mu = np.geomspace(rate, 40.0 / tf, 120)[:, None]
+    scale = abs(math.gamma(-alpha)) * mu[:, 0] ** alpha
+
+    def panel(n: int) -> np.ndarray:
+        y, wy = _gl_panels(edges, n)
+        return np.exp(-alpha * y - mu * np.exp(y)) @ wy
+
+    for n in _FRAC_LADDER:
+        if np.max(np.abs(panel(n) - panel(2 * n)) / scale) <= _RESOLUTION:
+            return n
+    return _FRAC_LADDER[-1]
 
 
 def _frac_power_stack(g: Grid, stack: np.ndarray, alpha: float,
@@ -500,7 +543,7 @@ def _frac_power_stack(g: Grid, stack: np.ndarray, alpha: float,
     """(H + shift)^alpha on every plane of the real stack, by the
     formula of frac_power_kernel.
 
-    The 6 + _FRAC_NODES applies share one pair of work buffers, and
+    The 6 + _frac_nodes applies share one pair of work buffers, and
     each apply's weight (-gamma_i of the head, the node weight of the
     panel) is folded into its rho matrix, so an apply adds into the
     accumulator in one pass.
@@ -519,7 +562,9 @@ def _frac_power_stack(g: Grid, stack: np.ndarray, alpha: float,
             "decaying semigroup representation")
     tf = _kernel_t_floor(g)
     c0, t_head, gamma = _head_weights(tf, alpha, shift)
-    y, wy = _gl_panels(np.log([tf, 40.0 / (g.d + shift)]), _FRAC_NODES)
+    rate = g.d + shift
+    y, wy = _gl_panels(np.log([tf, 40.0 / rate]),
+                       _frac_nodes(tf, rate, alpha))
     t = np.exp(y)
     ts = np.concatenate([t_head, t])
     ws = np.concatenate([-gamma, wy * np.exp(-alpha * y - shift * t)])
@@ -553,7 +598,7 @@ def _frac_power_images(fields: Iterable[Field], alpha: float,
     kernel route of frac_power_kernel.
 
     The fields, all on one grid, run stacked: one _frac_power_stack per
-    group of _plane_slabs, so 6 + _FRAC_NODES stacked applies serve a
+    group of _plane_slabs, so 6 + _frac_nodes stacked applies serve a
     whole group (the 40 members of a default d = 1 four-fold family are
     one group; a 32 x 32^3 member is a group of its own).
     """
@@ -580,9 +625,12 @@ def frac_power_kernel(field: Field, alpha: float, shift: float = 0.0) -> Field:
     spectral information enters; for alpha > 0 its m = 0 term is
     exactly -int_(t_f)^inf t^(-alpha-1) f dt.  The head is taken as
     six weighted differences: a multiple of f minus six weighted
-    applies (_head_weights).  The rest is one _FRAC_NODES-point
-    Gauss-Legendre panel in y = log t over [t_f, 40/(d + s)], one heat
-    apply per node, 6 + _FRAC_NODES applies in all.  Only s = 0 is
+    applies (_head_weights).  The rest is one n-point Gauss-Legendre
+    panel in y = log t over [t_f, 40/(d + s)], one heat apply per node,
+    6 + n applies in all; n is the smallest count of a short ladder
+    whose panel errs by at most _RESOLUTION relative to the image
+    (_frac_nodes, a function of t_f, d + s and alpha: 20 for the
+    default d = 3 gate, 26 applies).  Only s = 0 is
     supported for alpha > 0, and d + s must be positive and finite.
     Accuracy requires comfortable Hermite headroom (M well above K)
     and a smooth, Gaussian-decaying field.

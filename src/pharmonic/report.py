@@ -48,9 +48,12 @@ class Report:
         it passes iff the growth is below limit.
 
         A zero base is stable only when the sup stays zero (growth 1);
-        a sup that leaves zero has infinite growth.
+        a sup that leaves zero, or that is not finite (it overflowed),
+        has infinite growth.
         """
-        if before > 0:
+        if not math.isfinite(after):
+            growth = math.inf
+        elif before > 0:
             growth = after / before
         else:
             growth = math.inf if after > 0 else 1.0

@@ -140,6 +140,32 @@ class TestExitCodes:
         assert ",false," not in out
         assert len(out.strip().split("\n")) == 8
 
+    @pytest.mark.parametrize("suite,alpha", [("weighted-decay", "1e300"),
+                                             ("kernel-bounds", "1e300"),
+                                             ("riesz", "1e300"),
+                                             ("weighted-decay", "100")])
+    def test_alpha_past_the_double_range_exits_two(self, suite, alpha,
+                                                   capsys):
+        # these ended in an OverflowError traceback (an infinite node
+        # count at 1e300), a non-finite multiplier (riesz) and
+        # "metric 'column_refinement_growth' is NaN" (weighted-decay)
+        code, out, err = run_main(["--suite", suite, "--alpha", alpha],
+                                  capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {suite} needs alpha <= 80")
+
+    def test_overflowed_weighted_sup_is_a_verdict(self, capsys):
+        # at p = 4 the weighted norms overflow on both family sizes, and
+        # their growth inf / inf ended in "metric 'refinement_growth' is
+        # NaN"; an overflowed sup is now a failing metric
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code, out, err = run_main(["--suite", "weighted-decay",
+                                       "--alpha", "56", "--p", "4"], capsys)
+        assert code == 1
+        assert "FAIL refinement_growth = Infinity" in err
+        assert ",false," in out
+
     def test_bad_flag_value_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["--suite", "mehler", "--format", "yaml"])

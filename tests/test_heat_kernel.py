@@ -659,18 +659,20 @@ class TestBoundReports:
         assert got == pytest.approx(float(want), rel=1e-12)
 
 
-    @pytest.mark.parametrize("alpha", [20.0, 25.0, 30.0])
+    @pytest.mark.parametrize("alpha", [20.0, 25.0, 30.0, 40.0, 60.0, 80.0])
     def test_row_integral_at_large_order_against_mpmath(self, alpha):
         # t^(alpha-1) e^(-t) peaks at t = alpha - 1: cut at a fixed
         # t_max = 40 this row integral erred -1.8e-5, -7.8e-4 and
-        # -1.2e-2; the reference runs to infinity
+        # -1.2e-2 at alpha = 20, 25, 30; with the cut past the peak and a
+        # fixed log-t step it erred 8.3e-11, -4.3e-9, 2.2e-6 and -4.5e-5
+        # at alpha = 30, 40, 60, 80.  The reference runs to infinity.
         mp = mpmath.mp.clone()
         mp.dps = 30
         want = mp.quad(lambda t: t ** (alpha - 1) / mp.sqrt(mp.cosh(2 * t)),
                        [0, 1, alpha - 1, 2 * alpha, mp.inf]) \
             / mp.gamma(alpha)
         got = float(_moment_integral(0.0, alpha, 1, 0.0))
-        assert got == pytest.approx(float(want), rel=1e-10)
+        assert got == pytest.approx(float(want), rel=1e-13)
 
     @pytest.mark.parametrize("order", [0.0, 2.0])
     def test_moment_past_the_overflow_of_sinh(self, order):
@@ -748,10 +750,12 @@ class TestFracPowerRealPath:
             return apply(g, stack, t, bufs, scale)
 
         monkeypatch.setattr(hk, "_heat_stack", spy)
+        nodes = []
+        spy_on_nodes(monkeypatch, nodes)
         out = frac_power_kernel(f, alpha, shift=shift)
         assert set(seen) == {(np.dtype(np.float64), (1,) + g.shape)}
         # 6 applies for the head's semigroup differences, one per node
-        assert len(seen) == 6 + hk._FRAC_NODES
+        assert len(seen) == 6 + nodes[0]
         assert out.values.dtype == np.float64
         seen.clear()
         two = frac_power_kernel(Field(g, f.values + 0j), alpha, shift=shift)
@@ -819,6 +823,17 @@ def spy_on(monkeypatch, name, seen):
         return real(g, stack, *args)
 
     monkeypatch.setattr(hk, name, spy)
+
+
+def spy_on_nodes(monkeypatch, counts):
+    """Record the panel node count of every fractional power."""
+    real = hk._frac_nodes
+
+    def spy(*args):
+        counts.append(real(*args))
+        return counts[-1]
+
+    monkeypatch.setattr(hk, "_frac_nodes", spy)
 
 
 class TestStackedRoute:
@@ -903,14 +918,16 @@ class TestStackedRoute:
                 <= 1e-15 * np.abs(want).max()
 
     def test_default_hls_suite_is_one_stacked_power(self, monkeypatch):
-        # the parent route made 40 x (6 + _FRAC_NODES) = 1520 single
-        # applies: one per member and time
-        seen = []
+        # one stacked apply per time for the whole family, not one per
+        # member and time
+        seen, nodes = [], []
         spy_on(monkeypatch, "_heat_stack", seen)
+        spy_on_nodes(monkeypatch, nodes)
         rep = run_suite(build_config(_parser().parse_args(["--suite",
                                                            "hls"])))
         assert rep.all_passed
-        assert seen == [(40, 64, 40)] * (6 + hk._FRAC_NODES)
+        assert len(nodes) == 1
+        assert seen == [(40, 64, 40)] * (6 + nodes[0])
 
     def test_d3_power_peak_memory(self):
         # a band_limited member is one float64 plane, run uncopied: two
@@ -926,6 +943,61 @@ class TestStackedRoute:
         finally:
             tracemalloc.stop()
         assert peak < 3.1 * f.values.nbytes
+
+
+class TestPanelBudget:
+    """The fractional-power panel's node count against its error budget,
+    on the grid's own eigenvalues (which the count never sees)."""
+
+    @staticmethod
+    def panel_error(g, alpha, shift, n):
+        # the n-node panel against a 128-node one, relative to the whole
+        # integral Gamma(-alpha) mu^alpha, over the spectrum of H + shift
+        tf = hk._kernel_t_floor(g)
+        mu = np.unique(g.eigenvalues(shift))[:, None]
+        edges = np.log([tf, 40.0 / (g.d + shift)])
+
+        def panel(m):
+            y, wy = _gl_panels(edges, m)
+            return np.exp(-alpha * y - mu * np.exp(y)) @ wy
+
+        scale = abs(math.gamma(-alpha)) * mu[:, 0] ** alpha
+        return np.max(np.abs(panel(n) - panel(128)) / scale)
+
+    @pytest.mark.parametrize("shape", [
+        (1, 64, 10.0, 8, 40),       # default family grids
+        (3, 32, 8.0, 8, 32),
+        (1, 128, 12.0, 24, 128),    # powers
+        (1, 128, 10.0, 8, 40),      # N_rho x 2
+        (3, 64, 8.0, 8, 32),
+        (1, 64, 10.0, 12, 40),      # K + 4
+        (3, 32, 8.0, 12, 32),
+        (2, 32, 8.0, 8, 32),
+    ])
+    def test_chosen_count_meets_the_budget(self, shape):
+        g = make_grid(*shape)
+        d = g.d
+        tf = hk._kernel_t_floor(g)
+        for alpha in (-(d + 1) / 2.0 + 0.01, -0.5, -0.25, 0.5, 0.99):
+            shifts = (0.0, 2.0, -(d - 0.5)) if alpha < 0 else (0.0,)
+            for shift in shifts:
+                n = hk._frac_nodes(tf, d + shift, alpha)
+                err = self.panel_error(g, alpha, shift, n)
+                assert err <= hk._RESOLUTION, (alpha, shift, n, err)
+
+    @pytest.mark.parametrize("shape,alpha,shift,want", [
+        ((3, 32, 8.0, 8, 32), -0.25, -2.0, 20),     # the d = 3 gate
+        ((1, 128, 12.0, 24, 128), 0.5, 0.0, 20),    # powers
+        ((1, 128, 12.0, 24, 128), -0.5, 0.0, 24),
+        ((1, 128, 12.0, 24, 128), -0.99, -0.5, 28),  # a long panel
+    ])
+    def test_counts(self, shape, alpha, shift, want):
+        # a fixed 24 errs by 1.6e-7 on the long panel
+        g = make_grid(*shape)
+        tf = hk._kernel_t_floor(g)
+        assert hk._frac_nodes(tf, g.d + shift, alpha) == want
+        if want > 24:
+            assert self.panel_error(g, alpha, shift, 24) > 1e-7
 
 
 class TestShiftedPower:

@@ -50,6 +50,13 @@ class TestAddGrowth:
         m = fresh().add_growth("g", 0.0, after, "")
         assert m.value == math.inf and not m.passed
 
+    @pytest.mark.parametrize("before", [0.0, 1.0, math.inf])
+    @pytest.mark.parametrize("after", [math.inf, math.nan])
+    def test_sup_that_is_not_finite_is_unstable(self, before, after):
+        # an overflowed sup over both samples made inf / inf = NaN
+        m = fresh().add_growth("g", before, after, "")
+        assert m.value == math.inf and not m.passed
+
     def test_growth_at_the_limit_fails(self):
         m = fresh().add_growth("g", 2.0, 3.0, "")
         assert m.value == STABILITY_LIMIT == 1.5
