@@ -271,6 +271,21 @@ class UniformBox:
     def spacings(self) -> list[float]:
         return [2.0 * r / n for r, n in zip(self.half_widths, self.counts)]
 
+    def mirror_orbits(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Orbits of the reflection s -> -s on axis i.
+
+        Point k mirrors point n - k; -R (k = 0) and the origin
+        (k = n/2) mirror themselves, so the axis has n/2 + 1 orbits.
+        Returns the representative indices 0..n/2, the closed left half
+        [-R, 0], and each point's orbit index min(k, n - k); np.bincount
+        of the latter gives the orbit sizes.  Off dyadic widths a point
+        and its mirror image can differ by an ulp, so an even function
+        read at the representative matches the mirror point to roundoff.
+        """
+        n = self.counts[i]
+        k = np.arange(n)
+        return k[:n // 2 + 1], np.minimum(k, n - k)
+
     @property
     def cell_volume(self) -> float:
         return float(np.prod(self.spacings()))
@@ -483,10 +498,33 @@ def _box_lp_norm_coeffs(coeffs, box: UniformBox, p: float,
     one square root (v^2 sqrt|v| at p = 2.5); otherwise s = v v is one
     in-place square.  p = inf returns sqrt(max w^2 s).  A slab holds as
     many rows as fit in _SLAB_BYTES of complex128 on either path.
+
+    A weighted sum can overflow where the norm does not: s w^2 and its
+    p/2-th power leave the double range first, as for |x|^(2 alpha) at
+    large alpha and p > 2.  Such a sum is taken again with the weight
+    scaled by 2^-e, e the binary exponent of its largest entry
+    (math.frexp), and the norm multiplied back by 2^e, which is exact
+    in binary.  A sum that stays finite keeps its bits.
     """
     if p != np.inf and p < 1:
         raise InvalidParameterError("p must be >= 1 or inf")
     rows, tables = _box_series(coeffs, box)
+    if weight is None:
+        return _slab_norm(rows, tables, box, p, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _slab_norm(rows, tables, box, p, weight)
+    if math.isfinite(norm):
+        return norm
+    e = math.frexp(float(np.max(np.abs(weight))))[1]
+    return math.ldexp(_slab_norm(rows, tables, box, p,
+                                 np.ldexp(weight, -e)), e)
+
+
+def _slab_norm(rows: np.ndarray, tables: list[np.ndarray],
+               box: UniformBox, p: float, weight: np.ndarray | None
+               ) -> float:
+    """The slab loop of _box_lp_norm_coeffs on the rows and tables of
+    _box_series."""
     step = max(1, _SLAB_BYTES // (16 * math.prod(box.counts[1:])))
     w2 = None if weight is None else np.broadcast_to(np.square(weight),
                                                      box.counts)

@@ -418,6 +418,9 @@ _LINF_RATIO_FLOOR = 0.90
 _OUT_HALF, _OUT_N = 8.0, 512
 _CORE_HALF, _CORE_N = 0.25, 512
 
+# equal polar angles of the Linf-range center value, a multiple of 4
+_N_THETA = 32
+
 
 def _trend(rep: Report, seq: list[float], stem: str, notes: list[str],
            expected_divergent: bool, ratio_floor: float,
@@ -483,49 +486,79 @@ def _gauss_image_axes(sigma: float, t: np.ndarray, amp: np.ndarray,
 
 def _l1_image(sigma: float, alpha: float, t: np.ndarray, w: np.ndarray,
               box: UniformBox) -> np.ndarray:
-    """H^(-alpha/2) f_sigma on box for the unit-mass width-sigma
-    Gaussian, d = 1, in closed form under the time quadrature: one GEMM
-    of the two image factors over the nodes."""
+    """H^(-alpha/2) f_sigma for the unit-mass width-sigma Gaussian,
+    d = 1, in closed form under the time quadrature: one GEMM of the two
+    image factors over the nodes.  The image is even in rho and in x, so
+    it is built on the mirror-orbit representatives of box's axes only
+    (UniformBox.mirror_orbits), shape (n_rho/2 + 1, n_x/2 + 1)."""
     gam = 0.5 * alpha
     amp = w * t ** (gam - 1.0) / math.gamma(gam) \
         * (2.0 * math.pi * sigma * sigma) ** -1.0
-    u, v = _gauss_image_axes(sigma, t, amp, *box.axes())
+    reps = [ax[box.mirror_orbits(i)[0]] for i, ax in enumerate(box.axes())]
+    u, v = _gauss_image_axes(sigma, t, amp, *reps)
     return u.T @ v
+
+
+def _orbit_sizes(box: UniformBox, hole: float = math.inf) -> np.ndarray:
+    """Per mirror orbit of box axis 0, the number of its points that lie
+    in [-hole, hole): 1 or 2 each, and 1 for an orbit that the window's
+    open end cuts in half."""
+    _, orbit = box.mirror_orbits(0)
+    ax = box.axes()[0]
+    return np.bincount(orbit[(ax >= -hole) & (ax < hole)],
+                       minlength=box.counts[0] // 2 + 1).astype(np.float64)
+
+
+def _l1_cell_sum(sigma: float, alpha: float, q: float, t: np.ndarray,
+                 w: np.ndarray, box: UniformBox, hole: float = 0.0
+                 ) -> float:
+    """Riemann cell sum of |H^(-alpha/2) f_sigma|^q over the square box,
+    less the cells in the window [-hole, hole)^2.  Each pair of orbit
+    representatives is weighted by the product of its orbit sizes, the
+    window's share by the sizes of the orbits' parts inside it."""
+    a = np.abs(_l1_image(sigma, alpha, t, w, box)) ** q
+    m = _orbit_sizes(box)
+    total = m @ a @ m
+    if hole:
+        m_w = _orbit_sizes(box, hole)
+        total -= m_w @ a @ m_w
+    return box.cell_volume * float(total)
 
 
 def _l1_image_q_norm(sigma: float, alpha: float, q: float,
                      t: np.ndarray, w: np.ndarray) -> float:
-    """|H^(-alpha/2) f_sigma|_q on the two-scale box."""
+    """|H^(-alpha/2) f_sigma|_q on the two-scale box: the core window
+    is removed at the coarse spacing and re-added at the fine one."""
     out = UniformBox((_OUT_HALF, _OUT_HALF), (_OUT_N, _OUT_N))
     core = UniformBox((_CORE_HALF, _CORE_HALF), (_CORE_N, _CORE_N))
-    a_out = np.abs(_l1_image(sigma, alpha, t, w, out)) ** q
-    a_core = np.abs(_l1_image(sigma, alpha, t, w, core)) ** q
-    # Riemann cell sums; the core window is removed at the coarse
-    # spacing and re-added at the fine one
-    ax = out.axes()[0]
-    m = (ax >= -_CORE_HALF) & (ax < _CORE_HALF)
-    win = np.outer(m, m)
-    total = out.cell_volume * (a_out.sum() - a_out[win].sum()) \
-        + core.cell_volume * a_core.sum()
-    return float(total) ** (1.0 / q)
+    total = _l1_cell_sum(sigma, alpha, q, t, w, out, _CORE_HALF) \
+        + _l1_cell_sum(sigma, alpha, q, t, w, core)
+    return total ** (1.0 / q)
 
 
-def _polar_nodes(r_lo: float, r_hi: float, n_theta: int = 32):
+def _radial_nodes(r_lo: float, r_hi: float):
     n_pan = max(2, int(np.ceil(np.log2(r_hi / r_lo))))
     edges = r_lo * (r_hi / r_lo) ** (np.arange(n_pan + 1) / n_pan)
-    r, wr = _gl_panels(edges, 10)
-    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    return r, wr, th, 2.0 * np.pi / n_theta
+    return _gl_panels(edges, 10)
 
 
 def _center_value(fr, delta: float, alpha: float) -> float:
-    """int_{delta <= |z| <= 1/2} K_{alpha/2}(0, z) fr(|z|) dz, d = 1."""
-    r, wr, th, wth = _polar_nodes(delta, 0.5)
+    """int_{delta <= |z| <= 1/2} K_{alpha/2}(0, z) fr(|z|) dz, d = 1.
+
+    The angular rule has _N_THETA equal nodes 2 pi k / _N_THETA.  The
+    kernel at the center depends on rho^2 and x^2 only, so the nodes
+    fall into orbits of theta -> -theta and theta -> pi - theta: one
+    node per orbit, k = 0 .. _N_THETA/4, weighted by its size, 2 at
+    theta = 0 and pi/2 and 4 between."""
+    r, wr = _radial_nodes(delta, 0.5)
+    th = 2.0 * np.pi * np.arange(_N_THETA // 4 + 1) / _N_THETA
+    size = np.full(th.size, 4.0)
+    size[[0, -1]] = 2.0
     zp = np.empty((r.size, th.size, 2))
     zp[:, :, 0] = r[:, None] * np.cos(th)[None, :]
     zp[:, :, 1] = r[:, None] * np.sin(th)[None, :]
     ker = k_alpha(np.zeros(2), zp, 0.5 * alpha)
-    ang = ker.sum(axis=1) * wth
+    ang = (ker @ size) * (2.0 * np.pi / _N_THETA)
     return float(np.sum(wr * r * fr(r) * ang))
 
 
@@ -533,7 +566,7 @@ def _profile_lp(alpha: float, kappa: float, p: float) -> float:
     """|f|_p of the borderline profile, polar quadrature from 1e-6 with
     the closed-form inner remainder added when alpha p = d + 1 (the
     integral converges too slowly there to truncate honestly)."""
-    r, wr, _, _ = _polar_nodes(1e-6, 0.5, n_theta=1)
+    r, wr = _radial_nodes(1e-6, 0.5)
     vals = (r ** -alpha * np.log(1.0 / r) ** -kappa) ** p
     total = 2.0 * np.pi * float(np.sum(wr * r * vals))
     if kappa * p > 1.0 and abs(alpha * p - 2.0) < 1e-12:
@@ -584,10 +617,14 @@ def hls_endpoint_demo(which: str, alpha: float, d: int, exponent: float,
     if which == "L1-range":
         q = float(exponent)
         q_star = (d + 1.0) / (d + 1.0 - alpha)
-        sigs = [1.0] * levels if control \
-            else [2.0 ** -n for n in range(levels)]
         t, w = t_quadrature(0.5 * alpha, d).nodes()
-        norms = [_l1_image_q_norm(s, alpha, q, t, w) for s in sigs]
+        if control:
+            # the same input at every level: one norm, repeated
+            sigs = [1.0] * levels
+            norms = [_l1_image_q_norm(1.0, alpha, q, t, w)] * levels
+        else:
+            sigs = [2.0 ** -n for n in range(levels)]
+            norms = [_l1_image_q_norm(s, alpha, q, t, w) for s in sigs]
         expected_divergent = (not control) and q >= q_star - 1e-12
         notes = [f"sigma = {s:g}, q = {q:g}" for s in sigs]
         _trend(rep, norms, "norm_level_", notes, expected_divergent,

@@ -397,7 +397,31 @@ def test_box_lp_norm_coeffs_power_path(kind, weighted, seed):
                 <= 1e-15 * want
 
 
-@pytest.mark.parametrize("e", [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5,
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("q", [2.0, 4.0, 2.3, np.inf])
+def test_weighted_norm_past_the_double_range(kind, q):
+    """A weight of 2^600 overflows s w^2 (and w^2 itself), though the
+    norm is 2^600 times that of the unscaled weight: the sum is taken
+    again with the weight scaled back by a power of two, with no
+    overflow warning, and comes out finite."""
+    g = make_grid(2, 8, 4.0, 5, 7)
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal(g.shape)
+    if kind == "complex":
+        f = f + 1j * rng.standard_normal(g.shape)
+    c = forward(Field(g, f))
+    box = UniformBox((4.0, 3.0, 3.0), (12, 10, 8))
+    w = rng.uniform(0.0, 2.0, box.counts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        want = math.ldexp(_box_lp_norm_coeffs(c, box, q, w), 600)
+        got = _box_lp_norm_coeffs(c, box, q, np.ldexp(w, 600))
+    assert math.isfinite(got)
+    assert abs(got - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("e", [0.5,0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.5,
                                3.0, 3.25, 4.0, 5.5, 7.75, 1.15, 2.3])
 def test_pow_nonneg_matches_pow(e):
     rng = np.random.default_rng(0)

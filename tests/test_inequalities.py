@@ -40,7 +40,7 @@ from pharmonic import sobolev as sobolev_module
 from pharmonic.cli import _parser, build_config, run_suite
 from pharmonic.grid import (Field, UniformBox, _box_lp_norm_coeffs,
                             resample, sample)
-from pharmonic.heat_kernel import t_quadrature
+from pharmonic.heat_kernel import k_alpha, t_quadrature
 from pharmonic.inequalities import (
     _default_grid,
     _gauss_image_axes,
@@ -414,9 +414,40 @@ class TestEndpointL1:
 
 
 # norm_level_0..6 of the three L1-range demos (alpha = 1/2, d = 1) as
-# float.hex, bit for bit as the image factors first gave them: sending
-# factor entries below 2^-500 to exact zeros does not move them
+# float.hex, bit for bit as the mirror-orbit sums give them
 L1_RANGE_NORM_LEVELS = {
+    1.2: [
+        "0x1.3a72788f87451p-1",
+        "0x1.84e5122bd714cp-1",
+        "0x1.b8dce7803c36fp-1",
+        "0x1.df8670c1ac80bp-1",
+        "0x1.fe430c8051fbbp-1",
+        "0x1.0c26ff329f45ap+0",
+        "0x1.174fa34cfc8fep+0",
+    ],
+    4.0 / 3.0: [
+        "0x1.f3b7611ac0cdep-2",
+        "0x1.4d4b8e754a7ebp-1",
+        "0x1.928c63fc99538p-1",
+        "0x1.cefeac7df8a1bp-1",
+        "0x1.033b6d40d2814p+0",
+        "0x1.1dc9561def8bap+0",
+        "0x1.37729efee971dp+0",
+    ],
+    1.5: [
+        "0x1.912be1142f563p-2",
+        "0x1.2206eb6088067p-1",
+        "0x1.78da848c354bbp-1",
+        "0x1.d08b1425549b1p-1",
+        "0x1.1664324928577p+0",
+        "0x1.487a523598322p+0",
+        "0x1.7f5be6644bb19p+0",
+    ],
+}
+
+# the same levels as the full 512^2 boxes gave them, one image value per
+# box point; the orbit sums add the same terms in another order
+L1_RANGE_NORM_LEVELS_FULL_BOX = {
     1.2: [
         "0x1.3a72788f87451p-1",
         "0x1.84e5122bd714cp-1",
@@ -474,6 +505,135 @@ class TestL1ImageFactors:
         rep = hls_endpoint_demo("L1-range", 0.5, 1, q)
         got = [metric(rep, f"norm_level_{i}").value.hex() for i in range(7)]
         assert got == L1_RANGE_NORM_LEVELS[q]
+
+    @pytest.mark.parametrize("q", sorted(L1_RANGE_NORM_LEVELS_FULL_BOX))
+    def test_norm_levels_within_4_ulp_of_full_box(self, q):
+        rep = hls_endpoint_demo("L1-range", 0.5, 1, q)
+        for i, old in enumerate(L1_RANGE_NORM_LEVELS_FULL_BOX[q]):
+            want = float.fromhex(old)
+            got = metric(rep, f"norm_level_{i}").value
+            assert abs(got - want) <= 4 * math.ulp(want)
+
+
+def full_box_cell_sum(sigma, alpha, q, t, w, box, hole=0.0):
+    """inequalities._l1_cell_sum as first written: the image at every box
+    point, the window's cells masked out of the sum."""
+    amp = w * t ** (0.5 * alpha - 1.0) / math.gamma(0.5 * alpha) \
+        / (2.0 * math.pi * sigma * sigma)
+    u, v = _gauss_image_axes(sigma, t, amp, *box.axes())
+    a = np.abs(u.T @ v) ** q
+    ax = box.axes()[0]
+    m = (ax >= -hole) & (ax < hole)
+    return box.cell_volume * (a.sum() - a[np.outer(m, m)].sum())
+
+
+def full_box_q_norm(sigma, alpha, q, t, w):
+    """inequalities._l1_image_q_norm as first written, on the full boxes."""
+    out = UniformBox((inequalities._OUT_HALF,) * 2,
+                     (inequalities._OUT_N,) * 2)
+    core = UniformBox((inequalities._CORE_HALF,) * 2,
+                      (inequalities._CORE_N,) * 2)
+    total = full_box_cell_sum(sigma, alpha, q, t, w, out,
+                              inequalities._CORE_HALF) \
+        + full_box_cell_sum(sigma, alpha, q, t, w, core)
+    return total ** (1.0 / q)
+
+
+def full_circle_center_value(fr, delta, alpha, n_theta=32):
+    """inequalities._center_value as first written: the kernel at every
+    one of the n_theta polar angles."""
+    r, wr = inequalities._radial_nodes(delta, 0.5)
+    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    zp = np.stack(np.broadcast_arrays(r[:, None] * np.cos(th),
+                                      r[:, None] * np.sin(th)), axis=-1)
+    ker = k_alpha(np.zeros(2), zp, 0.5 * alpha)
+    ang = ker.sum(axis=1) * (2.0 * np.pi / n_theta)
+    return float(np.sum(wr * r * fr(r) * ang))
+
+
+def rel_gap(a, b):
+    return abs(a - b) / abs(b)
+
+
+class TestMirrorOrbits:
+    """The endpoint witnesses are even in rho and x: each is evaluated
+    once per reflection orbit, and the orbit sums must agree with the
+    full-box and full-circle sums to roundoff."""
+
+    @pytest.mark.parametrize("half, n", [(8.0, 512), (0.25, 512),
+                                         (7.3, 96), (1.0, 2)])
+    def test_orbit_map(self, half, n):
+        box = UniformBox((half, 3.0), (n, 8))
+        rep, orbit = box.mirror_orbits(0)
+        assert rep.size == n // 2 + 1
+        np.testing.assert_array_equal(orbit[rep], np.arange(rep.size))
+        size = np.bincount(orbit)
+        assert size.sum() == n
+        assert size[0] == size[-1] == 1 and np.all(size[1:-1] == 2)
+        # each point is its representative's mirror image, to an ulp
+        ax = box.axes()[0]
+        assert np.all(np.abs(np.abs(ax) - np.abs(ax[rep][orbit]))
+                      <= 2.0 * np.spacing(half))
+        assert box.mirror_orbits(1)[0].size == 5
+
+    @pytest.mark.parametrize("half, n, hole", [
+        (inequalities._OUT_HALF, inequalities._OUT_N,
+         inequalities._CORE_HALF),
+        (7.3, 96, 1.0), (7.3, 96, 0.9), (1.0, 2, 0.5)])
+    def test_window_sizes_count_the_window(self, half, n, hole):
+        box = UniformBox((half, half), (n, n))
+        ax = box.axes()[0]
+        inside = np.count_nonzero((ax >= -hole) & (ax < hole))
+        assert inequalities._orbit_sizes(box).sum() == n
+        assert inequalities._orbit_sizes(box, hole).sum() == inside
+        # the outer box's core window: 16 points at spacing 1/32, whose
+        # left end -1/4 has its mirror image outside
+        if half == inequalities._OUT_HALF:
+            sizes = inequalities._orbit_sizes(box, hole)
+            assert inside == 16
+            assert sizes[n // 2 - 8] == 1.0 and sizes[n // 2] == 1.0
+
+    @pytest.mark.parametrize("q", [1.2, 4.0 / 3.0, 1.5])
+    def test_q_norm_matches_full_box(self, q):
+        t, w = t_quadrature(0.25, 1).nodes()
+        for n in range(7):
+            s = 2.0 ** -n
+            assert rel_gap(inequalities._l1_image_q_norm(s, 0.5, q, t, w),
+                           full_box_q_norm(s, 0.5, q, t, w)) <= 1e-14
+
+    @pytest.mark.parametrize("hole", [0.0, 1.0])
+    def test_cell_sum_matches_full_box_off_dyadic(self, hole):
+        # at R = 7.3, n = 96 a point and its mirror image differ by an
+        # ulp at some k, so the representative is not bit-equal to it
+        box = UniformBox((7.3, 7.3), (96, 96))
+        ax = box.axes()[0]
+        assert np.any(-ax[1:48] != ax[:48:-1])
+        t, w = t_quadrature(0.25, 1).nodes()
+        for q in (1.2, 4.0 / 3.0, 1.5):
+            for n in range(7):
+                s = 2.0 ** -n
+                got = inequalities._l1_cell_sum(s, 0.5, q, t, w, box, hole)
+                want = full_box_cell_sum(s, 0.5, q, t, w, box, hole)
+                # with a hole both sums are a whole-box sum less a window
+                # sum, and at small sigma the window holds most of the
+                # mass: the roundoff scale is the whole-box sum
+                scale = full_box_cell_sum(s, 0.5, q, t, w, box)
+                assert abs(got - want) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("control", [False, True])
+    def test_center_value_matches_full_circle(self, control):
+        alpha = 0.5
+        kappa = (alpha / 2.0) * (1.0 + inequalities._PROFILE_EPS)
+
+        def fr(r):
+            if control:
+                return np.exp(-2.0 * r * r)
+            return r ** -alpha * np.log(1.0 / r) ** -kappa
+
+        for m in range(7):
+            dl = 2.0 ** -(m + 2)
+            assert rel_gap(inequalities._center_value(fr, dl, alpha),
+                           full_circle_center_value(fr, dl, alpha)) <= 1e-14
 
 
 class TestEndpointLinf:

@@ -17,13 +17,17 @@ measured_box is the box sizing of the gns, hls and hardy checks
 sigma_stencil is sigma_alpha(-1/2) in the layout of the symbols suite's
 derivative stencil: x and xi of SampleDomain(1, 64.0, 2, 0) as
 (1, P, 1), tau and its two shifted copies as (3, P).  l1_image is the
-sigma = 2^-3 image on the 512^2 outer box of the L1-range endpoint
-demo (alpha = 1/2), two closed-form factors and one GEMM.
+sigma = 2^-3 image of the L1-range endpoint demo (alpha = 1/2) on the
+mirror-orbit representatives of its 512^2 outer box, 257^2 points: two
+closed-form factors and one GEMM.  center_value is one level of the
+Linf-range demo (alpha = 1/2, p = 4): H^(-1/4) of the borderline
+profile at the origin, with inner cutoff 2^-8, one k_alpha call on the
+radial nodes times the 9 polar-angle orbits.
 Each primitive makes one untimed call (per-grid constants, caches),
 then --repeat timed calls; the JSON holds the median of those in ms,
 keyed "<primitive>.<grid>", with the settings and the Python and numpy
-versions.  quantize, sigma_stencil and l1_image are d = 1 only, so they
-have no d3 entry.
+versions.  quantize, sigma_stencil, l1_image and center_value are
+d = 1 only, so they have no d3 entry.
 
 Warnings (truncation, resolution) are silenced: the script measures
 time, not accuracy.  It imports pharmonic from the `src/` next to this
@@ -53,7 +57,7 @@ GRIDS = {"d1": (1, 64, 10.0, 8, 40), "d3": (3, 32, 8.0, 8, 32)}
 PRIMITIVES = ("forward", "inverse", "heat_apply_kernel", "frac_power_kernel",
               "resample", "box_lp_norm", "box_lp_norm_q4", "measured_box",
               "k_alpha", "sigma_alpha", "quantize", "sigma_stencil",
-              "l1_image")
+              "l1_image", "center_value")
 
 
 def primitives(g: grid.Grid) -> dict:
@@ -100,6 +104,9 @@ def primitives(g: grid.Grid) -> dict:
                               (inequalities._OUT_N,) * 2)
         calls["l1_image"] = lambda: inequalities._l1_image(
             2.0 ** -3, 0.5, t, w, out)
+        kappa = 0.25 * (1.0 + inequalities._PROFILE_EPS)
+        calls["center_value"] = lambda: inequalities._center_value(
+            lambda r: r ** -0.5 * np.log(1.0 / r) ** -kappa, 2.0 ** -8, 0.5)
     return calls
 
 
