@@ -43,7 +43,6 @@ from .inequalities import (
 from .sobolev import (
     TestFamily,
     equivalence_report,
-    inclusion_chain_check,
     ladder_norm,
     potential_norm,
     riesz_on_potential_check,
@@ -79,7 +78,6 @@ from .heat_kernel import (
     t_quadrature,
 )
 from .hermite import (
-    GHRule,
     gauss_hermite,
     hermite_all,
     hermite_eval,

@@ -34,7 +34,8 @@ from .heat_kernel import (frac_power_kernel, heat_apply_kernel,
                           kernel_bound_report, sample_pairs,
                           schur_weighted_report)
 from .hermite import mehler_closed_form, mehler_partial_sum
-from .inequalities import check_exponents, gns_check, hardy_check, hls_check
+from .inequalities import (_default_grid, check_exponents, gns_check,
+                           hardy_check, hls_check)
 from .ladder import commute_matrix_report, duality_check, inverse_riesz_check
 from .report import Report
 from .sobolev import (TestFamily, equivalence_report,
@@ -226,16 +227,19 @@ def _validate(cfg: SuiteConfig) -> None:
             raise ConfigError(f"{name} must be a nonnegative integer")
     if cfg.d is not None and cfg.d < 1:
         raise ConfigError("d must be >= 1")
-    # grid feasibility before any computation; the sizes come as a set
+    # grid feasibility before any computation; the sizes come as a set,
+    # and hls, gns and hardy size their own grid when none is given
     grid_vals = (cfg.N_rho, cfg.L_rho, cfg.K, cfg.M)
-    if any(v is not None for v in grid_vals) and cfg.suite != "mehler":
-        if any(v is None for v in grid_vals):
-            raise ConfigError("grid parameters Nrho, Lrho, K, M must be "
-                              "given together")
-        try:
+    try:
+        if any(v is not None for v in grid_vals) and cfg.suite != "mehler":
+            if any(v is None for v in grid_vals):
+                raise ConfigError("grid parameters Nrho, Lrho, K, M must be "
+                                  "given together")
             make_grid(cfg.d, cfg.N_rho, cfg.L_rho, cfg.K, cfg.M)
-        except InvalidParameterError as e:
-            raise ConfigError(f"grid parameters rejected: {e}") from e
+        elif cfg.suite in ("hls", "gns", "hardy"):
+            _default_grid(cfg.d)
+    except InvalidParameterError as e:
+        raise ConfigError(f"grid parameters rejected: {e}") from e
     # suite-specific exponent windows
     try:
         if cfg.suite == "hls":

@@ -129,8 +129,15 @@ class Grid:
         return int(hits[0])
 
 
+# a grid may hold 16 times the points of the largest default grid,
+# 32 x 32^3, and C(K + d, d) Hermite modes up to this limit
+_MAX_POINTS = 2 ** 24
+_MAX_MODES = 2 ** 16
+
+
 def make_grid(d: int, N_rho: int, L_rho: float, K: int, M: int) -> Grid:
-    """Build the mixed grid; validates the resolution contract M >= K + 1."""
+    """Build the mixed grid; validates the resolution contract M >= K + 1
+    and the size limits _MAX_POINTS and _MAX_MODES."""
     if d < 1:
         raise InvalidParameterError("d must be >= 1")
     if N_rho < 2 or (N_rho & (N_rho - 1)) != 0:
@@ -150,16 +157,27 @@ def make_grid(d: int, N_rho: int, L_rho: float, K: int, M: int) -> Grid:
         raise InvalidParameterError(
             f"L_rho = {L_rho!r} gives rho points or frequencies that are "
             "not finite")
-    rule = gauss_hermite(M)
-    comp = rule.weights * np.exp(rule.nodes ** 2)
+    # sizes by arithmetic alone, before any multi-index is listed; the
+    # exponent is capped because M^25 > 2^24 for every M >= 2 and 1^d = 1
+    points = N_rho * M ** min(d, 25)
+    if points > _MAX_POINTS:
+        raise InvalidParameterError(
+            f"grid of N_rho * M^d = {N_rho} * {M}^{d} points exceeds "
+            f"{_MAX_POINTS}")
+    modes = math.comb(K + d, d)
+    if modes > _MAX_MODES:
+        raise InvalidParameterError(
+            f"C(K + d, d) = {modes} Hermite modes exceed {_MAX_MODES}")
+    nodes, weights = gauss_hermite(M)
+    comp = weights * np.exp(nodes ** 2)
     if not np.isfinite(comp).all() or (comp <= 0).any():
         raise InvalidParameterError("compensated weights are not positive finite")
     mu = multi_indices(d, K)
     return Grid(
         d=d, N_rho=N_rho, L_rho=float(L_rho), K=K, M=M,
-        nodes_x=rule.nodes, weights_x=comp,
+        nodes_x=nodes, weights_x=comp,
         rho=rho, tau=tau, mu=mu, mu_abs=mu.sum(axis=1),
-        hermite_table=hermite_all(K, rule.nodes),
+        hermite_table=hermite_all(K, nodes),
     )
 
 

@@ -25,15 +25,12 @@ The closed form is evaluated in log space so that moderately large
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .errors import DomainError, InvalidParameterError
 
 __all__ = [
-    "GHRule",
     "gauss_hermite",
     "hermite_eval",
     "hermite_all",
@@ -97,33 +94,18 @@ def phi_mu(mu, x) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class GHRule:
-    """Gauss-Hermite rule: integrates g(x) e^{-x^2} exactly for
-    polynomial g up to degree 2*order - 1."""
-    order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise InvalidParameterError("order must be >= 1")
-        if not (np.isfinite(self.nodes).all() and np.isfinite(self.weights).all()):
-            raise InvalidParameterError("non-finite nodes or weights")
-        if (self.weights <= 0).any():
-            raise InvalidParameterError("weights must be positive")
-
-
-def gauss_hermite(M: int) -> GHRule:
-    """Gauss-Hermite rule of order M (weight e^{-x^2} on R).
+def gauss_hermite(M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite rule of order M (weight e^{-x^2} on R), as the
+    pair (nodes, weights).
 
     Nodes are the roots of the degree-M Hermite polynomial, symmetric
-    about 0; weights are positive and sum to sqrt(pi).
+    about 0; weights are positive and sum to sqrt(pi).  The rule
+    integrates g(x) e^{-x^2} exactly for polynomial g up to degree
+    2M - 1.
     """
     if M < 1:
         raise InvalidParameterError("M must be >= 1")
-    nodes, weights = hermgauss(M)
-    return GHRule(M, nodes, weights)
+    return hermgauss(M)
 
 
 def compositions(k: int, d: int) -> np.ndarray:
@@ -147,6 +129,28 @@ def multi_indices(d: int, K: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
+def _shell_sums(K: int, r: float, x: np.ndarray,
+                xp: np.ndarray) -> np.ndarray:
+    """r^k Phi_k(x, x') for k = 0 .. K, stacked on a new first axis.
+
+    x and xp are float arrays of shape (..., d) that broadcast.  Phi_mu
+    factors over the axes, so the degree-k shell of the product is entry
+    k of the Cauchy product of the axis sequences
+    a_j[k] = (r^k h_k(x_j)) h_k(x'_j), truncated at degree K: d - 1
+    convolutions of length K + 1, whatever the shell sizes
+    C(k + d - 1, d - 1).
+    """
+    x, xp = np.broadcast_arrays(x, xp)
+    powers = (r ** np.arange(K + 1)).reshape((-1,) + (1,) * x.ndim)
+    seq = powers * hermite_all(K, x) * hermite_all(K, xp)
+    out = seq[..., 0]
+    for j in range(1, x.shape[-1]):
+        a = seq[..., j]
+        out = np.array([np.sum(out[:k + 1] * a[k::-1], axis=0)
+                        for k in range(K + 1)])
+    return out
+
+
 def projection_kernel(k: int, x, xp) -> np.ndarray:
     """Degree-k projection kernel sum_{|mu|=k} Phi_mu(x) Phi_mu(x').
 
@@ -154,21 +158,9 @@ def projection_kernel(k: int, x, xp) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xp = np.atleast_1d(np.asarray(xp, dtype=float))
-    d = x.shape[-1]
-    if xp.shape[-1] != d:
+    if xp.shape[-1] != x.shape[-1]:
         raise InvalidParameterError("x and x' dimension mismatch")
-    # h-tables per coordinate, reused across the shell enumeration
-    hx = hermite_all(k, x)     # (k+1, ..., d)
-    hxp = hermite_all(k, xp)
-    out = 0.0
-    for mu in compositions(k, d):
-        term_x = np.ones(x.shape[:-1], dtype=float)
-        term_xp = np.ones(xp.shape[:-1], dtype=float)
-        for j, m in enumerate(mu):
-            term_x = term_x * hx[m, ..., j]
-            term_xp = term_xp * hxp[m, ..., j]
-        out = out + term_x * term_xp
-    return out
+    return _shell_sums(k, 1.0, x, xp)[k]
 
 
 def mehler_closed_form(r: float, x, xp, d: int) -> np.ndarray:
@@ -204,26 +196,8 @@ def mehler_partial_sum(K_sum: int, r: float, x, xp, d: int) -> np.ndarray:
     xp = np.atleast_1d(np.asarray(xp, dtype=float))
     if x.shape[-1] != d or xp.shape[-1] != d:
         raise InvalidParameterError("x, x' must have last axis of length d")
-    if d == 1:
-        hx = hermite_all(K_sum, x[..., 0])
-        hxp = hermite_all(K_sum, xp[..., 0])
-        powers = r ** np.arange(K_sum + 1)
-        shape = np.broadcast_shapes(x.shape[:-1], xp.shape[:-1])
-        acc = np.zeros(shape, dtype=float)
-        for k in range(K_sum, -1, -1):   # small terms first
-            acc = acc + powers[k] * hx[k] * hxp[k]
-        return acc
-    hx = hermite_all(K_sum, x)
-    hxp = hermite_all(K_sum, xp)
-    shape = np.broadcast_shapes(x.shape[:-1], xp.shape[:-1])
-    acc = np.zeros(shape, dtype=float)
-    for k in range(K_sum, -1, -1):
-        shell = np.zeros(shape, dtype=float)
-        for mu in compositions(k, d):
-            term = np.ones(shape, dtype=float)
-            for j, m in enumerate(mu):
-                term = term * hx[m, ..., j] * hxp[m, ..., j]
-            shell = shell + term
-        acc = acc + (r ** k) * shell
+    shells = _shell_sums(K_sum, r, x, xp)
+    acc = np.zeros(shells.shape[1:], dtype=float)
+    for k in range(K_sum, -1, -1):   # small terms first
+        acc = acc + shells[k]
     return acc
-

@@ -25,8 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import (InvalidParameterError, ResolutionWarning,
-                     TruncationWarning)
+from .errors import InvalidParameterError, ResolutionWarning
 from .grid import (Field, Grid, UniformBox, _box_lp_norm_coeffs, _sum_sq,
                    box_lp_norm, inner, lp_norm, resample, sample)
 from .hermite import hermite_eval
@@ -42,7 +41,6 @@ __all__ = [
     "equivalence_report",
     "riesz_on_potential_check",
     "weighted_decay_check",
-    "inclusion_chain_check",
     "strict_inclusion_demo",
 ]
 
@@ -198,12 +196,19 @@ def _nonzero(value: float) -> bool:
 def equivalence_report(grid: Grid, family: TestFamily,
                        pairs: tuple[tuple[int, float], ...]) -> Report:
     """Bracket of ladder_norm / potential_norm over the family for each
-    (k, p) in pairs, its metrics prefixed k{k}p{p:g}_.
+    (k, p) in pairs, its metrics prefixed k{k}p{p:g}_, then the
+    inclusion chain at order 1, p = 2, on the base members.
 
-    PASS iff the ratios stay in (0, inf) and the bracket width grows by
-    less than 2, not STABILITY_LIMIT, when the family is enlarged
-    four-fold (TestFamily.size).  Each member is built once and scored
-    for every pair.
+    The bracket passes iff the ratios stay in (0, inf) and its width
+    grows by less than 2, not STABILITY_LIMIT, when the family is
+    enlarged four-fold (TestFamily.size).  Each member is built once
+    and scored for every pair.
+
+    The chain ranks three quadratic forms: the rho^2-augmented (full
+    Hermite) form dominates the oscillator form <H f, f> termwise, and
+    the flat Bessel form ||f||^2 + ||grad f||^2 is at most 2 <H f, f>,
+    since the spectrum starts at d and the potential term is
+    nonnegative.  The two flat forms are read on _decay_box by the FFT.
     """
     rep = Report(suite="sobolev-equivalence",
                  params={"d": grid.d, "pairs": [list(pr) for pr in pairs],
@@ -217,8 +222,9 @@ def equivalence_report(grid: Grid, family: TestFamily,
         return ladder_norm(f, k, p) / denom
 
     # one row per member, one column per pair; the base is the head
+    base_members = family.members(grid)
     vals = np.array([[one(f, k, p) for k, p in pairs] for f in
-                     chain(family.members(grid), family.extras(grid))])
+                     chain(base_members, family.extras(grid))])
     for (k, p), col in zip(pairs, vals.T):
         pre = f"k{k}p{p:g}_"
         base = col[:family.count][np.isfinite(col[:family.count])]
@@ -229,6 +235,30 @@ def equivalence_report(grid: Grid, family: TestFamily,
         rep.add_growth(pre + "bracket_growth",
                        float(base.max()) / float(base.min()), hi / lo,
                        f"family {family.count} -> {family.size}", limit=2.0)
+
+    box = _decay_box(grid)
+    zeta_sq = _sum_sq(box.freq_axes())
+    scale = box.cell_volume / np.prod(box.counts)
+    rho = box.axes()[0].reshape((-1,) + (1,) * (box.ndim - 1))
+    sup_h_over_herm = 0.0
+    sup_cl_over_h = 0.0
+    for f in base_members:
+        h_form = float(np.real(inner(spectral_frac_power(f, 1.0), f)))
+        on_box = resample(f, box)
+        hermite_form = h_form + box_lp_norm(rho * on_box, box, 2.0) ** 2
+        if hermite_form <= 0:
+            continue
+        fhat = np.fft.fftn(on_box)
+        classical_form = float(np.sum((1.0 + zeta_sq) * np.abs(fhat) ** 2)
+                               * scale)
+        sup_h_over_herm = max(sup_h_over_herm, h_form / hermite_form)
+        sup_cl_over_h = max(sup_cl_over_h, classical_form / h_form)
+    rep.add("oscillator_over_hermite_sup", sup_h_over_herm, 1.0 + 1e-10,
+            sup_h_over_herm <= 1.0 + 1e-10,
+            "termwise: the rho^2 term is nonnegative")
+    rep.add("classical_over_oscillator_sup", sup_cl_over_h, 2.0 + 1e-8,
+            sup_cl_over_h <= 2.0 + 1e-8,
+            "||f||^2 + ||grad f||^2 <= 2 <H f, f>")
     return rep
 
 
@@ -240,7 +270,7 @@ def riesz_on_potential_check(js: tuple[int, ...], alpha: float, p: float,
     and scored for every j.
     """
     from .ladder import riesz
-    rep = Report(suite="sobolev-equivalence",
+    rep = Report(suite="riesz",
                  params={"js": list(js), "alpha": alpha, "p": p,
                          "d": grid.d, "kind": family.kind,
                          "seed": family.seed})
@@ -265,7 +295,7 @@ def riesz_on_potential_check(js: tuple[int, ...], alpha: float, p: float,
 
 
 # ---------------------------------------------------------------------------
-# weighted decay and the inclusion chain
+# weighted decay
 
 def _space_weight(box: UniformBox, alpha: float) -> np.ndarray:
     # |x|^alpha on the box, broadcast over the rho axis
@@ -315,56 +345,6 @@ def weighted_decay_check(alpha: float, p: float, grid: Grid,
     sup_cor = max(cor for _, cor in vals)
     rep.add("corollary_weighted_sup", sup_cor, None, np.isfinite(sup_cor),
             "|| |x|^a g ||_p for g = H^(-a/2) f")
-    return rep
-
-
-def inclusion_chain_check(grid: Grid, family: TestFamily) -> Report:
-    """Quadratic-form ranking at order 1, p = 2: the rho^2-augmented
-    (full Hermite) form dominates the oscillator form, which dominates
-    the flat Bessel form up to sqrt(2).
-
-    <H f, f> + ||rho f||^2 >= <H f, f> holds termwise, and
-    ||f||^2 + ||grad f||^2 <= 2 <H f, f> since the spectrum starts at d
-    and the potential term is nonnegative.
-
-    The mollified witnesses carry O(1e-4) Hermite tails by design
-    (slow x-decay); the truncation bias is common to both sides of each
-    ratio and the measured sups sit far from the thresholds, so the
-    tail chatter from the spectral routines is silenced here.
-    """
-    box = _decay_box(grid)
-    rep = Report(suite="sobolev-equivalence",
-                 params={"d": grid.d, "kind": family.kind,
-                         "seed": family.seed})
-    zeta_sq = _sum_sq(box.freq_axes())
-    rho = box.axes()[0].reshape((-1,) + (1,) * (box.ndim - 1))
-
-    def forms(f: Field):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", TruncationWarning)
-            h_form = float(np.real(inner(spectral_frac_power(f, 1.0), f)))
-            vals = resample(f, box)
-        hermite_form = h_form + box_lp_norm(rho * vals, box, 2.0) ** 2
-        fhat = np.fft.fftn(vals)
-        scale = box.cell_volume / np.prod(box.counts)
-        classical_form = float(np.sum((1.0 + zeta_sq) * np.abs(fhat) ** 2)
-                               * scale)
-        return hermite_form, h_form, classical_form
-
-    sup_h_over_herm = 0.0
-    sup_cl_over_h = 0.0
-    for f in family.members(grid):
-        herm, h, cl = forms(f)
-        if herm <= 0:
-            continue
-        sup_h_over_herm = max(sup_h_over_herm, h / herm)
-        sup_cl_over_h = max(sup_cl_over_h, cl / h)
-    rep.add("oscillator_over_hermite_sup", sup_h_over_herm, 1.0 + 1e-10,
-            sup_h_over_herm <= 1.0 + 1e-10,
-            "termwise: the rho^2 term is nonnegative")
-    rep.add("classical_over_oscillator_sup", sup_cl_over_h, 2.0 + 1e-8,
-            sup_cl_over_h <= 2.0 + 1e-8,
-            "||f||^2 + ||grad f||^2 <= 2 <H f, f>")
     return rep
 
 

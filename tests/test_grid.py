@@ -74,6 +74,22 @@ def test_make_grid_rejects_bad_parameters():
         make_grid(d=1, N_rho=64, L_rho=-1.0, K=4, M=8)
 
 
+def test_make_grid_size_limits():
+    # 2^24 points and C(362, 2) = 65341 <= 2^16 modes are accepted
+    assert make_grid(d=3, N_rho=64, L_rho=4.0, K=0, M=64).shape == (64,) * 4
+    assert make_grid(d=2, N_rho=2, L_rho=4.0, K=360, M=361).n_mu == 65341
+    with pytest.raises(InvalidParameterError, match="points"):
+        make_grid(d=3, N_rho=128, L_rho=4.0, K=0, M=64)
+    with pytest.raises(InvalidParameterError, match="points"):
+        make_grid(d=10 ** 12, N_rho=2, L_rho=4.0, K=0, M=2)
+    # C(363, 2) = 65703
+    with pytest.raises(InvalidParameterError, match="modes"):
+        make_grid(d=2, N_rho=2, L_rho=4.0, K=361, M=362)
+    # with M = 1 the rho axis alone sets the count
+    with pytest.raises(InvalidParameterError, match="points"):
+        make_grid(d=3, N_rho=2 ** 25, L_rho=4.0, K=0, M=1)
+
+
 @pytest.mark.parametrize("L_rho", [np.nan, np.inf, 1e308, 1e-320])
 def test_make_grid_rejects_a_grid_that_is_not_finite(L_rho):
     # NaN or inf rho points, or infinite frequencies; silently

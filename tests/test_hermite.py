@@ -65,28 +65,28 @@ def test_derivative_ladder_identity():
 
 
 def test_gauss_hermite_small_orders():
-    r1 = gauss_hermite(1)
-    np.testing.assert_allclose(r1.nodes, [0.0], atol=1e-15)
-    np.testing.assert_allclose(r1.weights, [np.sqrt(np.pi)], rtol=1e-14)
-    r2 = gauss_hermite(2)
-    np.testing.assert_allclose(np.sort(r2.nodes), [-2 ** -0.5, 2 ** -0.5], rtol=1e-14)
-    np.testing.assert_allclose(r2.weights, [np.sqrt(np.pi) / 2] * 2, rtol=1e-14)
+    nodes, weights = gauss_hermite(1)
+    np.testing.assert_allclose(nodes, [0.0], atol=1e-15)
+    np.testing.assert_allclose(weights, [np.sqrt(np.pi)], rtol=1e-14)
+    nodes, weights = gauss_hermite(2)
+    np.testing.assert_allclose(np.sort(nodes), [-2 ** -0.5, 2 ** -0.5], rtol=1e-14)
+    np.testing.assert_allclose(weights, [np.sqrt(np.pi) / 2] * 2, rtol=1e-14)
 
 
 def test_gauss_hermite_moments_and_mass():
-    r = gauss_hermite(17)
-    assert abs(r.weights.sum() - np.sqrt(np.pi)) < 1e-12
-    assert abs((r.weights * r.nodes ** 2).sum() - np.sqrt(np.pi) / 2) < 1e-12
+    nodes, weights = gauss_hermite(17)
+    assert abs(weights.sum() - np.sqrt(np.pi)) < 1e-12
+    assert abs((weights * nodes ** 2).sum() - np.sqrt(np.pi) / 2) < 1e-12
     # degree-2M-1 exactness edge: x^32 moment = Gamma(16.5)
     import math
-    assert (r.weights * r.nodes ** 32).sum() == pytest.approx(math.gamma(16.5), rel=1e-12)
+    assert (weights * nodes ** 32).sum() == pytest.approx(math.gamma(16.5), rel=1e-12)
 
 
 def test_orthonormality():
     M, K = 33, 32
-    r = gauss_hermite(M)
-    comp = r.weights * np.exp(r.nodes ** 2)
-    tab = hermite_all(K, r.nodes)
+    nodes, weights = gauss_hermite(M)
+    comp = weights * np.exp(nodes ** 2)
+    tab = hermite_all(K, nodes)
     gram = np.einsum("q,jq,kq->jk", comp, tab, tab)
     np.testing.assert_allclose(gram, np.eye(K + 1), atol=1e-12)
 
@@ -127,6 +127,15 @@ def test_projection_kernel_d2_enumeration():
                for mu in [(0, 3), (1, 2), (2, 1), (3, 0)])
     got = projection_kernel(3, x, xp)
     assert got == pytest.approx(want, rel=1e-13)
+
+
+def test_projection_kernel_d3_enumeration():
+    x = np.array([0.7, -0.3, 1.2])
+    xp = np.array([-1.1, 0.4, 0.5])
+    for k in (0, 1, 4):
+        want = sum(phi_mu(mu, x) * phi_mu(mu, xp) for mu in compositions(k, 3))
+        got = projection_kernel(k, x, xp)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-16)
 
 
 def test_projection_kernel_generating_function():
@@ -182,6 +191,22 @@ def test_partial_sum_convergence_envelope():
         for K in (10, 30, 60):
             part = mehler_partial_sum(K, r, X, XP, 1)
             # geometric tail bound plus a roundoff floor
+            bound = r ** (K + 1) / (1 - r) + 1e-13
+            assert np.abs(part - closed).max() <= bound
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_partial_sum_convergence_envelope_multi_d(d):
+    # the d-axis shell sums against the closed form, on the diagonal
+    # points (s, .., s) and (s', .., s'), |s|, |s'| <= 2
+    pts = np.linspace(-2, 2, 5)
+    X, XP = np.meshgrid(pts, pts, indexing="ij")
+    x = np.broadcast_to(X[..., None], X.shape + (d,))
+    xp = np.broadcast_to(XP[..., None], XP.shape + (d,))
+    for r in (0.3, 0.5):
+        closed = mehler_closed_form(r, x, xp, d)
+        for K in (10, 30, 60):
+            part = mehler_partial_sum(K, r, x, xp, d)
             bound = r ** (K + 1) / (1 - r) + 1e-13
             assert np.abs(part - closed).max() <= bound
 

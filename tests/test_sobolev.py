@@ -18,7 +18,6 @@ from pharmonic import (
     ResolutionWarning,
     TestFamily,
     equivalence_report,
-    inclusion_chain_check,
     ladder_norm,
     lp_norm,
     make_grid,
@@ -179,11 +178,14 @@ class TestEquivalence:
         fam = TestFamily("gaussian", 2, seed=4)
         pairs = ((1, 2.0), (2, 2.0), (1, 4.0))
         both = equivalence_report(g1, fam, pairs)
-        one_by_one = [m for pr in pairs
-                      for m in equivalence_report(g1, fam, (pr,)).metrics]
-        assert both.metrics == one_by_one
+        singles = [equivalence_report(g1, fam, (pr,)).metrics
+                   for pr in pairs]
+        assert both.metrics[:-2] == [m for one in singles for m in one[:-2]]
+        # the inclusion chain closes every report, whatever the pairs
+        assert all(one[-2:] == both.metrics[-2:] for one in singles)
         assert [m.name for m in both.metrics[::3]] == \
-            ["k1p2_ratio_min", "k2p2_ratio_min", "k1p4_ratio_min"]
+            ["k1p2_ratio_min", "k2p2_ratio_min", "k1p4_ratio_min",
+             "oscillator_over_hermite_sup"]
 
     def test_ground_mode_ratio_exact(self, g1):
         f = mode_field(g1, 0, (0,))
@@ -231,6 +233,7 @@ class TestRieszOnPotential:
                                        TestFamily("band_limited", 5,
                                                   seed=13))
         assert rep.all_passed, rep.failures()
+        assert rep.suite == "riesz"
         assert [m.name for m in rep.metrics] == \
             ["j1_operator_ratio_sup", "j1_refinement_growth"]
 
@@ -275,9 +278,16 @@ class TestWeightedDecay:
 
 
 class TestInclusionChain:
-    def test_mollified_ranking(self, g1):
-        rep = inclusion_chain_check(g1, TestFamily("mollified", 6, seed=3))
+    def test_gaussian_ranking(self, g1):
+        rep = equivalence_report(g1, TestFamily("gaussian", 6, seed=3),
+                                 ((1, 2.0),))
+        chain = {m.name: m.value for m in rep.metrics[-2:]}
         assert rep.all_passed, rep.failures()
+        assert list(chain) == ["oscillator_over_hermite_sup",
+                               "classical_over_oscillator_sup"]
+        # ||rho f||^2 > 0 for every nonzero member
+        assert 0 < chain["oscillator_over_hermite_sup"] < 1
+        assert 0 < chain["classical_over_oscillator_sup"] <= 2
 
 
 def assert_bessel_power_matches(a, b, box, alpha):
