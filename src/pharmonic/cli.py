@@ -151,6 +151,9 @@ def _load_config_file(path: str) -> dict:
         key = _KEY_ALIASES.get(key, key)
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        # null would replace the suite default and skip every type check
+        if value is None:
+            raise ConfigError(f"config key {key!r} is null")
         out[key] = value
     return out
 
@@ -240,21 +243,12 @@ def _validate(cfg: SuiteConfig) -> None:
             _default_grid(cfg.d)
     except InvalidParameterError as e:
         raise ConfigError(f"grid parameters rejected: {e}") from e
-    # suite-specific exponent windows
-    try:
-        if cfg.suite == "hls":
-            check_exponents("hls", cfg.alpha, cfg.p, cfg.q, cfg.d)
-        elif cfg.suite == "gns":
-            check_exponents("gns", 1.0, cfg.p, cfg.q, cfg.d)
-        elif cfg.suite == "hardy":
-            check_exponents("hardy", cfg.alpha, cfg.p, 2.0, cfg.d)
-    except InvalidParameterError as e:
-        relation = ("1/p - alpha/(d+1) <= 1/q < 1/p" if cfg.suite == "hls"
-                    else "1/p - 1/(d+1) <= 1/q < 1/p" if cfg.suite == "gns"
-                    else "p in {2, 4} and 0 < alpha < (d+1)/p")
-        raise ConfigError(
-            f"{cfg.suite} exponents rejected ({e}); required: {relation}"
-        ) from e
+    # suite-specific exponent windows; each message names its relation
+    if cfg.suite in ("hls", "gns", "hardy"):
+        try:
+            check_exponents(cfg.suite, cfg.alpha, cfg.p, cfg.q, cfg.d)
+        except InvalidParameterError as e:
+            raise ConfigError(f"{cfg.suite} exponents rejected: {e}") from e
     if cfg.suite == "inclusions":
         if not 0.0 < cfg.alpha < 1.0:
             raise ConfigError("inclusions needs 0 < alpha < 1")

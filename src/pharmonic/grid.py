@@ -136,8 +136,8 @@ _MAX_MODES = 2 ** 16
 
 
 def make_grid(d: int, N_rho: int, L_rho: float, K: int, M: int) -> Grid:
-    """Build the mixed grid; validates the resolution contract M >= K + 1
-    and the size limits _MAX_POINTS and _MAX_MODES."""
+    """Build the mixed grid; validates the resolution contract M >= K + 1,
+    numpy's axis limit and the size limits _MAX_POINTS and _MAX_MODES."""
     if d < 1:
         raise InvalidParameterError("d must be >= 1")
     if N_rho < 2 or (N_rho & (N_rho - 1)) != 0:
@@ -168,6 +168,14 @@ def make_grid(d: int, N_rho: int, L_rho: float, K: int, M: int) -> Grid:
     if modes > _MAX_MODES:
         raise InvalidParameterError(
             f"C(K + d, d) = {modes} Hermite modes exceed {_MAX_MODES}")
+    # a field has d + 1 axes and a kernel stack d + 2; probe the
+    # installed numpy's axis limit (64 in numpy 2, 32 in numpy 1)
+    try:
+        np.empty((1,) * min(d + 2, 65))
+    except ValueError as e:
+        raise InvalidParameterError(
+            f"d = {d} needs arrays of {d + 2} axes, more than numpy "
+            f"{np.__version__} allows") from e
     nodes, weights = gauss_hermite(M)
     comp = weights * np.exp(nodes ** 2)
     if not np.isfinite(comp).all() or (comp <= 0).any():

@@ -33,10 +33,10 @@ from .grid import (_TINY, Field, Grid, UniformBox, _box_lp_norm_coeffs,
                    _exp_floored, lp_norm, make_grid)
 from .heat_kernel import (_frac_power_images, _gl_panels, k_alpha,
                           t_quadrature)
-from .ladder import _grad_coeffs
+from .ladder import _grad_norms
 from .report import Report
 from .sobolev import TestFamily, potential_norm
-from .spectral import (SpectralCoeffs, forward, inverse, plancherel_norm,
+from .spectral import (SpectralCoeffs, forward, plancherel_norm,
                        spectral_frac_power)
 
 GATE_TOL = 1e-3
@@ -48,16 +48,17 @@ _TAGS = ("hls", "gns", "hardy")
 # ---------------------------------------------------------------------------
 # exponent windows
 
-def _admissible(p: float, q: float, gap: float) -> None:
-    """1/p - gap <= 1/q < 1/p, the HLS/GNS exponent window."""
+def _admissible(p: float, q: float, gap: float, gap_name: str) -> None:
+    """1/p - gap <= 1/q < 1/p, the HLS/GNS exponent window; gap_name
+    spells gap in the error message."""
     if p < 1.0 or q < 1.0:
         raise InvalidParameterError("exponents must be >= 1")
     lo, hi = 1.0 / p - gap, 1.0 / p
     inv = 1.0 / q
     if not (lo - 1e-12 <= inv < hi - 1e-12):
         raise InvalidParameterError(
-            f"1/q = {inv:.6g} outside [{lo:.6g}, {hi:.6g}): "
-            "inadmissible exponents")
+            f"1/q = {inv:.6g} outside [{lo:.6g}, {hi:.6g}); required: "
+            f"1/p - {gap_name} <= 1/q < 1/p")
 
 
 def check_exponents(tag: str, alpha: float, p: float, q: float,
@@ -73,11 +74,11 @@ def check_exponents(tag: str, alpha: float, p: float, q: float,
     if tag == "hls":
         if not 0.0 < alpha < dim:
             raise InvalidParameterError("alpha must lie in (0, d+1)")
-        _admissible(p, q, alpha / dim)
+        _admissible(p, q, alpha / dim, "alpha/(d+1)")
     elif tag == "gns":
         if d < 3:
             raise InvalidParameterError("gns requires d >= 3")
-        _admissible(p, q, 1.0 / dim)
+        _admissible(p, q, 1.0 / dim, "1/(d+1)")
     else:  # hardy
         if p not in (2.0, 4.0):
             raise InvalidParameterError("hardy supports p in {2, 4}")
@@ -171,27 +172,6 @@ def _sup_stats(rep: Report, name: str, base: list[float],
                    "sup change, box counts x2 (inert for q = 2)")
 
 
-def _grad_norm(c: SpectralCoeffs, p: float) -> float:
-    """sum_j |A_j f|_p over the 2d+1 ladder components of f = inverse(c).
-
-    At p = 2 each term is the coefficient norm of the ladder image
-    (plancherel_norm), with no inverse transform.  That is the grid L^2
-    norm of the image to rounding, not an approximation of it: the
-    image has Hermite degree <= K (raising drops the top shell), the
-    Gauss-Hermite rule with M >= K + 1 nodes is exact on every
-    h_k h_l with k, l <= K, and the N-point trapezoid sum in rho is
-    exact on products of two frequencies in [-N/2, N/2).  Other p
-    evaluate each component on the grid, one at a time: the 2d+1
-    components of a d = 3 member are ~118 MB when held together, and
-    freeing that much at once lets the allocator return it to the OS,
-    to be faulted back in for the next member.
-    """
-    images = _grad_coeffs(c)
-    if p == 2.0:
-        return sum(plancherel_norm(c) for c in images)
-    return sum(lp_norm(inverse(c), p) for c in images)
-
-
 # ---------------------------------------------------------------------------
 # HLS
 
@@ -282,7 +262,7 @@ def shifted_hls_check(alpha: float, p: float, q: float, d: int, a: float,
 
 def _ratio_gns(c: SpectralCoeffs, p: float, q: float, box: UniformBox,
                box_fine: UniformBox | None) -> tuple[float, float]:
-    den = _grad_norm(c, p)
+    den = sum(_grad_norms(c, p))
     if den == 0.0:
         raise InvalidParameterError("zero field in family")
     if q == 2.0:
@@ -304,8 +284,8 @@ def gns_check(p: float, q: float, d: int, family: TestFamily,
     quadrature; at p = 2 each is read off the coefficients instead,
     which is the same grid quadrature to rounding (Gauss-Hermite and
     the rho trapezoid are exact on the band-limited image, see
-    _grad_norm).  The q norm uses the auto-sized box when q != 2, and
-    plancherel_norm, the same quadrature, when q = 2.
+    ladder._grad_norms).  The q norm uses the auto-sized box when
+    q != 2, and plancherel_norm, the same quadrature, when q = 2.
 
     Every member is scored from its coefficients, so a band_limited
     family builds no grid Field: each base member is drawn once
@@ -377,7 +357,7 @@ def hardy_check(alpha: float, p: float, d: int, family: TestFamily,
         num1 = num0
         if with_fine:
             num1 = _box_lp_norm_coeffs(c, fine, p, w1)
-        gden = _grad_norm(c, p) if grad_variant else math.inf
+        gden = sum(_grad_norms(c, p)) if grad_variant else math.inf
         return num0, num1, den, gden
 
     got = [worker(f, True) for f in base]

@@ -38,6 +38,7 @@ from .spectral import (
     apply_multiplier,
     forward,
     inverse,
+    plancherel_norm,
     power_multiplier,
 )
 
@@ -112,6 +113,26 @@ def grad_H(field: Field) -> list[Field]:
     return [inverse(c) for c in _grad_coeffs(forward(field))]
 
 
+def _grad_norms(coeffs: SpectralCoeffs, p: float) -> list[float]:
+    """The 2d+1 norms |A_j f|_p of f = inverse(coeffs), in grad_H's order.
+
+    At p = 2 each is the coefficient norm of the ladder image
+    (plancherel_norm), with no inverse transform.  That is the grid L^2
+    norm of the image to rounding, not an approximation of it: the
+    image has Hermite degree <= K (raising drops the top shell), the
+    Gauss-Hermite rule with M >= K + 1 nodes is exact on every
+    h_k h_l with k, l <= K, and the N-point trapezoid sum in rho is
+    exact on products of two frequencies in [-N/2, N/2).  Other p
+    evaluate each component on the grid, one at a time: the 2d+1
+    components of a d = 3 member are ~118 MB when held together, and
+    freeing that much at once lets the allocator return it to the OS,
+    to be faulted back in for the next member.
+    """
+    if p == 2.0:
+        return [plancherel_norm(a) for a in _grad_coeffs(coeffs)]
+    return [lp_norm(inverse(a), p) for a in _grad_coeffs(coeffs)]
+
+
 def _rel_residual(a: Field, b: Field) -> float:
     den = max(lp_norm(a, 2), lp_norm(b, 2))
     if den == 0.0:
@@ -128,11 +149,8 @@ def _power_on_support(coeffs: SpectralCoeffs, alpha: float,
     image.  Modes where the power is undefined must carry (numerically)
     no energy; the multiplier is zeroed there.
     """
-    g = coeffs.grid
-    base = g.eigenvalues(shift)
+    base = coeffs.grid.eigenvalues(shift)
     bad = base <= 0 if alpha < 0 else (base < 0) & (alpha != int(alpha))
-    if not bad.any():
-        return apply_multiplier(coeffs, power_multiplier(g, alpha, shift))
     total = float(np.sum(np.abs(coeffs.data) ** 2))
     stray = float(np.sum(np.abs(coeffs.data[bad]) ** 2))
     if total > 0 and stray > 1e-26 * total:
@@ -140,10 +158,8 @@ def _power_on_support(coeffs: SpectralCoeffs, alpha: float,
             f"(lambda + {shift})^{alpha} undefined on modes carrying "
             f"{stray / total:.3e} of the energy")
     m = np.zeros_like(base)
-    good = ~bad
-    m[good] = np.power(base[good], alpha)
-    data = coeffs.data * m
-    return SpectralCoeffs(g, data)
+    m[~bad] = np.power(base[~bad], alpha)
+    return apply_multiplier(coeffs, m)
 
 
 def commute_check(j: int, alpha: float, field: Field,
@@ -207,18 +223,16 @@ def commute_matrix_report(field: Field, tol: float = 1e-10) -> Report:
 def duality_check(f: Field) -> Report:
     """Compare I = <f, f> with S = sum_j <R_j f, R_j f>.
 
-    Mode-wise S/I is (tau^2 + 4|mu| + 2d)/(tau^2 + 2|mu| + d), which
+    f is transformed once: S sums the squared norms of the ladder
+    images of H^(-1/2) f, read off the coefficients.  Mode-wise S/I is (tau^2 + 4|mu| + 2d)/(tau^2 + 2|mu| + d), which
     lies in [1, 2], so the two-sided bound I <= S <= 2I is asserted.
     A constant-2 identity, which the factor only attains at the bottom
     mode, cannot hold; the report carries that observation.
     """
     I = inner(f, f).real
-    S = 0.0
-    d = f.grid.d
-    for j in range(-d, d + 1):
-        rf = riesz(j, f)
-        S += inner(rf, rf).real
-    rep = Report(suite="duality", params={"d": d})
+    c = apply_multiplier(forward(f), power_multiplier(f.grid, -0.5))
+    S = sum(n ** 2 for n in _grad_norms(c, 2.0))
+    rep = Report(suite="duality", params={"d": f.grid.d})
     rep.add("I", I, None, True, "inner product")
     rep.add("S", S, None, True, "sum over 2d+1 Riesz components")
     if I > 0:
@@ -241,15 +255,15 @@ def inverse_riesz_check(f: Field, p: float) -> Report:
     c = forward(f)
     lhs = lp_norm(inverse(apply_multiplier(
         c, power_multiplier(f.grid, 0.5))), p)
-    parts = grad_H(f)
-    rhs = sum(lp_norm(u, p) for u in parts)
+    norms = _grad_norms(c, p)
+    rhs = sum(norms)
     rep = Report(suite="inverse_riesz", params={"p": p, "d": f.grid.d})
     rep.add("lhs_half_power_norm", lhs, None, True, "spectral H^(1/2)")
     rep.add("rhs_ladder_sum", rhs, None, True, "2d+1 ladder components")
     ratio = lhs / rhs if rhs > 0 else 0.0
     if p == 2:
         # sharp constant 1 at p=2, mode-wise inequality
-        sq_rhs = np.sqrt(sum(lp_norm(u, 2) ** 2 for u in parts))
+        sq_rhs = np.sqrt(sum(n ** 2 for n in norms))
         ok = lhs <= sq_rhs * (1 + 1e-12)
         rep.add("p2_sharp_ratio", lhs / sq_rhs if sq_rhs else 0.0, 1.0, ok,
                 "l2 aggregation: lambda <= tau^2 + 4|mu| + 2d mode-wise")

@@ -29,7 +29,7 @@ from .errors import InvalidParameterError, ResolutionWarning
 from .grid import (Field, Grid, UniformBox, _box_lp_norm_coeffs, _sum_sq,
                    box_lp_norm, inner, lp_norm, resample, sample)
 from .hermite import hermite_eval
-from .ladder import apply_A
+from .ladder import _grad_coeffs, _grad_norms, riesz
 from .report import Report
 from .spectral import (SpectralCoeffs, _grid_series, forward, inverse,
                        spectral_frac_power)
@@ -172,20 +172,15 @@ def potential_norm(field: Field, alpha: float, p: float) -> float:
 
 def ladder_norm(field: Field, k: int, p: float) -> float:
     """||f||_p plus ||A_j1 ... A_jm f||_p over every ladder tuple,
-    m <= k, indices in {0, +-1, ..., +-d}."""
+    m <= k, indices in {0, +-1, ..., +-d}: the order-1 norms of f, then,
+    at k = 2, those of each of its ladder images (ladder._grad_norms)."""
     if k not in (1, 2):
         raise InvalidParameterError("ladder order k must be 1 or 2")
-    g = field.grid
-    indices = [0] + [j for jj in range(1, g.d + 1) for j in (jj, -jj)]
-    total = lp_norm(field, p)
     c = forward(field)
-    firsts = {j: apply_A(j, c) for j in indices}
-    for j in indices:
-        total += lp_norm(inverse(firsts[j]), p)
+    total = sum(_grad_norms(c, p), lp_norm(field, p))
     if k == 2:
-        for j1 in indices:
-            for j2 in indices:
-                total += lp_norm(inverse(apply_A(j1, firsts[j2])), p)
+        for first in _grad_coeffs(c):
+            total = sum(_grad_norms(first, p), total)
     return total
 
 
@@ -269,7 +264,6 @@ def riesz_on_potential_check(js: tuple[int, ...], alpha: float, p: float,
     STABILITY_LIMIT on the enlarged family.  Each member is built once
     and scored for every j.
     """
-    from .ladder import riesz
     rep = Report(suite="riesz",
                  params={"js": list(js), "alpha": alpha, "p": p,
                          "d": grid.d, "kind": family.kind,

@@ -180,6 +180,14 @@ class TestExitCodes:
         ["--suite", "hls", "--d", "100", "--q", "2.01"],
         # 8 * 8^8 ~ 1.3e8 points per field
         ["--suite", "commute", "--d", "8"],
+        # M = 1 passes both size limits, but a field has d + 1 axes and
+        # a kernel stack d + 2, past numpy's limit
+        ["--suite", "semigroup", "--Nrho", "8", "--Lrho", "4", "--K", "0",
+         "--M", "1", "--d", "63"],
+        ["--suite", "semigroup", "--Nrho", "8", "--Lrho", "4", "--K", "0",
+         "--M", "1", "--d", "70"],
+        ["--suite", "semigroup", "--Nrho", "8", "--Lrho", "4", "--K", "0",
+         "--M", "1", "--d", "5000"],
     ])
     def test_oversized_grid_exits_two(self, argv, capsys):
         # each used to list every multi-index before checking any size,
@@ -212,6 +220,13 @@ class TestExitCodes:
         '{"suite": "symbols", "alpha": 1.5}',
         '{"suite": "symbols", "seed": -5}',
         '{"suite": "mehler", "seed": -1}',
+        # null would replace the suite default and skip the type checks
+        '{"suite": "hls", "alpha": null}',
+        '{"suite": "semigroup", "tol": null}',
+        '{"suite": "riesz", "p": null}',
+        '{"suite": "mehler", "K": null}',
+        '{"suite": "kernel-bounds", "d": null}',
+        '{"suite": "hls", "seed": null}',
     ])
     def test_mistyped_config_value_exits_two(self, config, tmp_path,
                                              capsys):

@@ -90,6 +90,16 @@ def test_make_grid_size_limits():
         make_grid(d=3, N_rho=2 ** 25, L_rho=4.0, K=0, M=1)
 
 
+@pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                    reason="numpy 1.x arrays hold at most 32 axes")
+def test_make_grid_axis_limit():
+    # M = 1 passes both size limits at any d, but a kernel stack has
+    # d + 2 axes and numpy 2.x arrays at most 64
+    assert make_grid(62, 2, 1.0, 0, 1).shape == (2,) + (1,) * 62
+    with pytest.raises(InvalidParameterError, match="axes"):
+        make_grid(63, 2, 1.0, 0, 1)
+
+
 @pytest.mark.parametrize("L_rho", [np.nan, np.inf, 1e308, 1e-320])
 def test_make_grid_rejects_a_grid_that_is_not_finite(L_rho):
     # NaN or inf rho points, or infinite frequencies; silently

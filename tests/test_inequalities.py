@@ -44,22 +44,24 @@ from pharmonic.heat_kernel import k_alpha, t_quadrature
 from pharmonic.inequalities import (
     _default_grid,
     _gauss_image_axes,
-    _grad_norm,
     _measured_box,
     _ratio_gns,
     _singular_weight,
 )
-from pharmonic.ladder import apply_A, grad_H
+from pharmonic.ladder import _grad_norms, apply_A, grad_H
 from pharmonic.spectral import SpectralCoeffs, forward, inverse, \
     spectral_frac_power
 
 
 def streamed_grad_norm(f, p):
-    """The l^1 gradient norm as first written for d = 3: every ladder
-    component inverted and normed by grid quadrature, one at a time."""
+    """The l^1 gradient norm as first written: every ladder component
+    inverted and normed by grid quadrature, one at a time, in the order
+    0, 1..d, -1..-d."""
     c = forward(f)
+    d = f.grid.d
     return sum(lp_norm(inverse(apply_A(j, c)), p)
-               for j in (0, 1, 2, 3, -1, -2, -3))
+               for j in [0] + list(range(1, d + 1))
+               + list(range(-1, -d - 1, -1)))
 
 
 @pytest.fixture(scope="module")
@@ -235,14 +237,14 @@ class TestGnsCheck:
             assert abs(ratio - 1.0 / (d * math.sqrt(2.0))) < 1e-10
 
     @settings(max_examples=30, deadline=None)
-    @given(log2_n=st.integers(1, 4), K=st.integers(1, 5),
-           extra=st.integers(0, 3), L=st.floats(1.0, 10.0),
-           seed=st.integers(0, 2 ** 32 - 1))
-    def test_grad_norm_matches_streamed_quadrature(self, log2_n, K, extra, L,
-                                                   seed):
+    @given(d=st.integers(1, 3), log2_n=st.integers(1, 4),
+           K=st.integers(1, 5), extra=st.integers(0, 3),
+           L=st.floats(1.0, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_grad_norm_matches_streamed_quadrature(self, d, log2_n, K, extra,
+                                                   L, seed):
         # p = 2 reads the norms off the coefficients, which is the grid
         # quadrature to rounding; other p run the quadrature itself
-        g = make_grid(3, 2 ** log2_n, L, K, K + 1 + extra)
+        g = make_grid(d, 2 ** log2_n, L, K, K + 1 + extra)
         rng = np.random.default_rng(seed)
         data = rng.standard_normal((g.N_rho, g.n_mu)) \
             + 1j * rng.standard_normal((g.N_rho, g.n_mu))
@@ -250,8 +252,9 @@ class TestGnsCheck:
         f = inverse(SpectralCoeffs(g, data))
         want = streamed_grad_norm(f, 2.0)
         c = forward(f)
-        assert abs(_grad_norm(c, 2.0) - want) <= 1e-13 * want
-        assert _grad_norm(c, 3.0).hex() == streamed_grad_norm(f, 3.0).hex()
+        assert abs(sum(_grad_norms(c, 2.0)) - want) <= 1e-13 * want
+        assert sum(_grad_norms(c, 3.0)).hex() == \
+            streamed_grad_norm(f, 3.0).hex()
 
     def test_zero_field_guard(self):
         g = make_grid(3, 16, 6.0, 4, 8)

@@ -207,14 +207,18 @@ def test_duality_sandwich_random_fields():
 
 
 def test_duality_with_itself_computes_each_image_once():
-    # duality_check(f) pairs each R_j f with itself: one riesz call
-    # per component, 2d + 1 in all
+    # duality_check(f) transforms f once and applies each of the 2d + 1
+    # ladder operators once, to H^(-1/2) f
     for d in (1, 2):
         g = make_grid(d=d, N_rho=16, L_rho=5.0, K=5, M=8)
         f = band_limited(g, 30 + d)
-        with mock.patch.object(ladder_module, "riesz", wraps=riesz) as spy:
+        with mock.patch.object(ladder_module, "apply_A",
+                               wraps=apply_A) as spy_a, \
+                mock.patch.object(ladder_module, "forward",
+                                  wraps=forward) as spy_f:
             rep = duality_check(f)
-        assert spy.call_count == 2 * d + 1
+        assert spy_a.call_count == 2 * d + 1
+        assert spy_f.call_count == 1
         assert rep.all_passed
 
 

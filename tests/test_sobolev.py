@@ -12,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pharmonic import (
     InvalidParameterError,
@@ -27,9 +29,9 @@ from pharmonic import (
     weighted_decay_check,
 )
 from pharmonic.grid import Field, UniformBox, _sum_sq
-from pharmonic.ladder import riesz
+from pharmonic.ladder import apply_A, riesz
 from pharmonic.sobolev import _bessel_power
-from pharmonic.spectral import forward, mode_field
+from pharmonic.spectral import SpectralCoeffs, forward, inverse, mode_field
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +151,32 @@ class TestLadderNorm:
         f = mode_field(g1, 0, (0,))
         with pytest.raises(InvalidParameterError):
             ladder_norm(f, 3, 2.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(d=st.integers(1, 3), log2_n=st.integers(1, 3),
+           K=st.integers(2, 4), extra=st.integers(0, 2),
+           L=st.floats(1.0, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_tuple_enumeration(self, d, log2_n, K, extra, L, seed):
+        # the reference lists every ladder tuple in the order
+        # 0, 1, -1, 2, -2, ... and norms each image by grid quadrature
+        g = make_grid(d, 2 ** log2_n, L, K, K + 1 + extra)
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((g.N_rho, g.n_mu)) \
+            + 1j * rng.standard_normal((g.N_rho, g.n_mu))
+        data[:, g.mu_abs >= g.K - 1] = 0.0    # so raising twice drops nothing
+        f = inverse(SpectralCoeffs(g, data))
+        indices = [0] + [j for jj in range(1, d + 1) for j in (jj, -jj)]
+        c = forward(f)
+        firsts = {j: apply_A(j, c) for j in indices}
+        for p in (2.0, 4.0):
+            want = lp_norm(f, p)
+            for j in indices:
+                want += lp_norm(inverse(firsts[j]), p)
+            assert abs(ladder_norm(f, 1, p) - want) <= 1e-13 * want
+            for j1 in indices:
+                for j2 in indices:
+                    want += lp_norm(inverse(apply_A(j1, firsts[j2])), p)
+            assert abs(ladder_norm(f, 2, p) - want) <= 1e-13 * want
 
 
 class TestNormAxioms:
