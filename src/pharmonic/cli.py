@@ -195,6 +195,10 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
 # 118 and the time rule's 1/Gamma(alpha) past 171.
 _POWER_SUITES = ("kernel-bounds", "weighted-decay", "riesz")
 _ALPHA_MAX = 80.0
+# symbols evaluates its order-2 stencil, 8d^2 + 8d + 3 points, at every
+# sample of its two domains, in time about d times that: d = 6 takes
+# about 3 s and d = 8 (579 points) about 5 s on a 2-core desk machine
+_STENCIL_POINTS_MAX = 600
 
 
 def _validate(cfg: SuiteConfig) -> None:
@@ -254,8 +258,19 @@ def _validate(cfg: SuiteConfig) -> None:
             raise ConfigError("inclusions needs 0 < alpha < 1")
         if not 1.0 < cfg.p < math.inf:
             raise ConfigError("inclusions needs 1 < p < inf")
-    if cfg.suite == "symbols" and (cfg.alpha == 0 or cfg.alpha >= 1):
-        raise ConfigError("symbols needs alpha < 0 or 0 < alpha < 1")
+    if cfg.suite == "symbols":
+        if cfg.alpha == 0 or cfg.alpha >= 1:
+            raise ConfigError("symbols needs alpha < 0 or 0 < alpha < 1")
+        # 1 / Gamma(-alpha) overflows past -171, and the normalized sups
+        # leave the double range past about -130
+        if cfg.alpha < -_ALPHA_MAX:
+            raise ConfigError(f"symbols needs alpha >= -{_ALPHA_MAX:g}")
+        points = 8 * cfg.d ** 2 + 8 * cfg.d + 3
+        if points > _STENCIL_POINTS_MAX:
+            raise ConfigError(
+                f"grid parameters rejected: the symbols stencil has "
+                f"8d^2 + 8d + 3 = {points} points per sample at d = "
+                f"{cfg.d}, more than {_STENCIL_POINTS_MAX} (d <= 8)")
     if cfg.suite in ("kernel-bounds", "weighted-decay") and cfg.alpha <= 0:
         raise ConfigError(f"{cfg.suite} needs alpha > 0")
     if cfg.suite == "riesz" and cfg.alpha < 0:

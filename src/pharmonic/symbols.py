@@ -142,23 +142,38 @@ def _fill(nodes: _TimeNodes, sq, dot, out):
     """out[..., 0, :] + i out[..., 1, :] = w_k e^(logc_k - sq A_k - i dot B_k)
     for sq and dot with a trailing node axis of length 1.
 
-    The magnitude is one real exp (grid._exp_floored: an exact 0 or at
-    least 2^-500).  cos and sin of the phase -dot B_k run only on the
-    nodes where the block's largest |phase| reaches _PHASE_EXACT: B_k
-    rises with t_k, so those nodes are a suffix, and on the rest cos
-    and sin round to 1 and to the phase itself."""
-    re, im = out[..., 0, :], out[..., 1, :]
-    np.multiply(sq, -nodes.A, out=re)
-    re += nodes.logc
-    grid._exp_floored(re)
-    re *= nodes.w
-    np.multiply(dot, -nodes.B, out=im)
+    The magnitude w_k e^(logc_k - sq A_k) (one real exp,
+    grid._exp_floored: an exact 0 or at least 2^-500) and the phase
+    -dot B_k are built in contiguous (..., K) arrays, and each plane of
+    out is written once.  cos and sin of the phase come from one tan,
+    u = tan(phase / 2): with v = 1 / (1 + u^2), cos = (1 - u^2) v and
+    sin = 2u v, within 3e-16 absolute of the exact values
+    (numpy's float64 cos and sin are scalar loops, its tan is
+    vectorized).  That runs only on the nodes where the block's largest
+    |phase| reaches _PHASE_EXACT: B_k rises with t_k, so those nodes
+    are a suffix, and on the rest cos and sin round to 1 and to the
+    phase itself."""
+    mag = np.multiply(sq, -nodes.A)
+    mag += nodes.logc
+    grid._exp_floored(mag)
+    mag *= nodes.w
+    phase = np.multiply(dot, -nodes.B)
     k = int(np.searchsorted(float(np.abs(dot).max(initial=0.0)) * nodes.B,
                             _PHASE_EXACT))
-    cos = np.cos(im[..., k:])
-    np.sin(im[..., k:], out=im[..., k:])
-    im *= re
-    re[..., k:] *= cos
+    re = out[..., 0, :]
+    re[..., :k] = mag[..., :k]
+    if k < nodes.t.size:
+        u = np.multiply(phase[..., k:], 0.5)
+        np.tan(u, out=u)
+        u2 = np.square(u)
+        inv = u2 + 1.0
+        np.divide(1.0, inv, out=inv)
+        np.subtract(1.0, u2, out=u2)
+        u2 *= inv
+        np.multiply(mag[..., k:], u2, out=re[..., k:])
+        u += u
+        np.multiply(u, inv, out=phase[..., k:])
+    np.multiply(mag, phase, out=out[..., 1, :])
 
 
 def _times(out, f):
@@ -199,14 +214,16 @@ def _node_sums(nodes: _TimeNodes, x, tau, xi, factors=(None,)) -> list:
       1 (quantize's box) and both blocks fit in _GEMM_BYTES, by one
       GEMM of the whole (x, xi) block, built in slabs of
       grid._SLAB_BYTES, against the (tau, node) block;
-    - otherwise (the tau shifts of _derivative_stencil against one
-      (x, xi), scattered points) the last batch axis of the point shape
-      is walked in slabs, each slab's (x, xi, node) block G and (tau,
-      node) block E together within grid._SLAB_BYTES (an array whose
-      last batch axis is broadcast is not sliced), and the node axis is
-      contracted point by point, one (2, K) @ (K, 1) product each, so
-      no (x, tau, xi, node) array exists and a row of a tau stack gets
-      the bits it gets alone (a GEMM per point would not).
+    - otherwise (_derivative_stencil's groups stacked on a leading
+      axis of x and xi against its tau rows, scattered points) the last
+      batch axis of the point shape is walked in slabs, each slab's
+      (x, xi, node) block G and (tau, node) block E together within
+      grid._SLAB_BYTES (an array whose last batch axis is broadcast is
+      not sliced), so E is built once per tau row and slab and G once
+      per group and slab; the node axis is contracted point by point,
+      one (2, K) @ (K, 1) product each, so no (x, tau, xi, node) array
+      exists and a point of a stack gets the bits it gets alone (a
+      GEMM per point would not).
 
     Each result is a function of its own point alone, whatever the
     slabs and whatever else tau holds.
@@ -372,11 +389,12 @@ class SymbolFn:
 
     fn(x, tau, xi) receives broadcastable arrays, x and xi with a
     trailing d axis, and tau may run along axes that x and xi lack or
-    hold at length 1.  It returns an array that broadcasts to their
-    common batch shape.
+    hold at length 1, and they along axes that tau lacks.  It returns
+    an array that broadcasts to their common batch shape.
     quantize passes each variable on its own box axis, and
-    _derivative_stencil passes a stack of tau shifts against one
-    (x, xi); both rely on this.
+    _derivative_stencil passes a stack of shifted (x, xi) groups,
+    (G, 1, P, d), against a stack of tau shifts, (m, P); both rely on
+    this.
     """
     fn: Callable
     order: float
@@ -485,11 +503,15 @@ def _derivative_stencil(symbol: SymbolFn, x, tau, xi, r: int):
     1e-3 * max(1, |X|) per sample.  Returns a list of (|beta|, values).
 
     A stencil point is a spec of (variable, sign) shifts.  Specs that
-    differ only in their tau shift share (x, xi), so they are grouped
-    and each group is one symbol call: x and xi as (1, P, d), the
-    group's shifted taus stacked as (m, P).  An evaluator builds its
-    (x, xi) part once per group (19 points are 9 calls at d = 1), and
-    each spec keeps its own row of the (m, P) result.
+    differ only in their tau shift share (x, xi) and form a group, and
+    the groups with the same tau shifts go in one symbol call: their
+    shifted x and xi stacked as (G, 1, P, d) against the taus as
+    (m, P).  At r = 2 that is two calls, the 1 + 4d groups against the
+    rows (tau, tau + h, tau - h) and the 8d^2 - 4d mixed groups against
+    tau alone, each cut into chunks of at most grid._SLAB_BYTES of
+    stacked (x, xi) and (G, m, P) result.  An evaluator builds its
+    (x, xi) part once per group and its tau part once per row, and
+    each spec keeps its own row of the result.
     """
     d = x.shape[-1]
     n_var = 2 * d + 1
@@ -504,27 +526,38 @@ def _derivative_stencil(symbol: SymbolFn, x, tau, xi, r: int):
         specs += [((v1, s1), (v2, s2))
                   for v1 in range(n_var) for v2 in range(v1 + 1, n_var)
                   for s1 in (+1, -1) for s2 in (+1, -1)]
-    # a spec shifts tau at most once: group by the other shifts
+    # a spec shifts tau at most once: group by the other shifts, and
+    # the groups by their tau shifts, one symbol call each
     groups = {}
     for spec in specs:
         key = tuple((var, sg) for var, sg in spec if var != d)
         shift = sum(sg for var, sg in spec if var == d)
         groups.setdefault(key, []).append((shift, spec))
+    calls = {}
+    for key, members in groups.items():
+        calls.setdefault(tuple(sg for sg, _ in members), []).append(key)
 
     # one evaluation per (x, xi), shared across every derivative
     vals = {}
-    for key, members in groups.items():
-        xx, xxi = x.copy(), xi.copy()
-        for var, sg in key:
-            if var < d:
-                xx[..., var] = xx[..., var] + sg * h
-            else:
-                xxi[..., var - d - 1] = xxi[..., var - d - 1] + sg * h
-        taus = np.stack([tau + sg * h if sg else tau for sg, _ in members])
-        rows = np.broadcast_to(symbol(xx[None], taus, xxi[None]),
-                               taus.shape)
-        for row, (_, spec) in zip(rows, members):
-            vals[spec] = row
+    for shifts, keys in calls.items():
+        taus = np.stack([tau + sg * h if sg else tau for sg in shifts])
+        step = max(1, grid._SLAB_BYTES
+                   // (tau.size * (16 * d + 16 * len(shifts))))
+        for i in range(0, len(keys), step):
+            chunk = keys[i:i + step]
+            xx = np.repeat(x[None], len(chunk), axis=0)
+            xxi = np.repeat(xi[None], len(chunk), axis=0)
+            for g, key in enumerate(chunk):
+                for var, sg in key:
+                    if var < d:
+                        xx[g, ..., var] += sg * h
+                    else:
+                        xxi[g, ..., var - d - 1] += sg * h
+            rows = np.broadcast_to(symbol(xx[:, None], taus, xxi[:, None]),
+                                   (len(chunk),) + taus.shape)
+            for g, key in enumerate(chunk):
+                for row, (_, spec) in zip(rows[g], groups[key]):
+                    vals[spec] = row
 
     center = vals[()]
     out = [(0, center)]
@@ -545,11 +578,27 @@ def _derivative_stencil(symbol: SymbolFn, x, tau, xi, r: int):
     return out
 
 
+def _ratio(a, base, power):
+    """a / base ** power, taken in logs where base ** power is not a
+    normal double (it underflowed or overflowed at a large |power|), so
+    a representable quotient stays finite."""
+    tiny, huge = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+    with np.errstate(over="ignore", under="ignore", divide="ignore",
+                     invalid="ignore"):
+        den = base ** power
+        out = a / den
+        off = ~((den >= tiny) & (den <= huge))
+        if off.any():
+            out[off] = np.exp(np.log(a[off]) - power * np.log(base[off]))
+    return out
+
+
 def _normalized_sups(symbol: SymbolFn, dom: SampleDomain, r: int,
                      weights) -> dict:
     """{weight: {|beta|: sup |D^beta sigma| / <w>^(m - |beta|)}} over the
     points of dom, m = symbol.order, for each weight kind in weights,
-    all from one evaluation of the order-r stencil."""
+    all from one evaluation of the order-r stencil.  A NaN ratio makes
+    its sup NaN."""
     m = symbol.order
     x, tau, xi = dom.points()
     stencil = _derivative_stencil(symbol, x, tau, xi, r)
@@ -558,8 +607,9 @@ def _normalized_sups(symbol: SymbolFn, dom: SampleDomain, r: int,
         bracket = _bracket(x, tau, xi, weight)
         best = {}
         for order, vals in stencil:
-            ratio = np.abs(vals) / bracket ** (m - order)
-            best[order] = max(best.get(order, 0.0), float(ratio.max()))
+            ratio = _ratio(np.abs(vals), bracket, m - order)
+            best[order] = float(np.maximum(best.get(order, 0.0),
+                                           ratio.max()))
         out[weight] = best
     return out
 
@@ -572,7 +622,7 @@ def _gm_report(symbol: SymbolFn, domain: SampleDomain, r: int,
                  params={"label": symbol.label, "m": symbol.order, "r": r,
                          "cap": domain.cap, "weight": weight})
     for order in range(r + 1):
-        sup_w = max(wide[order], base[order])
+        sup_w = float(np.maximum(wide[order], base[order]))
         rep.add(f"sup_order_{order}", sup_w, None, np.isfinite(sup_w),
                 f"normalized |D^beta|, |beta| = {order}")
         rep.add_growth(f"stability_order_{order}", base[order], sup_w,
@@ -606,8 +656,8 @@ def symbol_decay_report(alpha: float, d: int, domain: SampleDomain
     to STABILITY_LIMIT.
 
     All of them are read off one evaluation of the order-2 stencil per
-    domain, so sigma_alpha runs once per (x, xi) group of stencil
-    points (see _derivative_stencil).
+    domain, so sigma_alpha runs twice per domain (more often past the
+    byte budget of a call, see _derivative_stencil).
     """
     rep = Report(suite="symbols", params={"alpha": alpha, "d": d,
                                           "cap": domain.cap})

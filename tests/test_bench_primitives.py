@@ -50,11 +50,11 @@ def test_d1_only_primitives(tmp_path):
     tool = load_tool()
     out = tmp_path / "BENCH_primitives.json"
     assert tool.main(["--only", "sigma_stencil", "--only", "l1_image",
-                      "--only", "center_value",
+                      "--only", "center_value", "--only", "symbols_stencil",
                       "--repeat", "1", "--out", str(out)]) == 0
     p50 = json.loads(out.read_text())["p50_ms"]
     assert sorted(p50) == ["center_value.d1", "l1_image.d1",
-                           "sigma_stencil.d1"]
+                           "sigma_stencil.d1", "symbols_stencil.d1"]
     assert all(v > 0.0 for v in p50.values())
 
 
@@ -64,6 +64,11 @@ def test_stencil_and_image_calls_return_their_arrays():
     sig = calls["sigma_stencil"]()
     assert sig.ndim == 2 and sig.shape[0] == 3
     assert np.all(np.isfinite(sig))
+    # the whole order-2 stencil: the center, two derivatives in each of
+    # x, tau and xi, and the three mixed ones, each on the P samples
+    stencil = calls["symbols_stencil"]()
+    assert [order for order, _ in stencil] == [0] + [1, 2] * 3 + [2] * 3
+    assert all(v.shape == sig.shape[1:] for _, v in stencil)
     # one image value per mirror orbit of the 512-point axes
     assert calls["l1_image"]().shape == (257, 257)
     assert calls["center_value"]() > 0.0

@@ -155,6 +155,27 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: {suite} needs alpha <= 80")
 
+    def test_symbols_alpha_minus_80_checks_its_sups(self, capsys):
+        # every sigma sup used to read exactly 0 here: <w>^(2 alpha) and
+        # the symbol underflowed to 0 together, and max(0.0, nan) is 0.0
+        code, out, err = run_main(["--suite", "symbols", "--alpha", "-80"],
+                                  capsys)
+        assert code == 0 and err == ""
+        sups = [float(row[2]) for row in
+                (line.split(",") for line in out.splitlines())
+                if row[1].startswith(("combined_sup", "omega_sup",
+                                      "deriv_sup"))]
+        assert len(sups) == 5
+        assert all(math.isfinite(v) and v > 0.0 for v in sups)
+
+    @pytest.mark.parametrize("alpha", ["-80.5", "-300"])
+    def test_symbols_alpha_past_the_cap_exits_two(self, alpha, capsys):
+        # -300 ended in an OverflowError traceback from Gamma(300)
+        code, out, err = run_main(["--suite", "symbols", "--alpha", alpha],
+                                  capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: symbols needs alpha >= -80")
+
     def test_overflowed_weighted_sup_is_a_verdict(self, capsys):
         # at p = 4 the weighted norms used to overflow on both family
         # sizes (|x|^(2 alpha) squared, then raised to p/2), first to
@@ -188,6 +209,11 @@ class TestExitCodes:
          "--M", "1", "--d", "70"],
         ["--suite", "semigroup", "--Nrho", "8", "--Lrho", "4", "--K", "0",
          "--M", "1", "--d", "5000"],
+        # 8d^2 + 8d + 3 symbol stencil points per sample: d = 12 took
+        # 21 s and d = 40 ran for minutes
+        ["--suite", "symbols", "--d", "9"],
+        ["--suite", "symbols", "--d", "12"],
+        ["--suite", "symbols", "--d", "40"],
     ])
     def test_oversized_grid_exits_two(self, argv, capsys):
         # each used to list every multi-index before checking any size,

@@ -42,7 +42,7 @@ from pharmonic import grid as grid_module
 from pharmonic import symbols as symbols_module
 from pharmonic.heat_kernel import t_quadrature
 from pharmonic.symbols import (SymbolFn, _derivative_stencil, _dt_b_coeffs,
-                               _node_sums, _time_nodes)
+                               _fill, _node_sums, _time_nodes, _TimeNodes)
 
 SIGMA_NEG_ORACLE = 0.4832342617041933     # alpha=-1/2 at (x,tau,xi)=(0,2,0)
 SIGMA_POS_ORACLE = 2.1742003677378541 - 0.0109868530931185j
@@ -233,6 +233,16 @@ class TestGmBound:
         stab = by_name["stability_order_0"]
         assert stab.value == math.inf and not stab.passed
 
+    def test_nan_value_makes_the_sup_fail(self):
+        # a NaN ratio used to vanish: max(0.0, nan) is 0.0
+        nan_at_zero = SymbolFn(lambda x, tau, xi: np.where(tau == 0.0,
+                                                           np.nan, 1.0),
+                               order=0.0, label="nan")
+        dom = SampleDomain(d=1, cap=16.0, per_shell=1)
+        sup = gm_bound_estimate(nan_at_zero, dom, r=0).metrics[0]
+        assert sup.name == "sup_order_0"
+        assert math.isnan(sup.value) and not sup.passed
+
     def test_invalid_r(self):
         dom = SampleDomain(d=1, cap=16.0)
         with pytest.raises(InvalidParameterError):
@@ -264,9 +274,10 @@ class TestGmBound:
 
     def test_suite_evaluates_each_point_set_once(self, tmp_path):
         """The default symbols suite: 19 stencil points on the domain
-        and on its doubled copy, in 9 groups of one (x, xi) each, each
-        group one sigma_alpha call, shared by the decay and the
-        derivative sups of both weights."""
+        and on its doubled copy, in 9 groups of one (x, xi) each, the 5
+        groups with tau shifts one sigma_alpha call and the 4 mixed
+        groups another, shared by the decay and the derivative sups of
+        both weights."""
         seen = []
         real = symbols_module.sigma_alpha
 
@@ -279,7 +290,7 @@ class TestGmBound:
             code = cli.main(["--suite", "symbols",
                              "--out", str(tmp_path / "s.csv")])
         assert code == 0
-        assert len(seen) == 18 and len(set(seen)) == 18
+        assert len(seen) == 4 and len(set(seen)) == 4
 
 
 @pytest.fixture(scope="module")
@@ -620,7 +631,8 @@ class TestGroupedStencil:
     @pytest.mark.parametrize("d", [1, 2])
     def test_one_call_per_x_xi_group(self, d):
         # r = 2: the groups are the non-tau shifts, (2d choose <= 2)
-        # with signs; the tau shifts ride along on a leading axis
+        # with signs; the 1 + 2n groups with tau shifts go in one call
+        # against three tau rows, the mixed ones in another against tau
         x, tau, xi = SampleDomain(d=d, cap=16.0, per_shell=1,
                                   seed=5).points()
         shapes = []
@@ -631,11 +643,29 @@ class TestGroupedStencil:
 
         _derivative_stencil(SymbolFn(counted, 1.0, "i*tau"), x, tau, xi, 2)
         n, P = 2 * d, tau.size
-        assert len(shapes) == 1 + 2 * n + 4 * n * (n - 1) // 2
-        assert sorted(tt[0] for _, tt, _ in shapes) \
-            == [1] * (4 * n * (n - 1) // 2) + [3] * (1 + 2 * n)
-        for xx, tt, xxi in shapes:
-            assert xx == xxi == (1, P, d) and tt[1:] == (P,)
+        mixed = 4 * n * (n - 1) // 2
+        assert shapes == [((1 + 2 * n, 1, P, d), (3, P), (1 + 2 * n, 1, P, d)),
+                          ((mixed, 1, P, d), (1, P), (mixed, 1, P, d))]
+
+    def test_stacked_groups_within_the_byte_budget(self):
+        # d = 8: 33 groups with tau shifts and 480 mixed ones, in chunks
+        # whose shifted (x, xi) and result stay within grid._SLAB_BYTES
+        x, tau, xi = SampleDomain(d=8, cap=16.0, per_shell=2,
+                                  seed=5).points()
+        calls = []
+
+        def counted(xx, tt, xxi):
+            calls.append((xx.shape[0], tt.shape[0],
+                          xx.nbytes + xxi.nbytes
+                          + 16 * math.prod(np.broadcast_shapes(
+                              xx.shape[:-1], tt.shape))))
+            return 1.0j * tt
+
+        _derivative_stencil(SymbolFn(counted, 1.0, "i*tau"), x, tau, xi, 2)
+        assert sum(g for g, m, _ in calls if m == 3) == 1 + 4 * 8
+        assert sum(g for g, m, _ in calls if m == 1) == 8 * 8 ** 2 - 4 * 8
+        assert len(calls) > 2
+        assert all(size <= grid_module._SLAB_BYTES for _, _, size in calls)
 
 
 def slab_points(case, d, rng):
@@ -761,3 +791,28 @@ class TestNodeSumsAgainstComplexExp:
             assert g.shape == w.shape and g.dtype == np.complex128
             top = float(np.abs(w).max())
             assert float(np.abs(g - w).max()) <= 2e-15 * top
+
+
+class TestFillPhase:
+    def test_phase_factors_against_cos_and_sin(self):
+        # _fill's cos and sin from one tan, at phases +-B_k for B_k
+        # rising from 2^-27 to 1e9 and at odd multiples of pi; below
+        # 2^-27 they are exactly 1 and the phase
+        rng = np.random.default_rng(0)
+        tiny = np.array([1e-300, 1e-12, 2.0 ** -28, 2.0 ** -27.5])
+        odd = 2.0 * np.concatenate([np.arange(10000),
+                                    rng.integers(0, 10 ** 8, 2000)]) + 1.0
+        b = np.unique(np.concatenate([
+            tiny, np.geomspace(2.0 ** -27, 1e9, 20001),
+            rng.uniform(0.0, 10.0, 4000), odd * math.pi]))
+        k = tiny.size
+        nodes = _TimeNodes(np.arange(1.0, b.size + 1.0), np.ones(b.size),
+                           np.zeros(b.size), np.zeros(b.size), b)
+        dot = np.array([[-1.0], [1.0]])
+        out = np.empty((2, 2, b.size))
+        _fill(nodes, np.zeros((2, 1)), dot, out)
+        phase = -dot * b
+        assert np.all(out[:, 0, :k] == 1.0)
+        assert np.array_equal(out[:, 1, :k], phase[:, :k])
+        assert float(np.abs(out[:, 0] - np.cos(phase)).max()) <= 4e-16
+        assert float(np.abs(out[:, 1] - np.sin(phase)).max()) <= 4e-16

@@ -16,7 +16,10 @@ measured_box is the box sizing of the gns, hls and hardy checks
 (inequalities._measured_box) on that member's grid values.
 sigma_stencil is sigma_alpha(-1/2) in the layout of the symbols suite's
 derivative stencil: x and xi of SampleDomain(1, 64.0, 2, 0) as
-(1, P, 1), tau and its two shifted copies as (3, P).  l1_image is the
+(1, P, 1), tau and its two shifted copies as (3, P).  symbols_stencil
+is the whole order-2 derivative stencil (symbols._derivative_stencil)
+of sigma_alpha(-1/2) on that domain, as the symbols suite evaluates it
+on each of its two domains.  l1_image is the
 sigma = 2^-3 image of the L1-range endpoint demo (alpha = 1/2) on the
 mirror-orbit representatives of its 512^2 outer box, 257^2 points: two
 closed-form factors and one GEMM.  center_value is one level of the
@@ -26,8 +29,8 @@ radial nodes times the 9 polar-angle orbits.
 Each primitive makes one untimed call (per-grid constants, caches),
 then --repeat timed calls; the JSON holds the median of those in ms,
 keyed "<primitive>.<grid>", with the settings and the Python and numpy
-versions.  quantize, sigma_stencil, l1_image and center_value are
-d = 1 only, so they have no d3 entry.
+versions.  quantize, sigma_stencil, symbols_stencil, l1_image and
+center_value are d = 1 only, so they have no d3 entry.
 
 Warnings (truncation, resolution) are silenced: the script measures
 time, not accuracy.  It imports pharmonic from the `src/` next to this
@@ -57,7 +60,7 @@ GRIDS = {"d1": (1, 64, 10.0, 8, 40), "d3": (3, 32, 8.0, 8, 32)}
 PRIMITIVES = ("forward", "inverse", "heat_apply_kernel", "frac_power_kernel",
               "resample", "box_lp_norm", "box_lp_norm_q4", "measured_box",
               "k_alpha", "sigma_alpha", "quantize", "sigma_stencil",
-              "l1_image", "center_value")
+              "symbols_stencil", "l1_image", "center_value")
 
 
 def primitives(g: grid.Grid) -> dict:
@@ -99,6 +102,8 @@ def primitives(g: grid.Grid) -> dict:
         taus = np.stack([stau, stau + h, stau - h])
         calls["sigma_stencil"] = lambda: symbols.sigma_alpha(
             sx[None], taus, sxi[None], -0.5, 1)
+        calls["symbols_stencil"] = lambda: symbols._derivative_stencil(
+            fn, sx, stau, sxi, 2)
         t, w = heat_kernel.t_quadrature(0.25, 1).nodes()
         out = grid.UniformBox((inequalities._OUT_HALF,) * 2,
                               (inequalities._OUT_N,) * 2)
