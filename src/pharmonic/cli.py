@@ -194,6 +194,10 @@ def build_config(args: argparse.Namespace) -> SuiteConfig:
 # alpha = 88, the profile of the closest sampled pairs underflows past
 # 118 and the time rule's 1/Gamma(alpha) past 171.
 _POWER_SUITES = ("kernel-bounds", "weighted-decay", "riesz")
+# the suites that draw a band_limited family, whose band |mu| <= K - 2
+# is empty below K = 2
+_BAND_LIMITED_SUITES = ("commute", "riesz", "duality", "sobolev-equivalence",
+                        "hls", "gns", "hardy")
 _ALPHA_MAX = 80.0
 # symbols evaluates its order-2 stencil, 8d^2 + 8d + 3 points, at every
 # sample of its two domains, in time about d times that: d = 6 takes
@@ -282,6 +286,10 @@ def _validate(cfg: SuiteConfig) -> None:
     # the suite checks (H - 2)^alpha, whose spectrum starts at d - 2
     if cfg.suite == "commute" and cfg.d < 3:
         raise ConfigError("commute needs d >= 3")
+    if (cfg.suite in _BAND_LIMITED_SUITES and cfg.K is not None
+            and cfg.K < 2):
+        raise ConfigError(f"{cfg.suite} needs K >= 2: its band_limited "
+                          "family keeps the Hermite shells |mu| <= K - 2")
     if cfg.suite == "mehler" and cfg.K < 1:
         raise ConfigError("mehler needs a positive partial-sum depth K")
 
@@ -391,7 +399,7 @@ def _suite_weighted_decay(cfg: SuiteConfig) -> Report:
     rep = Report(suite="weighted-decay",
                  params={"alpha": cfg.alpha, "p": cfg.p, "d": cfg.d,
                          "seed": cfg.seed})
-    rep.extend(schur_weighted_report(cfg.alpha, cfg.d, seed=cfg.seed))
+    rep.extend(schur_weighted_report(cfg.alpha, cfg.d))
     g = _grid(cfg)
     rep.extend(weighted_decay_check(cfg.alpha, cfg.p, g,
                                     TestFamily("gaussian", 5,

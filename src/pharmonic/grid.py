@@ -148,15 +148,17 @@ def make_grid(d: int, N_rho: int, L_rho: float, K: int, M: int) -> Grid:
         raise InvalidParameterError("K must be >= 0")
     if M < K + 1:
         raise InvalidParameterError(f"M = {M} violates M >= K + 1 = {K + 1}")
-    # an L_rho too large or too small for float64 gives inf or NaN points
+    # an L_rho too large or too small for float64 gives inf or NaN
+    # points; the multipliers take tau^2, up to (pi N_rho / (2 L_rho))^2
     with np.errstate(over="ignore", invalid="ignore"):
         rho = -L_rho + (2.0 * L_rho / N_rho) * np.arange(N_rho)
         n_int = np.fft.fftfreq(N_rho, d=1.0 / N_rho)  # 0, 1, .., -N/2, .., -1
         tau = (np.pi / L_rho) * n_int
-    if not (np.isfinite(rho).all() and np.isfinite(tau).all()):
+        finite = np.isfinite(rho).all() and np.isfinite(tau * tau).all()
+    if not finite:
         raise InvalidParameterError(
-            f"L_rho = {L_rho!r} gives rho points or frequencies that are "
-            "not finite")
+            f"L_rho = {L_rho!r} gives rho points or squared frequencies "
+            "that are not finite")
     # sizes by arithmetic alone, before any multi-index is listed; the
     # exponent is capped because M^25 > 2^24 for every M >= 2 and 1^d = 1
     points = N_rho * M ** min(d, 25)

@@ -16,17 +16,18 @@ Everything here is independent of the eigenbasis route in
 spectral.py, so agreement between the two is a meaningful check and
 not a tautology.
 
-On a grid the kernel acts on a stack of real planes, shape
-(B,) + grid.shape: one plane per real (float64) field, two (real,
-imaginary) per complex field.  _heat_stack applies e^(-tH) to the
-whole stack, one rho matrix and one x matrix per t, contracting axis
-by axis into two reused work buffers.  heat_apply_kernel is one
-field's stack; frac_power_kernel adds 6 + n weighted applies into
-one accumulator, each weight folded into its rho matrix, the series
-head taken as six weighted semigroup differences and the rest as an
-n-node panel sized to its error budget (_frac_nodes, n = 20 for the
-default d = 3 gate); the hls checks run a whole family's members as
-one stack, up to grid._SLAB_BYTES (_frac_power_images).
+On a grid the kernel acts on a stack of float64 fields, shape
+(B,) + grid.shape; H is a real operator, so a complex field runs as
+its real and imaginary parts, two real fields (_real_image).
+_heat_stack applies e^(-tH) to the whole stack, one rho matrix and
+one x matrix per t, contracting axis by axis into two reused work
+buffers.  heat_apply_kernel is one field's stack; frac_power_kernel
+adds 6 + n weighted applies into one accumulator, each weight folded
+into its rho matrix, the series head taken as six weighted semigroup
+differences and the rest as an n-node panel sized to its error budget
+(_frac_nodes, n = 20 for the default d = 3 gate); the hls checks run
+a whole family's members as one stack, up to grid._SLAB_BYTES
+(_frac_power_images).
 
 Points z are packed as arrays (..., d+1) with z[..., 0] = rho and
 z[..., 1:] = x.
@@ -34,9 +35,10 @@ z[..., 1:] = x.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -332,7 +334,7 @@ def _rho_heat_matrix(grid: Grid, t: float, scale: float = 1.0) -> np.ndarray:
     if m_max > 32:
         warnings.warn(
             f"diffusion length at t = {t} needs {m_max} window images; "
-            "capping at 32", TruncationWarning, stacklevel=4)
+            "capping at 32", TruncationWarning, stacklevel=5)
         m_max = 32
     m = np.arange(-m_max, m_max + 1)
     row = np.exp(-(grid._rho_offsets + 2.0 * L * m[:, None]) ** 2
@@ -370,51 +372,20 @@ def _x_heat_matrix(grid: Grid, t: float) -> np.ndarray:
     return out
 
 
-def _planes(values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The real planes of a field's values in a kernel stack: a float64
-    field is one plane, a complex field two (real, imaginary)."""
-    if np.iscomplexobj(values):
-        return values.real, values.imag
-    return (values,)
-
-
-def _stack_planes(fields: list[Field]) -> np.ndarray:
-    """The real (B,) + grid.shape stack of the fields' planes, in order.
-    A lone real field is its own one-plane stack, not copied."""
-    vals = fields[0].values
-    if len(fields) == 1 and not np.iscomplexobj(vals):
-        return np.ascontiguousarray(vals)[None]
-    return np.stack([p for f in fields for p in _planes(f.values)])
-
-
-def _unstack_planes(fields: list[Field], stack: np.ndarray) -> list[Field]:
-    """One Field per entry of fields from its planes of stack, with that
-    field's dtype: a real field's plane as it is, a complex field's two
-    planes as its real and imaginary parts."""
-    out = []
-    planes = iter(stack)
-    for f in fields:
-        if np.iscomplexobj(f.values):
-            vals = np.empty(f.values.shape, dtype=np.complex128)
-            vals.real = next(planes)
-            vals.imag = next(planes)
-        else:
-            vals = next(planes)
-        out.append(Field(f.grid, vals))
-    return out
-
-
 def _heat_stack(g: Grid, stack: np.ndarray, t: float,
-                bufs: tuple[np.ndarray, np.ndarray],
+                bufs: tuple[np.ndarray, np.ndarray] | None = None,
                 scale: float = 1.0) -> np.ndarray:
-    """scale e^(-tH) on every plane of the real (B,) + g.shape stack.
+    """scale e^(-tH) on every field of the float64 (B,) + g.shape stack.
 
     The two matrices are built once; the axes are contracted in order
     rho, x_1, .., x_d by grid._contract_axis, each into one of the two
-    stack-shaped work buffers bufs in turn, so stack is only read and
-    nothing is allocated per axis.  Returns the buffer written last.
-    scale is folded into the rho matrix.
+    stack-shaped work buffers bufs in turn (two new ones when bufs is
+    None), so stack is only read and nothing is allocated per axis.
+    Returns the buffer written last.  scale is folded into the rho
+    matrix.
     """
+    if bufs is None:
+        bufs = (np.empty_like(stack), np.empty_like(stack))
     mat = _rho_heat_matrix(g, t, scale)
     mx = _x_heat_matrix(g, t)
     src = stack
@@ -422,6 +393,22 @@ def _heat_stack(g: Grid, stack: np.ndarray, t: float,
         src = _contract_axis(src, mat, axis, out=bufs[axis % 2])
         mat = mx
     return src
+
+
+def _real_image(apply: Callable[..., np.ndarray], g: Grid,
+                values: np.ndarray, *args) -> np.ndarray:
+    """apply(g, stack, *args), a map of float64 (B,) + g.shape stacks,
+    on one field's values.  A float64 field runs as a one-field stack,
+    uncopied.  The kernels are real, so a complex field runs as its
+    real and imaginary parts, two real fields in turn, and its image is
+    exactly their two images.  Both call apply at the same depth, so a
+    warning's stacklevel names the same caller."""
+    if not np.iscomplexobj(values):
+        return apply(g, np.ascontiguousarray(values)[None], *args)[0]
+    out = np.empty(values.shape, dtype=np.complex128)
+    for part, vals in ((out.real, values.real), (out.imag, values.imag)):
+        part[...] = apply(g, np.ascontiguousarray(vals)[None], *args)[0]
+    return out
 
 
 def heat_apply_kernel(field: Field, t: float) -> Field:
@@ -433,17 +420,16 @@ def heat_apply_kernel(field: Field, t: float) -> Field:
     The matrices are built per call from per-grid constants cached on
     the Grid (node products, rho offsets, circulant index), never
     cached per t: one run can use hundreds of distinct t.  They are
-    real, so they act on a stack of real planes (_heat_stack, which
-    frac_power_kernel also drives): a float64 field as it is, giving a
-    float64 result, a complex field as two planes.  t must be positive
-    and finite; a large t gives the underflowed result.
+    real: a float64 field runs through _heat_stack (which
+    frac_power_kernel also drives) as a one-field stack, giving a
+    float64 result, and a complex field as its real and imaginary
+    parts, two real applies.  t must be positive and finite; a large t
+    gives the underflowed result.
     """
     if not 0.0 < t < math.inf:
         raise InvalidParameterError("t must be positive and finite")
-    stack = _stack_planes([field])
-    bufs = (np.empty_like(stack), np.empty_like(stack))
-    return _unstack_planes([field], _heat_stack(field.grid, stack, t,
-                                                bufs))[0]
+    return Field(field.grid, _real_image(_heat_stack, field.grid,
+                                         field.values, t))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +526,7 @@ def _frac_nodes(tf: float, rate: float, alpha: float) -> int:
 
 def _frac_power_stack(g: Grid, stack: np.ndarray, alpha: float,
                       shift: float) -> np.ndarray:
-    """(H + shift)^alpha on every plane of the real stack, by the
+    """(H + shift)^alpha on every field of the float64 stack, by the
     formula of frac_power_kernel.
 
     The 6 + _frac_nodes applies share one pair of work buffers, and
@@ -576,36 +562,26 @@ def _frac_power_stack(g: Grid, stack: np.ndarray, alpha: float,
     return acc
 
 
-def _plane_slabs(fields: Iterable[Field]) -> Iterator[list[Field]]:
-    """Consecutive fields of one grid in groups of at most
-    grid._SLAB_BYTES of real planes and at least one field each; fields
-    is read one group at a time."""
-    slab, planes = [], 0
-    for f in fields:
-        n = len(_planes(f.values))
-        if slab and 8 * f.values.size * (planes + n) > grid._SLAB_BYTES:
-            yield slab
-            slab, planes = [], 0
-        slab.append(f)
-        planes += n
-    if slab:
-        yield slab
-
-
 def _frac_power_images(fields: Iterable[Field], alpha: float,
                        shift: float) -> Iterator[tuple[Field, Field]]:
     """(f, (H + shift)^alpha f) for each of fields in turn, by the
     kernel route of frac_power_kernel.
 
-    The fields, all on one grid, run stacked: one _frac_power_stack per
-    group of _plane_slabs, so 6 + _frac_nodes stacked applies serve a
+    The fields, float64 and on one grid, run stacked: one
+    _frac_power_stack per max(1, grid._SLAB_BYTES // f.values.nbytes)
+    consecutive fields, so 6 + _frac_nodes stacked applies serve a
     whole group (the 40 members of a default d = 1 four-fold family are
-    one group; a 32 x 32^3 member is a group of its own).
+    one group; a 32 x 32^3 member is a group of its own, uncopied).
+    fields is read one group at a time.
     """
-    for slab in _plane_slabs(fields):
-        images = _unstack_planes(slab, _frac_power_stack(
-            slab[0].grid, _stack_planes(slab), alpha, shift))
-        yield from zip(slab, images)
+    fields = iter(fields)
+    for f in fields:
+        group = [f, *itertools.islice(
+            fields, max(1, grid._SLAB_BYTES // f.values.nbytes) - 1)]
+        stack = (np.stack([h.values for h in group]) if len(group) > 1
+                 else np.ascontiguousarray(f.values)[None])
+        images = _frac_power_stack(f.grid, stack, alpha, shift)
+        yield from ((h, Field(h.grid, k)) for h, k in zip(group, images))
 
 
 def frac_power_kernel(field: Field, alpha: float, shift: float = 0.0) -> Field:
@@ -635,13 +611,14 @@ def frac_power_kernel(field: Field, alpha: float, shift: float = 0.0) -> Field:
     Accuracy requires comfortable Hermite headroom (M well above K)
     and a smooth, Gaussian-decaying field.
 
-    The field runs as a stack of real planes (one for a float64 field,
-    two for a complex one) through _heat_stack: one pair of work
-    buffers and one accumulator per call, each apply's weight folded
-    into its rho matrix, and no intermediate Field.
+    A float64 field runs as a one-field stack through _heat_stack, a
+    complex field as its real and imaginary parts, two real fields: one
+    pair of work buffers and one accumulator per real field, each
+    apply's weight folded into its rho matrix, and no intermediate
+    Field.
     """
-    [(_, image)] = _frac_power_images([field], alpha, shift)
-    return image
+    return Field(field.grid, _real_image(_frac_power_stack, field.grid,
+                                         field.values, alpha, shift))
 
 
 # ---------------------------------------------------------------------------
@@ -707,28 +684,29 @@ def _large_z_moment(mu_sq, z, b: float, order: float) -> np.ndarray:
                   - math.lgamma(order + b)) * total
 
 
-def schur_weighted_report(alpha: float, d: int, seed: int = 0) -> Report:
+def schur_weighted_report(alpha: float, d: int) -> Report:
     """Schur test for the weighted operator |x|^(2 alpha) H^(-alpha).
 
     Row side: sup_z |x(z)|^(2 alpha) int K_alpha(z, z') dz'.  Column
     side: sup_{z'} int |x|^(2 alpha) K_alpha(z, z') dz.  Both inner
     integrals are closed forms in space under the time integral
-    (_moment_integral of order 0 and alpha), for every d.  Each sup is
-    over 24 points x uniform in [-6, 6]^d; both must be finite and grow
-    by less than STABILITY_LIMIT when the sample count doubles.
+    (_moment_integral of order 0 and alpha), for every d, and depend on
+    |x|^2 alone.  Each sup is over the radii r_k = k 6 sqrt(d) / n,
+    k = 0 .. n, out to the corner of [-6, 6]^d, with n = 24; both must
+    be finite and grow by less than STABILITY_LIMIT when n doubles
+    (a grid that contains the first).  The column integrand can peak at
+    x = 0, which the grid holds.
     """
     n_samples = 24
     rep = Report(suite="weighted-decay",
                  params={"alpha": alpha, "d": d, "n": n_samples})
-    rng = np.random.default_rng(seed)
     for side, order in (("row", 0.0), ("column", alpha)):
         sups = []
-        for _ in range(2):      # the second draw doubles the sample
-            x_sq = np.sum(rng.uniform(-6.0, 6.0, (n_samples, d)) ** 2,
-                          axis=-1)
+        for n in (n_samples, 2 * n_samples):
+            x_sq = (np.arange(n + 1) * (6.0 * math.sqrt(d) / n)) ** 2
             vals = x_sq ** (alpha - order) \
                 * _moment_integral(x_sq, alpha, d, order)
-            sups.append(max([float(np.max(vals))] + sups))
+            sups.append(float(np.max(vals)))
         s1, s2 = sups
         rep.add(f"{side}_sup", s2, None, np.isfinite(s2),
                 f"weighted {side} integrals")

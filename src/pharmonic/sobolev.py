@@ -44,7 +44,7 @@ __all__ = [
     "strict_inclusion_demo",
 ]
 
-_KINDS = ("band_limited", "gaussian", "mollified")
+_KINDS = ("band_limited", "gaussian")
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class TestFamily:
         """Member i in the eigenbasis, without a grid field where the
         kind allows: band_limited members are defined by their
         coefficients, of which member is the inverse (one draw for
-        both); the other kinds are forward(member)."""
+        both); gaussian members are forward(member)."""
         rng = np.random.default_rng([self.seed, i])
         if self.kind == "band_limited":
             return _band_limited_coeffs(grid, rng)
@@ -88,7 +88,7 @@ class TestFamily:
     def draw(self, grid: Grid, i: int) -> tuple[SpectralCoeffs, np.ndarray]:
         """Member i's coefficients and its values on the grid, from one
         draw: band_limited gives its coefficients and their grid series
-        (member's values, with no Field), the other kinds give
+        (member's values, with no Field), gaussian gives
         forward(member) and the sampled member's values."""
         rng = np.random.default_rng([self.seed, i])
         if self.kind == "band_limited":
@@ -110,7 +110,11 @@ class TestFamily:
 def _band_limited_coeffs(grid: Grid, rng) -> SpectralCoeffs:
     # random coefficients under a smooth decay envelope, zeroed on the
     # top two Hermite shells and the outer half of the tau ring so
-    # ladder chains and positive powers stay inside the representation
+    # ladder chains and positive powers stay inside the representation;
+    # below K = 2 that band is empty
+    if grid.K < 2:
+        raise InvalidParameterError(
+            f"a band_limited family needs K >= 2, got K = {grid.K}")
     n_idx = np.fft.fftfreq(grid.N_rho) * grid.N_rho
     keep_n = np.abs(n_idx) <= grid.N_rho // 4
     env_n = np.exp(-(n_idx / max(grid.N_rho / 8.0, 1.0)) ** 2)
@@ -130,32 +134,19 @@ def _band_limited_coeffs(grid: Grid, rng) -> SpectralCoeffs:
 def _make_member(kind: str, grid: Grid, rng) -> Field:
     if kind == "band_limited":
         return inverse(_band_limited_coeffs(grid, rng))
-    if kind == "gaussian":
-        r0 = rng.uniform(-1.5, 1.5)
-        x0 = rng.uniform(-1.0, 1.0, grid.d)
-        a = rng.uniform(0.6, 1.6)
-        b = rng.uniform(0.7, 1.4)
+    # gaussian
+    r0 = rng.uniform(-1.5, 1.5)
+    x0 = rng.uniform(-1.0, 1.0, grid.d)
+    a = rng.uniform(0.6, 1.6)
+    b = rng.uniform(0.7, 1.4)
 
-        def gauss(r, *xs):
-            out = np.exp(-a * (r - r0) ** 2)
-            for x, c in zip(xs, x0):
-                out = out * np.exp(-b * (x - c) ** 2 / 2.0)
-            return out
-
-        return sample(grid, gauss)
-    # mollified slow-decay profile, compactly supported in the window
-    cut = 0.75 * grid.L_rho
-    q = 1.0 + 0.5 * rng.uniform()
-
-    def moll(r, *xs):
-        u = np.clip(np.abs(r) / cut, 0.0, 1.0 - 1e-12)
-        bump = np.exp(1.0 - 1.0 / (1.0 - u ** 2))
-        out = bump / (1.0 + np.abs(r)) ** q
-        for x in xs:
-            out = out / (1.0 + np.abs(x)) ** q * np.exp(-x ** 2 / 8.0)
+    def gauss(r, *xs):
+        out = np.exp(-a * (r - r0) ** 2)
+        for x, c in zip(xs, x0):
+            out = out * np.exp(-b * (x - c) ** 2 / 2.0)
         return out
 
-    return sample(grid, moll)
+    return sample(grid, gauss)
 
 
 # ---------------------------------------------------------------------------

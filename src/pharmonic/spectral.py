@@ -23,7 +23,7 @@ from .errors import (
     SingularMultiplierError,
     TruncationWarning,
 )
-from .grid import Field, Grid, _contract_axis
+from .grid import Field, Grid, _contract_axis, _x_series
 
 __all__ = [
     "SpectralCoeffs",
@@ -126,10 +126,7 @@ def _grid_series(coeffs: SpectralCoeffs) -> np.ndarray:
     u = g.N_rho * np.fft.ifft(_alt_sign(g) * coeffs.data, axis=0)
     if _is_real_series(coeffs.data):
         u = u.real
-    out = _to_cube(g, u)
-    for axis in range(g.d, 0, -1):
-        out = _contract_axis(out, g.hermite_table.T, axis)
-    return out
+    return _x_series(_to_cube(g, u), [g.hermite_table.T] * g.d)
 
 
 def inverse(coeffs: SpectralCoeffs) -> Field:

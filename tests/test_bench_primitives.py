@@ -74,6 +74,21 @@ def test_stencil_and_image_calls_return_their_arrays():
     assert calls["center_value"]() > 0.0
 
 
+def test_complex_apply_on_both_grids(tmp_path):
+    tool = load_tool()
+    out = tmp_path / "BENCH_primitives.json"
+    assert tool.main(["--only", "heat_apply_kernel_complex", "--repeat", "1",
+                      "--out", str(out)]) == 0
+    p50 = json.loads(out.read_text())["p50_ms"]
+    assert sorted(p50) == ["heat_apply_kernel_complex.d1",
+                           "heat_apply_kernel_complex.d3"]
+    assert all(v > 0.0 for v in p50.values())
+    # member 0 + i member 1: a complex field with a nonzero imaginary part
+    calls = tool.primitives(tool.grid.make_grid(*tool.GRIDS["d1"]))
+    image = calls["heat_apply_kernel_complex"]().values
+    assert image.dtype == np.complex128 and image.imag.any()
+
+
 def test_every_primitive_has_a_call():
     tool = load_tool()
     g = tool.grid.make_grid(*tool.GRIDS["d1"])

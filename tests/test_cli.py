@@ -264,9 +264,10 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
-    @pytest.mark.parametrize("L_rho", ["1e308", "1e-320"])
+    @pytest.mark.parametrize("L_rho", ["1e308", "1e-320", "1e-160"])
     def test_grid_that_is_not_finite_exits_two(self, L_rho, capsys):
-        # 1e308 overflows the rho points, 1e-320 the frequencies
+        # 1e308 overflows the rho points, 1e-320 the frequencies and
+        # 1e-160 their squares
         code, out, err = run_main(["--suite", "semigroup", "--Nrho", "8",
                                    "--Lrho", L_rho, "--K", "2", "--M", "4"],
                                   capsys)
@@ -279,10 +280,18 @@ class TestExitCodes:
         (["--suite", "riesz", "--alpha", "-1"], "alpha >= 0"),
         (["--suite", "commute", "--d", "1"], "d >= 3"),
         (["--suite", "commute", "--d", "2"], "d >= 3"),
+    ] + [
+        # a band_limited family keeps |mu| <= K - 2: empty below K = 2
+        (["--suite", suite, "--Nrho", "16", "--Lrho", "6", "--K", "1",
+          "--M", "8"] + (["--d", "3"] if suite in ("gns", "commute")
+                         else []), "K >= 2")
+        for suite in ("duality", "riesz", "commute", "sobolev-equivalence",
+                      "hls", "gns", "hardy")
     ])
     def test_suite_precondition_exits_two(self, argv, needs, capsys):
-        # each of these raised mid-suite (exit 1) before it was
-        # checked with the configuration
+        # each of these raised mid-suite (exit 1), or at K < 2 ran to
+        # metrics of 0 that checked nothing (riesz, commute), before it
+        # was checked with the configuration
         code, out, err = run_main(argv, capsys)
         assert code == 2
         assert out == "" and err.startswith(f"error: {argv[1]} needs")

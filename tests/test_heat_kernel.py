@@ -594,15 +594,26 @@ class TestBoundReports:
         assert v.max() < 1.0
 
     def test_schur_weighted_report(self):
-        rep = schur_weighted_report(0.5, 1, seed=5)
+        rep = schur_weighted_report(0.5, 1)
         assert rep.all_passed, rep.failures()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_schur_weighted_report_seed_186(self, d):
-        # a column sample of seed 186 used to land next to a node of the
-        # old fixed x-quadrature, and d > 1 had no column side at all
-        rep = schur_weighted_report(0.5, d, seed=186)
+        # named for the random draw (seed 186) whose column sample once
+        # landed next to a node of the old fixed x-quadrature; d > 1 had
+        # no column side at all then.  The sups now run over radii.
+        rep = schur_weighted_report(0.5, d)
         assert rep.all_passed, rep.failures()
+
+    @pytest.mark.parametrize("alpha", [5.0, 10.0, 80.0])
+    def test_schur_d3_column_peak_at_the_origin(self, alpha):
+        # at d = 3 the column integrand peaks at x = 0 (107.7 at
+        # alpha = 5, about 1 past |x| = 8): both radial grids must
+        # hold that peak, so the doubled grid barely moves the sup
+        rep = schur_weighted_report(alpha, 3)
+        assert rep.all_passed, rep.failures()
+        by_name = {m.name: m for m in rep.metrics}
+        assert by_name["column_refinement_growth"].value < 1.05
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
@@ -729,14 +740,15 @@ class TestFracPowerKernel:
 
 class TestFracPowerRealPath:
     """A field is real iff its values are float64: a real sample runs
-    as one plane, any complex field as two."""
+    as a one-field stack, any complex field as its real and imaginary
+    parts, two real fields."""
 
     @pytest.mark.parametrize("alpha,shift", [(-0.5, 0.0), (0.5, 0.0),
                                              (-0.5, 2.0)])
     def test_zero_imaginary_part_runs_real(self, alpha, shift, monkeypatch):
-        # a real sample is float64 and runs as one float64 plane; its
+        # a real sample is float64 and runs as one one-field stack; its
         # values with a zero imaginary part are a complex field, two
-        # planes, and give the same bits as their real part
+        # one-field stacks per apply, and give the real field's bits
         import pharmonic.heat_kernel as hk
         g = make_grid(d=1, N_rho=32, L_rho=8.0, K=8, M=24)
         f = sample(g, lambda r, x: np.exp(-0.5 * (r - 0.3) ** 2
@@ -745,7 +757,7 @@ class TestFracPowerRealPath:
         seen = []
         apply = hk._heat_stack
 
-        def spy(g, stack, t, bufs, scale=1.0):
+        def spy(g, stack, t, bufs=None, scale=1.0):
             seen.append((stack.dtype, stack.shape))
             return apply(g, stack, t, bufs, scale)
 
@@ -759,7 +771,8 @@ class TestFracPowerRealPath:
         assert out.values.dtype == np.float64
         seen.clear()
         two = frac_power_kernel(Field(g, f.values + 0j), alpha, shift=shift)
-        assert set(seen) == {(np.dtype(np.float64), (2,) + g.shape)}
+        assert set(seen) == {(np.dtype(np.float64), (1,) + g.shape)}
+        assert len(seen) == 2 * (6 + nodes[0])
         assert two.values.dtype == np.complex128
         assert not two.values.imag.any()
         assert two.values.real.tobytes() == out.values.tobytes()
@@ -767,10 +780,8 @@ class TestFracPowerRealPath:
     @pytest.mark.parametrize("alpha,shift", [(-0.5, 0.0), (0.5, 0.0),
                                              (-0.5, 2.0)])
     def test_real_path_has_the_two_plane_bits(self, alpha, shift):
-        # the two-plane path runs each plane through the same matrices,
-        # and numpy's complex * real and complex / real act on the real
-        # part as real * and * reciprocal: the real path must scale the
-        # same way to give the same bits
+        # a complex field's real part runs as a real field of its own,
+        # so the complex image's real part has the real image's bits
         g = make_grid(d=1, N_rho=32, L_rho=8.0, K=8, M=24)
         re = sample(g, lambda r, x: np.exp(-0.5 * r ** 2 - 0.5 * x ** 2)
                     * (1 + 0.3 * r)).values.real.copy()
@@ -783,23 +794,25 @@ class TestFracPowerRealPath:
     @pytest.mark.parametrize("alpha,shift", [(-0.5, 0.0), (0.5, 0.0),
                                              (-0.5, 2.0)])
     def test_complex_field_is_two_real_fields(self, alpha, shift):
-        g = make_grid(d=1, N_rho=32, L_rho=8.0, K=8, M=24)
-        f = mode_field(g, 3, (1,)) + sample(
-            g, lambda r, x: np.exp(-0.5 * r ** 2 - 0.5 * x ** 2))
-        assert f.values.imag.any()
-        out = frac_power_kernel(f, alpha, shift=shift).values
-        re = frac_power_kernel(Field(g, f.values.real.copy()), alpha,
-                               shift=shift).values
-        im = frac_power_kernel(Field(g, f.values.imag.copy()), alpha,
-                               shift=shift).values
-        assert np.abs(out - (re + 1j * im)).max() \
-            <= 1e-14 * np.abs(out).max()
+        # bit for bit, for the heat apply and the fractional power, on
+        # grids with the Hermite headroom the kernel route resolves
+        for d, k, m in [(1, 8, 24), (2, 2, 18), (3, 2, 18)]:
+            g = make_grid(d=d, N_rho=32, L_rho=6.0, K=k, M=m)
+            f = random_fields(g, "complex", 1, seed=d)[0]
+            re = Field(g, f.values.real.copy())
+            im = Field(g, f.values.imag.copy())
+            for image in (lambda h: heat_apply_kernel(h, 0.4),
+                          lambda h: frac_power_kernel(h, alpha, shift)):
+                out = image(f).values
+                assert out.dtype == np.complex128
+                assert out.real.tobytes() == image(re).values.tobytes()
+                assert out.imag.tobytes() == image(im).values.tobytes()
 
 
 def random_fields(g, kind, n, seed):
     """n random fields on g: real dtype, complex, complex with a zero
-    imaginary part (still a complex field, two planes), or those three
-    in turn ("mixed")."""
+    imaginary part (still a complex field), or those three in turn
+    ("mixed")."""
     rng = np.random.default_rng(seed)
     kinds = ["real", "complex", "zero_imag"] if kind == "mixed" else [kind]
     out = []
@@ -845,19 +858,21 @@ class TestStackedRoute:
     @pytest.mark.parametrize("kind", ["real", "complex", "zero_imag",
                                       "mixed"])
     def test_stacked_apply_is_single_applies(self, d, n_rho, m, b, kind):
+        # the real fields of the kind: each float64 field, and the real
+        # and imaginary parts of each complex one
         g = make_grid(d=d, N_rho=n_rho, L_rho=6.0, K=m - 2, M=m)
         fields = random_fields(g, kind, b, seed=10 * d + b)
-        stack = hk._stack_planes(fields)
-        planes = sum(1 + np.iscomplexobj(f.values) for f in fields)
-        assert stack.shape == (planes,) + g.shape
-        assert stack.dtype == np.float64
+        parts = [p.copy() for f in fields for p in (
+            (f.values.real, f.values.imag) if np.iscomplexobj(f.values)
+            else (f.values,))]
+        stack = np.stack(parts)
         bufs = (np.empty_like(stack), np.empty_like(stack))
         out = hk._heat_stack(g, stack, 0.4, bufs)
         assert any(np.shares_memory(out, buf) for buf in bufs)
-        for f, got in zip(fields, hk._unstack_planes(fields, out)):
-            want = heat_apply_kernel(f, 0.4).values
-            assert got.values.dtype == want.dtype == f.values.dtype
-            assert got.values.tobytes() == want.tobytes()
+        for part, got in zip(parts, out):
+            want = heat_apply_kernel(Field(g, part), 0.4).values
+            assert want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("planes", [None, 3, 2])
     @pytest.mark.parametrize("alpha,shift", [(0.5, 0.0), (0.5, 2.0)])
@@ -893,29 +908,6 @@ class TestStackedRoute:
         for f, k in scored:
             want = frac_power_kernel(f, -0.5 * alpha, shift=shift).values
             assert k.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("planes", [1, 2, 3])
-    def test_two_plane_fields_in_slabs(self, planes, monkeypatch):
-        # a complex field is two planes: it is never split across stacks
-        # and a stack overflows the slab only when it holds one field
-        g = make_grid(d=1, N_rho=32, L_rho=6.0, K=4, M=32)
-        monkeypatch.setattr(grid_module, "_SLAB_BYTES",
-                            8 * planes * math.prod(g.shape))
-        fields = random_fields(g, "mixed", 7, seed=5)
-        stacks = []
-        spy_on(monkeypatch, "_frac_power_stack", stacks)
-        images = list(hk._frac_power_images(iter(fields), -0.5, 0.0))
-        assert sum(s[0] for s in stacks) == 11     # 4 complex fields
-        assert all(s[0] <= max(planes, 2) for s in stacks)
-        for f, (same, k) in zip(fields, images):
-            assert same is f
-            want = frac_power_kernel(f, -0.5).values
-            assert k.values.dtype == want.dtype == f.values.dtype
-            # the last x step is one GEMM with (planes x N_rho) rows, and
-            # with an inner length of 32 OpenBLAS sums in another order
-            # for some row counts: equal to rounding, not bit for bit
-            assert np.abs(k.values - want).max() \
-                <= 1e-15 * np.abs(want).max()
 
     def test_default_hls_suite_is_one_stacked_power(self, monkeypatch):
         # one stacked apply per time for the whole family, not one per

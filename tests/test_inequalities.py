@@ -184,8 +184,7 @@ class TestSplitMembers:
     """The family the checks score, split into the base members and the
     extras of TestFamily.size."""
 
-    @pytest.mark.parametrize("kind", ["band_limited", "gaussian",
-                                      "mollified"])
+    @pytest.mark.parametrize("kind", ["band_limited", "gaussian"])
     def test_lazy_extras_equal_the_enlarged_family(self, kind):
         g = make_grid(1, 16, 5.0, 6, 10)
         fam = TestFamily(kind, 3, seed=5)
@@ -263,7 +262,7 @@ class TestGnsCheck:
         with pytest.raises(InvalidParameterError):
             _ratio_gns(forward(z), 2.0, 2.5, box, None)
 
-    @pytest.mark.parametrize("kind", ["gaussian", "mollified"])
+    @pytest.mark.parametrize("kind", ["gaussian"])
     def test_box_from_lazy_members_matches_per_axis_scan(self, kind):
         # members consumed one at a time give the half-widths of a scan
         # that takes |f| per (axis, member), bit for bit, on a grid

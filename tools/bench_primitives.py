@@ -8,6 +8,8 @@ per-call medians to BENCH_primitives.json.
 The grids are those of the kernel-route suites: d1 is 64 x 40
 (N_rho x M, K = 8, L_rho = 10) and d3 is 32 x 32^3 (K = 8, L_rho = 8).
 The field is member 0 of the seed-0 band_limited family on the grid.
+heat_apply_kernel_complex is heat_apply_kernel on the complex field
+member 0 + i member 1, which runs as two real fields.
 box_lp_norm is the streamed box L^q norm (grid._box_lp_norm_coeffs) of
 that member's coefficients, TestFamily.coeffs, at q = 2.5 on the box
 gns norms at that size: 64^2 at d1, the fine 48^4 box at d3;
@@ -57,7 +59,8 @@ from pharmonic import symbols  # noqa: E402
 from pharmonic.sobolev import TestFamily  # noqa: E402
 
 GRIDS = {"d1": (1, 64, 10.0, 8, 40), "d3": (3, 32, 8.0, 8, 32)}
-PRIMITIVES = ("forward", "inverse", "heat_apply_kernel", "frac_power_kernel",
+PRIMITIVES = ("forward", "inverse", "heat_apply_kernel",
+              "heat_apply_kernel_complex", "frac_power_kernel",
               "resample", "box_lp_norm", "box_lp_norm_q4", "measured_box",
               "k_alpha", "sigma_alpha", "quantize", "sigma_stencil",
               "symbols_stencil", "l1_image", "center_value")
@@ -68,6 +71,7 @@ def primitives(g: grid.Grid) -> dict:
     d = g.d
     fam = TestFamily("band_limited", 1, seed=0)
     f = fam.member(g, 0)
+    fz = grid.Field(g, f.values + 1j * fam.member(g, 1).values)
     c = spectral.forward(f)
     box = grid.UniformBox((6.0,) + (4.0,) * d,
                           (64, 64) if d == 1 else (24,) * (d + 1))
@@ -82,6 +86,8 @@ def primitives(g: grid.Grid) -> dict:
         "forward": lambda: spectral.forward(f),
         "inverse": lambda: spectral.inverse(c),
         "heat_apply_kernel": lambda: heat_kernel.heat_apply_kernel(f, 0.5),
+        "heat_apply_kernel_complex": lambda: heat_kernel.heat_apply_kernel(
+            fz, 0.5),
         "frac_power_kernel": lambda: heat_kernel.frac_power_kernel(f, -0.25),
         "resample": lambda: grid.resample(f, box),
         "box_lp_norm": lambda: grid._box_lp_norm_coeffs(fc, norm_box, 2.5),
