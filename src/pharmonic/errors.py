@@ -1,4 +1,10 @@
 """Exception and warning types shared across the package."""
+import os
+import sys
+import warnings
+
+# the directory of the package's modules, as their code objects name it
+_PACKAGE_DIR = os.path.dirname(__file__)
 
 
 class InvalidParameterError(ValueError):
@@ -47,3 +53,14 @@ class AliasingWarning(UserWarning):
 
 class ResolutionWarning(UserWarning):
     """Requested operation is near the resolution limit of the grid."""
+
+
+def _warn_at_caller(message: str, category: type[Warning]) -> None:
+    """warnings.warn attributed to the first frame outside the package:
+    the user's call site, however deep in the package the warning was
+    raised (a fixed stacklevel names a package line on some routes)."""
+    frame, level = sys._getframe(1), 2
+    while (frame is not None
+           and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -412,8 +413,8 @@ def resample(field: Field, box: UniformBox) -> np.ndarray:
     return _x_series(*_box_series(forward(field), box))
 
 
-# box rows per slab of _box_lp_norm_coeffs: as many as fit in this many
-# bytes of complex128, and at least one
+# rho rows per slab of _series_slabs: as many as fit in this many bytes
+# of complex128, and at least one
 _SLAB_BYTES = 2 << 20
 
 
@@ -448,14 +449,40 @@ def _box_series(coeffs, box: UniformBox
     return rows, [hermite_all(g.K, a).T for a in axes[1:]]
 
 
-def _x_series(rows: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+def _x_series(rows: np.ndarray, tables: list[np.ndarray],
+              bufs: list[np.ndarray] | None = None) -> np.ndarray:
     """Finish the box series of _box_series on some of its rho rows,
     x_d first and x_1 last: on complex rows only the x_d step, on the
     degree cube, is a complex post = 1 GEMM; float64 rows take real
-    GEMMs throughout."""
-    for axis in range(len(tables), 0, -1):
-        rows = _contract_axis(rows, tables[axis - 1], axis)
+    GEMMs throughout.  bufs, when given, holds one C-contiguous work
+    buffer per step (_series_slabs), each with at least as many rows as
+    rows; step k writes the leading rows of bufs[k], and a view of the
+    last one is returned."""
+    for k, axis in enumerate(range(len(tables), 0, -1)):
+        rows = _contract_axis(rows, tables[axis - 1], axis,
+                              None if bufs is None
+                              else bufs[k][:rows.shape[0]])
     return rows
+
+
+def _series_slabs(rows: np.ndarray, tables: list[np.ndarray]
+                  ) -> Iterator[np.ndarray]:
+    """_x_series(rows, tables) one slab of rho rows at a time, in order:
+    as many rows as fit in _SLAB_BYTES of complex128, and at least one.
+    The steps write into work buffers made once for the whole walk, so
+    each slab is a view that the next one overwrites: a consumer reads
+    (or changes) a slab before it asks for the next.  The series at
+    the grid nodes (spectral._grid_rows) and on a box (_box_series)
+    both run through here."""
+    step = max(1, _SLAB_BYTES // (16 * math.prod(t.shape[0]
+                                                  for t in tables)))
+    shape = [min(step, rows.shape[0])] + list(rows.shape[1:])
+    bufs = []
+    for axis in range(len(tables), 0, -1):
+        shape[axis] = tables[axis - 1].shape[0]
+        bufs.append(np.empty(shape, dtype=rows.dtype))
+    for i in range(0, rows.shape[0], step):
+        yield _x_series(rows[i:i + step], tables, bufs)
 
 
 # every GEMM operand is an exact 0 or at least _TINY, so no product of
@@ -471,27 +498,31 @@ def _exp_floored(arg: np.ndarray) -> np.ndarray:
     return np.exp(arg, out=arg)
 
 
-def _pow_nonneg(a: np.ndarray, e: float) -> np.ndarray:
+def _pow_nonneg(a: np.ndarray, e: float,
+                root: np.ndarray | None = None) -> np.ndarray:
     """a^e for a float64 array a >= 0 and e > 0, overwriting a.
 
     When 4e is an integer, a^e = a^j a^(r/4) with e = j + r/4: a^j by
     repeated squaring in place, a^(1/2) by one square root and a^(1/4)
-    by a second, each pass far cheaper than a pow per point.  At e = 1
-    and 2 the result (a and a*a) has the bits of pow; other exponents
-    are within a few ulps of it.  Any other e takes one pow.
+    by a second, each pass far cheaper than a pow per point.  The
+    square root goes to root, a work buffer of a's shape, when given
+    (a new array otherwise), and a^(1/4) is taken from it in place.  At
+    e = 1 and 2 the result (a and a*a) has the bits of pow; other
+    exponents are within a few ulps of it.  Any other e takes one pow.
     """
     n = 4.0 * e
     if not (n > 0 and n.is_integer()):
         a **= e
         return a
     j, r = divmod(int(n), 4)
-    root = None
     if r:
-        root = np.sqrt(a)
-        if r != 2:
-            quarter = np.sqrt(root)
-            root = quarter if r == 1 else np.multiply(root, quarter,
-                                                      out=root)
+        root = np.sqrt(a, out=root)
+        if r == 1:
+            np.sqrt(root, out=root)
+        elif r == 3:
+            root *= np.sqrt(root)
+    else:
+        root = None
     power = None
     while j:
         if j & 1:
@@ -552,15 +583,18 @@ def _slab_norm(rows: np.ndarray, tables: list[np.ndarray],
                box: UniformBox, p: float, weight: np.ndarray | None
                ) -> float:
     """The slab loop of _box_lp_norm_coeffs on the rows and tables of
-    _box_series."""
-    step = max(1, _SLAB_BYTES // (16 * math.prod(box.counts[1:])))
+    _box_series: each slab of _series_slabs is squared (or its modulus
+    taken) in place, and the square root of _pow_nonneg goes to one work
+    buffer made at the first slab."""
     w2 = None if weight is None else np.broadcast_to(np.square(weight),
                                                      box.counts)
     abs_power = (w2 is None and p != np.inf
                  and float(2 * p).is_integer())
+    root = None
     acc = 0.0
-    for i in range(0, box.counts[0], step):
-        v = _x_series(rows[i:i + step], tables)
+    i = 0
+    for v in _series_slabs(rows, tables):
+        h = v.shape[0]
         if np.iscomplexobj(v):
             v = v.view(np.float64)
             v *= v
@@ -571,11 +605,14 @@ def _slab_norm(rows: np.ndarray, tables: list[np.ndarray],
             v *= v
             a, e = v, 0.5 * p
         if w2 is not None:
-            a *= w2[i:i + step]
+            a *= w2[i:i + h]
         if p == np.inf:
             acc = max(acc, float(a.max()))
         else:
-            acc += float(np.sum(_pow_nonneg(a, e)))
+            if root is None:
+                root = np.empty(a.shape)
+            acc += float(np.sum(_pow_nonneg(a, e, root[:h])))
+        i += h
     if p == np.inf:
         return math.sqrt(acc)
     return float((acc * box.cell_volume) ** (1.0 / p))

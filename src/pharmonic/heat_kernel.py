@@ -37,7 +37,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
@@ -51,6 +50,7 @@ from .errors import (
     ResolutionWarning,
     SingularPointError,
     TruncationWarning,
+    _warn_at_caller,
 )
 from .grid import Field, Grid, _contract_axis
 from .report import Report
@@ -332,9 +332,9 @@ def _rho_heat_matrix(grid: Grid, t: float, scale: float = 1.0) -> np.ndarray:
     L = grid.L_rho
     m_max = int(np.ceil(np.sqrt(4.0 * t * 40.0) / (2 * L))) + 1
     if m_max > 32:
-        warnings.warn(
+        _warn_at_caller(
             f"diffusion length at t = {t} needs {m_max} window images; "
-            "capping at 32", TruncationWarning, stacklevel=5)
+            "capping at 32", TruncationWarning)
         m_max = 32
     m = np.arange(-m_max, m_max + 1)
     row = np.exp(-(grid._rho_offsets + 2.0 * L * m[:, None]) ** 2
@@ -401,8 +401,7 @@ def _real_image(apply: Callable[..., np.ndarray], g: Grid,
     on one field's values.  A float64 field runs as a one-field stack,
     uncopied.  The kernels are real, so a complex field runs as its
     real and imaginary parts, two real fields in turn, and its image is
-    exactly their two images.  Both call apply at the same depth, so a
-    warning's stacklevel names the same caller."""
+    exactly their two images."""
     if not np.iscomplexobj(values):
         return apply(g, np.ascontiguousarray(values)[None], *args)[0]
     out = np.empty(values.shape, dtype=np.complex128)
@@ -456,10 +455,10 @@ def _kernel_t_floor(grid: Grid) -> float:
     t_rho = math.log(1.0 / _RESOLUTION) * (grid.drho / (2.0 * math.pi)) ** 2
     floor = max(t_gh, t_rho, 5e-3)
     if floor > 0.2:
-        warnings.warn(
+        _warn_at_caller(
             f"kernel resolution floor t = {floor:.3f} is large (M - K = "
             f"{grid.M - grid.K} Hermite headroom); fractional powers will "
-            "lose accuracy, increase M", ResolutionWarning, stacklevel=5)
+            "lose accuracy, increase M", ResolutionWarning)
     return floor
 
 

@@ -97,27 +97,35 @@ def _default_grid(d: int) -> Grid:
     return make_grid(d, 32, 8.0, 8, 32)
 
 
-def _measured_box(g: Grid, members: Iterable[np.ndarray],
+def _measured_box(g: Grid, members: Iterable[Iterable[np.ndarray]],
                   counts: tuple[int, ...]) -> UniformBox:
     """Box sized so every member has decayed below 1e-6 relative
     amplitude at the boundary, padded by 1.3 and capped by the grid
     windows.
 
-    members are the members' values on the grid g, real or complex
-    arrays (a real series, TestFamily.draw, or Field.values).  Each is
-    read once and |f| twice, so members may be built one at a time as
-    consumed: the rho profile is the max over each rho row, and the x
-    profiles come from the max over rho, an array of one rho row."""
+    Each member is given as consecutive slabs of rho rows of its values
+    on the grid g, real or complex, whose concatenation is the member
+    (TestFamily.draw, or [Field.values] for a whole field).  A slab is
+    read once and |f| twice before the next is asked for, so members,
+    and a member's slabs, may be built as they are consumed: the rho
+    profile is the max over each rho row, and the x profiles come from
+    the max over rho, folded slab by slab into an array of one rho
+    row.  max is exact, so the box does not depend on the slabs."""
     coords = [g.rho] + [g.nodes_x] * g.d
     caps = [g.L_rho] + [float(np.max(np.abs(g.nodes_x)))] * g.d
     need = [0.0] * (g.d + 1)
-    for values in members:
-        a = np.abs(values)
-        rho_prof = a.reshape(a.shape[0], -1).max(axis=1)
+    for slabs in members:
+        rows, over_rho = [], None
+        for values in slabs:
+            a = np.abs(values)
+            rows.append(a.reshape(a.shape[0], -1).max(axis=1))
+            top = a.max(axis=0)
+            over_rho = top if over_rho is None else np.maximum(
+                over_rho, top, out=over_rho)
+        rho_prof = np.concatenate(rows)
         peak = float(rho_prof.max())
         if peak == 0.0:
             continue
-        over_rho = a.max(axis=0)
         profs = [rho_prof] + [
             over_rho.max(axis=tuple(i for i in range(g.d) if i != ax))
             for ax in range(g.d)]
@@ -136,10 +144,11 @@ def _family_grid(d: int, grid: Grid | None) -> Grid:
     return g
 
 
-def _boxes(g: Grid, members: Iterable[np.ndarray]
+def _boxes(g: Grid, members: Iterable[Iterable[np.ndarray]]
            ) -> tuple[UniformBox, UniformBox]:
-    """The box measured on the members' grid values, and that box with
-    its counts doubled."""
+    """The box measured on the members' grid values, each member given
+    as slabs of rho rows (_measured_box), and that box with its counts
+    doubled."""
     box = _measured_box(g, members,
                         (64, 64) if g.d == 1 else (24,) * (g.d + 1))
     return box, UniformBox(box.half_widths,
@@ -154,7 +163,7 @@ def _family_setup(family: TestFamily, d: int, grid: Grid | None
     doubled."""
     g = _family_grid(d, grid)
     base = family.members(g)
-    return (base, family.extras(g)) + _boxes(g, (f.values for f in base))
+    return (base, family.extras(g)) + _boxes(g, ([f.values] for f in base))
 
 
 def _sup_stats(rep: Report, name: str, base: list[float],
@@ -281,33 +290,33 @@ def gns_check(p: float, q: float, d: int, family: TestFamily,
 
     Requires d >= 3 and 1/p - 1/(d+1) <= 1/q < 1/p.  The gradient norm
     is the l^1 combination of component L^p norms, computed by grid
-    quadrature; at p = 2 each is read off the coefficients instead,
-    which is the same grid quadrature to rounding (Gauss-Hermite and
-    the rho trapezoid are exact on the band-limited image, see
-    ladder._grad_norms).  The q norm uses the auto-sized box when
-    q != 2, and plancherel_norm, the same quadrature, when q = 2.
+    quadrature; at p = 2 each is read off the coefficient moduli
+    instead, which is the same grid quadrature to rounding
+    (Gauss-Hermite and the rho trapezoid are exact on the band-limited
+    image, see ladder._grad_norms).  The q norm uses the auto-sized box
+    when q != 2, and plancherel_norm, the same quadrature, when q = 2.
 
-    Every member is scored from its coefficients, so a band_limited
-    family builds no grid Field: each base member is drawn once
-    (TestFamily.draw), its coefficients kept and its box measured on
-    its real grid series, one member at a time; the extras are drawn
-    as coefficients only (TestFamily.coeffs).  The box norms of
-    band_limited coefficients are summed on real arrays
-    (grid._box_lp_norm_coeffs).  PASS needs a sup that moves by less
-    than STABILITY_LIMIT, as in hls_check.
+    Every member is scored from its coefficients, and no array the
+    size of a grid field is made for a band_limited family: each base
+    member is drawn once (TestFamily.draw), its coefficients kept and
+    its box measured on the slabs of its real grid series, one slab of
+    rho rows at a time; the extras are drawn as coefficients only
+    (TestFamily.coeffs).  The box norms of band_limited coefficients
+    are summed on real slabs (grid._box_lp_norm_coeffs).  PASS needs a
+    sup that moves by less than STABILITY_LIMIT, as in hls_check.
     """
     check_exponents("gns", 1.0, p, q, d)
     g = _family_grid(d, grid)
     n = family.count
     base = []
 
-    def base_values() -> Iterator[np.ndarray]:
+    def base_slabs() -> Iterator[Iterable[np.ndarray]]:
         for i in range(n):
-            c, values = family.draw(g, i)
+            c, slabs = family.draw(g, i)
             base.append(c)
-            yield values
+            yield slabs
 
-    box, fine = _boxes(g, base_values())
+    box, fine = _boxes(g, base_slabs())
     got = [_ratio_gns(c, p, q, box, fine) for c in base]
     got_e = [_ratio_gns(family.coeffs(g, i), p, q, box, None)
              for i in range(n, family.size)]

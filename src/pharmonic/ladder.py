@@ -29,7 +29,7 @@ from .errors import (
     SingularMultiplierError,
     TruncationError,
 )
-from .grid import Field, inner, lp_norm
+from .grid import Field, Grid, inner, lp_norm
 from .report import Report
 from .spectral import (
     SpectralCoeffs,
@@ -38,7 +38,6 @@ from .spectral import (
     apply_multiplier,
     forward,
     inverse,
-    plancherel_norm,
     power_multiplier,
 )
 
@@ -56,6 +55,18 @@ __all__ = [
 _RAISE_TAIL_TOL = 1e-8
 
 
+def _check_top_shell(g: Grid, energy: np.ndarray) -> None:
+    """Raise TruncationError when the top degree shell |mu| = K, which
+    raising drops, carries more than _RAISE_TAIL_TOL of the energy;
+    energy is |c|^2 in the (N_rho, n_mu) layout."""
+    total = float(np.sum(energy))
+    top = float(np.sum(energy[:, g.mu_abs == g.K]))
+    if total > 0 and top > _RAISE_TAIL_TOL * total:
+        raise TruncationError(
+            f"top degree shell carries {top / total:.3e} of the energy; "
+            "raising would drop it (refine K)")
+
+
 def apply_A(j: int, coeffs: SpectralCoeffs) -> SpectralCoeffs:
     """Apply the ladder operator with index j in {-d, ..., d} to coefficients.
 
@@ -70,12 +81,7 @@ def apply_A(j: int, coeffs: SpectralCoeffs) -> SpectralCoeffs:
     if j == 0:
         return SpectralCoeffs(g, (-1j * g.tau)[:, None] * coeffs.data)
     if j > 0:
-        total = float(np.sum(np.abs(coeffs.data) ** 2))
-        top = float(np.sum(np.abs(coeffs.data[:, g.mu_abs == g.K]) ** 2))
-        if total > 0 and top > _RAISE_TAIL_TOL * total:
-            raise TruncationError(
-                f"top degree shell carries {top / total:.3e} of the energy; "
-                "raising would drop it (refine K)")
+        _check_top_shell(g, np.abs(coeffs.data) ** 2)
     cube = _to_cube(g, coeffs.data)
     axis = abs(j)                       # cube axis for x_j is axis j
     low = [slice(None)] * cube.ndim
@@ -116,21 +122,38 @@ def grad_H(field: Field) -> list[Field]:
 def _grad_norms(coeffs: SpectralCoeffs, p: float) -> list[float]:
     """The 2d+1 norms |A_j f|_p of f = inverse(coeffs), in grad_H's order.
 
-    At p = 2 each is the coefficient norm of the ladder image
-    (plancherel_norm), with no inverse transform.  That is the grid L^2
-    norm of the image to rounding, not an approximation of it: the
-    image has Hermite degree <= K (raising drops the top shell), the
-    Gauss-Hermite rule with M >= K + 1 nodes is exact on every
-    h_k h_l with k, l <= K, and the N-point trapezoid sum in rho is
-    exact on products of two frequencies in [-N/2, N/2).  Other p
-    evaluate each component on the grid, one at a time: the 2d+1
-    components of a d = 3 member are ~118 MB when held together, and
-    freeing that much at once lets the allocator return it to the OS,
-    to be faulted back in for the next member.
+    At p = 2 each is read off the coefficient moduli, with no ladder
+    image built: A_j moves each mode to one mode, so with e = |c|^2
+    summed over tau_n and mu,
+
+        |A_0 f|_2^2    = 2 L sum tau^2 e,
+        |A_j f|_2^2    = 2 L sum 2 (mu_j + 1) e over |mu| < K (raising
+                         drops the top shell, with apply_A's
+                         TruncationError when it carries energy),
+        |A_{-j} f|_2^2 = 2 L sum 2 mu_j e,
+
+    plancherel_norm(apply_A(j, coeffs)) to rounding.  That is the grid
+    L^2 norm of the image to rounding, not an approximation of it: the
+    image has Hermite degree <= K, the Gauss-Hermite rule with
+    M >= K + 1 nodes is exact on every h_k h_l with k, l <= K, and the
+    N-point trapezoid sum in rho is exact on products of two
+    frequencies in [-N/2, N/2).  Other p evaluate each component on
+    the grid, one at a time: the 2d+1 components of a d = 3 member are
+    ~118 MB when held together, and freeing that much at once lets the
+    allocator return it to the OS, to be faulted back in for the next
+    member.
     """
-    if p == 2.0:
-        return [plancherel_norm(a) for a in _grad_coeffs(coeffs)]
-    return [lp_norm(inverse(a), p) for a in _grad_coeffs(coeffs)]
+    if p != 2.0:
+        return [lp_norm(inverse(a), p) for a in _grad_coeffs(coeffs)]
+    g = coeffs.grid
+    e = np.abs(coeffs.data) ** 2
+    _check_top_shell(g, e)
+    per_mode = e.sum(axis=0)
+    mu = g.mu.T.astype(np.float64)                  # (d, n_mu)
+    sq = np.concatenate([[g.tau ** 2 @ e.sum(axis=1)],
+                         (2.0 * (mu + 1.0) * (g.mu_abs < g.K)) @ per_mode,
+                         2.0 * mu @ per_mode])
+    return np.sqrt(2.0 * g.L_rho * sq).tolist()
 
 
 def _rel_residual(a: Field, b: Field) -> float:

@@ -19,19 +19,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .errors import InvalidParameterError, ResolutionWarning
-from .grid import (Field, Grid, UniformBox, _box_lp_norm_coeffs, _sum_sq,
-                   box_lp_norm, inner, lp_norm, resample, sample)
+from .grid import (Field, Grid, UniformBox, _box_lp_norm_coeffs,
+                   _series_slabs, _sum_sq, box_lp_norm, inner, lp_norm,
+                   resample, sample)
 from .hermite import hermite_eval
 from .ladder import _grad_coeffs, _grad_norms, riesz
 from .report import Report
-from .spectral import (SpectralCoeffs, _grid_series, forward, inverse,
+from .spectral import (SpectralCoeffs, _grid_rows, forward, inverse,
                        spectral_frac_power)
 
 __all__ = [
@@ -85,17 +86,21 @@ class TestFamily:
             return _band_limited_coeffs(grid, rng)
         return forward(_make_member(self.kind, grid, rng))
 
-    def draw(self, grid: Grid, i: int) -> tuple[SpectralCoeffs, np.ndarray]:
+    def draw(self, grid: Grid, i: int
+             ) -> tuple[SpectralCoeffs, Iterable[np.ndarray]]:
         """Member i's coefficients and its values on the grid, from one
-        draw: band_limited gives its coefficients and their grid series
-        (member's values, with no Field), gaussian gives
-        forward(member) and the sampled member's values."""
+        draw, the values as consecutive slabs of rho rows whose
+        concatenation is member(grid, i).values bit for bit.
+        band_limited gives its coefficients and the slabs of their grid
+        series (grid._series_slabs, with no grid-sized array; each slab
+        is overwritten by the next), gaussian gives forward(member) and
+        the sampled member's values as one slab."""
         rng = np.random.default_rng([self.seed, i])
         if self.kind == "band_limited":
             c = _band_limited_coeffs(grid, rng)
-            return c, _grid_series(c)
+            return c, _series_slabs(*_grid_rows(c))
         f = _make_member(self.kind, grid, rng)
-        return forward(f), f.values
+        return forward(f), [f.values]
 
     def members(self, grid: Grid) -> list[Field]:
         """The base members 0 .. count - 1."""

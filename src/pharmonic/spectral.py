@@ -119,14 +119,24 @@ def forward(field: Field) -> SpectralCoeffs:
     return SpectralCoeffs(g, _alt_sign(g) * c / g.N_rho)
 
 
-def _grid_series(coeffs: SpectralCoeffs) -> np.ndarray:
-    """The series of coeffs on the grid points, float64 when
-    _is_real_series(coeffs.data), else complex128; see inverse."""
+def _grid_rows(coeffs: SpectralCoeffs
+               ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The series of coeffs summed over rho only, at the grid's rho
+    points: the degree cube of rho rows, float64 when
+    _is_real_series(coeffs.data), else complex128, and the tables
+    h_k(node) that grid._x_series (or grid._series_slabs, a slab of
+    rows at a time) applies to finish it on the grid; see inverse."""
     g = coeffs.grid
     u = g.N_rho * np.fft.ifft(_alt_sign(g) * coeffs.data, axis=0)
     if _is_real_series(coeffs.data):
         u = u.real
-    return _x_series(_to_cube(g, u), [g.hermite_table.T] * g.d)
+    return _to_cube(g, u), [g.hermite_table.T] * g.d
+
+
+def _grid_series(coeffs: SpectralCoeffs) -> np.ndarray:
+    """The series of coeffs on the grid points, float64 when
+    _is_real_series(coeffs.data), else complex128; see inverse."""
+    return _x_series(*_grid_rows(coeffs))
 
 
 def inverse(coeffs: SpectralCoeffs) -> Field:

@@ -24,7 +24,8 @@ def test_one_primitive_once(tmp_path, capsys):
     assert tool.main(["--only", "heat_apply_kernel", "--grid", "d1",
                       "--repeat", "1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert set(doc) == {"unit", "repeat", "grids", "p50_ms", "environment"}
+    assert set(doc) == {"unit", "repeat", "grids", "p50_ms", "peak_mb",
+                        "environment"}
     assert doc["repeat"] == 1
     assert doc["grids"]["d1"] == {"d": 1, "N_rho": 64, "L_rho": 10.0,
                                   "K": 8, "M": 40}
@@ -32,6 +33,9 @@ def test_one_primitive_once(tmp_path, capsys):
                                   "K": 8, "M": 32}
     assert list(doc["p50_ms"]) == ["heat_apply_kernel.d1"]
     assert doc["p50_ms"]["heat_apply_kernel.d1"] > 0.0
+    # one d = 1 field and its two work buffers, 20 KB each, at least
+    assert list(doc["peak_mb"]) == ["heat_apply_kernel.d1"]
+    assert doc["peak_mb"]["heat_apply_kernel.d1"] > 3 * 64 * 40 * 8 / 2 ** 20
     assert capsys.readouterr().out.startswith("heat_apply_kernel.d1: ")
 
 
@@ -99,3 +103,19 @@ def test_bad_repeat_rejected(tmp_path):
     tool = load_tool()
     with pytest.raises(SystemExit):
         tool.main(["--repeat", "0", "--out", str(tmp_path / "x.json")])
+
+
+def test_measured_box_on_draw_slabs(tmp_path):
+    # the box sizing of gns on the member's slabs: the d = 3 call holds
+    # no grid-sized array (32 x 32^3 float64, 8 MB)
+    tool = load_tool()
+    out = tmp_path / "BENCH_primitives.json"
+    assert tool.main(["--only", "measured_box", "--repeat", "1",
+                      "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert sorted(doc["p50_ms"]) == sorted(doc["peak_mb"]) == \
+        ["measured_box.d1", "measured_box.d3"]
+    assert 0.0 < doc["peak_mb"]["measured_box.d3"] < 32 * 32 ** 3 * 8 / 2 ** 20
+    g = tool.grid.make_grid(*tool.GRIDS["d3"])
+    box = tool.primitives(g)["measured_box"]()
+    assert box.counts == (24,) * 4 and box.half_widths[0] <= g.L_rho

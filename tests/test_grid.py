@@ -487,9 +487,9 @@ def test_box_lp_norm_coeffs_slab_heights():
     calls = []
     real = grid_module._x_series
 
-    def counted(rows, tables):
+    def counted(rows, tables, bufs=None):
         calls.append(rows.shape[0])
-        return real(rows, tables)
+        return real(rows, tables, bufs)
 
     cases = [(make_grid(3, 4, 4.0, 1, 2), (48,) * 4, [1] * 48),
              (make_grid(3, 4, 4.0, 1, 2), (24,) * 4, [9, 9, 6]),

@@ -30,6 +30,7 @@ from pharmonic import (
     heat_apply_kernel,
     heat_kernel_E,
     heat_spectral,
+    hls_check,
     inner,
     k_alpha,
     kernel_bound_report,
@@ -49,7 +50,8 @@ import pharmonic.heat_kernel as hk
 import pharmonic.inequalities as inequalities
 from pharmonic.cli import _parser, build_config, run_suite
 from pharmonic.grid import Field
-from pharmonic.errors import TruncationWarning
+from pharmonic.errors import (QuadratureError, ResolutionWarning,
+                              TruncationWarning)
 from pharmonic.sobolev import TestFamily
 from pharmonic.heat_kernel import (_gl_panels, _moment_integral,
                                    _rho_heat_matrix, _x_heat_matrix,
@@ -736,6 +738,37 @@ class TestFracPowerKernel:
         lhs = inner(frac_power_kernel(f, -0.5), h)
         rhs = inner(f, frac_power_kernel(h, -0.5))
         assert abs(lhs - rhs) / abs(lhs) < 1e-6
+
+
+    @pytest.mark.parametrize("route", ["heat_apply_kernel", "frac_power_kernel",
+                                       "frac_power_kernel_complex",
+                                       "hls_check"])
+    def test_kernel_warnings_name_the_call_site(self, route):
+        # the capped-images TruncationWarning and the resolution-floor
+        # ResolutionWarning are raised at different depths of the
+        # kernel route; each names the line here that called into the
+        # package.  On L_rho = 0.5 a t past 6 needs more than 32
+        # images; on M - K = 2 the time floor is past 0.2.
+        narrow = make_grid(1, 8, 0.5, 4, 6)
+        f = TestFamily("band_limited", 2, seed=0).member(narrow, 0)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            if route == "heat_apply_kernel":
+                heat_apply_kernel(f, 10.0)
+            elif route == "frac_power_kernel":
+                frac_power_kernel(f, -0.25)
+            elif route == "frac_power_kernel_complex":
+                frac_power_kernel(f + 1j * f, -0.25)
+            else:
+                with pytest.raises(QuadratureError):
+                    hls_check(0.5, 2.0, 4.0, 1,
+                              TestFamily("band_limited", 2, seed=0),
+                              grid=make_grid(1, 8, 6.0, 4, 6))
+        want = {"heat_apply_kernel": {TruncationWarning},
+                "hls_check": {ResolutionWarning}}.get(
+                    route, {TruncationWarning, ResolutionWarning})
+        assert {w.category for w in got} == want
+        assert all(w.filename == __file__ for w in got)
 
 
 class TestFracPowerRealPath:

@@ -11,6 +11,7 @@ Empirical sups are pinned only by loose windows; their content is the
 stability flags inside the reports.
 """
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -270,10 +271,44 @@ class TestGnsCheck:
         # the rho axis (and on the x axes of the gaussian members)
         g = make_grid(2, 32, 12.0, 6, 60)
         fam = TestFamily(kind, 4, seed=3)
-        box = _measured_box(g, (fam.member(g, i).values for i in range(4)),
-                            (8, 8, 8))
+        box = _measured_box(g, ([fam.member(g, i).values]
+                                for i in range(4)), (8, 8, 8))
         assert box.half_widths == per_axis_box(fam.members(g))
         assert box.half_widths[0] < g.L_rho
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 3), log2_n=st.integers(1, 4),
+           K=st.integers(2, 5), extra=st.integers(0, 3),
+           L=st.floats(1.0, 10.0), rows=st.integers(1, 3),
+           kind=st.sampled_from(["band_limited", "gaussian"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_streamed_box_matches_per_axis_scan(self, d, log2_n, K, extra,
+                                                L, rows, kind, seed):
+        # the box measured on TestFamily.draw's slabs, cut to a few rho
+        # rows each, has the half-widths of a scan over whole members,
+        # bit for bit; a gaussian member is one slab, its sampled values
+        g = make_grid(d, 2 ** log2_n, L, K, K + 1 + extra)
+        fam = TestFamily(kind, 3, seed=seed)
+        with mock.patch.object(grid_module, "_SLAB_BYTES",
+                               16 * rows * g.M ** d):
+            box = _measured_box(g, (fam.draw(g, i)[1] for i in range(3)),
+                                (8,) * (d + 1))
+        assert box.half_widths == per_axis_box(fam.members(g))
+
+    def test_d3_peak_below_one_grid_plane(self, fam):
+        # no array the size of a 32 x 32^3 field (8.4 MB of float64) is
+        # made: the box is sized on slabs of rho rows, the gradient
+        # norms are read off the coefficient moduli, and the box norms
+        # are summed one slab at a time
+        plane = 32 * 32 ** 3 * 8
+        tracemalloc.start()
+        try:
+            rep = gns_check(2.0, 2.5, 3, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.all_passed
+        assert peak < plane
 
     def test_low_dimension_rejected(self, fam):
         with pytest.raises(InvalidParameterError):
@@ -302,9 +337,9 @@ class TestGnsCheck:
         def dtypes(suite):
             seen = set()
 
-            def spy(rows, tables):
+            def spy(rows, tables, bufs=None):
                 seen.add(rows.dtype)
-                return real(rows, tables)
+                return real(rows, tables, bufs)
 
             cfg = build_config(_parser().parse_args(["--suite", suite]))
             with mock.patch.object(grid_module, "_x_series", spy):
@@ -672,7 +707,7 @@ class TestEndpointLinf:
 class TestBoxSizing:
     def test_box_sizing_respects_caps(self, fam_small):
         g = _default_grid(1)
-        box = _measured_box(g, (f.values for f in fam_small.members(g)),
+        box = _measured_box(g, ([f.values] for f in fam_small.members(g)),
                             (32, 32))
         assert box.half_widths[0] <= g.L_rho
         assert box.half_widths[1] <= float(np.abs(g.nodes_x).max())

@@ -2,6 +2,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pharmonic import (
     SingularMultiplierError,
@@ -14,10 +16,12 @@ from pharmonic import (
     lp_norm,
     make_grid,
     mode_field,
+    plancherel_norm,
     power_multiplier,
 )
 from pharmonic import ladder as ladder_module
 from pharmonic.ladder import (
+    _grad_norms,
     apply_A,
     commute_check,
     commute_matrix_report,
@@ -207,8 +211,8 @@ def test_duality_sandwich_random_fields():
 
 
 def test_duality_with_itself_computes_each_image_once():
-    # duality_check(f) transforms f once and applies each of the 2d + 1
-    # ladder operators once, to H^(-1/2) f
+    # duality_check(f) transforms f once and reads the 2d + 1 ladder
+    # norms of H^(-1/2) f off its coefficient moduli: no image is built
     for d in (1, 2):
         g = make_grid(d=d, N_rho=16, L_rho=5.0, K=5, M=8)
         f = band_limited(g, 30 + d)
@@ -217,10 +221,56 @@ def test_duality_with_itself_computes_each_image_once():
                 mock.patch.object(ladder_module, "forward",
                                   wraps=forward) as spy_f:
             rep = duality_check(f)
-        assert spy_a.call_count == 2 * d + 1
+        assert spy_a.call_count == 0
         assert spy_f.call_count == 1
         assert rep.all_passed
 
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), log2_n=st.integers(1, 5), K=st.integers(1, 6),
+       extra=st.integers(0, 3), L=st.floats(0.5, 20.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_p2_grad_norms_read_off_the_moduli(d, log2_n, K, extra, L, seed):
+    # each p = 2 component is the coefficient norm of its ladder image,
+    # in grad_H's order, with no image built
+    g = make_grid(d, 2 ** log2_n, L, K, K + 1 + extra)
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((g.N_rho, g.n_mu)) \
+        + 1j * rng.standard_normal((g.N_rho, g.n_mu))
+    data[:, g.mu_abs == g.K] = 0.0      # so raising drops nothing
+    c = SpectralCoeffs(g, data)
+    with mock.patch.object(ladder_module, "apply_A",
+                           wraps=apply_A) as spy:
+        got = _grad_norms(c, 2.0)
+    assert spy.call_count == 0
+    js = [0] + list(range(1, d + 1)) + list(range(-1, -d - 1, -1))
+    assert len(got) == len(js)
+    for j, norm in zip(js, got):
+        want = plancherel_norm(apply_A(j, c))
+        assert abs(norm - want) <= 1e-14 * want
+
+
+def test_p2_grad_norms_keep_the_raising_check():
+    # energy on the top shell past 1e-8 of the total raises, as apply_A
+    # does; 1e-10 of it is dropped quietly, as apply_A drops it
+    g = make_grid(2, 8, 4.0, 4, 6)
+    top = g.mu_abs == g.K
+    for ratio, raises in ((1e-6, True), (1e-10, False)):
+        data = np.zeros((g.N_rho, g.n_mu), dtype=complex)
+        data[1, ~top] = 1.0
+        data[1, top] = np.sqrt(ratio * (~top).sum() / top.sum())
+        c = SpectralCoeffs(g, data)
+        if raises:
+            with pytest.raises(TruncationError):
+                _grad_norms(c, 2.0)
+            with pytest.raises(TruncationError):
+                apply_A(1, c)
+        else:
+            want = [plancherel_norm(a) for a in (
+                apply_A(0, c), apply_A(1, c), apply_A(2, c),
+                apply_A(-1, c), apply_A(-2, c))]
+            got = _grad_norms(c, 2.0)
+            assert all(abs(a - b) <= 1e-14 * b for a, b in zip(got, want))
 
 def test_inverse_riesz_p2():
     g = make_grid(d=1, N_rho=16, L_rho=5.0, K=6, M=8)

@@ -9,6 +9,7 @@ control.
 import hashlib
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from pharmonic import (
     strict_inclusion_demo,
     weighted_decay_check,
 )
+from pharmonic import grid as grid_module
 from pharmonic.grid import Field, UniformBox, _sum_sq
 from pharmonic.ladder import apply_A, riesz
 from pharmonic.sobolev import _bessel_power
@@ -79,14 +81,25 @@ class TestFamilyType:
 
     @pytest.mark.parametrize("kind", ["band_limited", "gaussian"])
     def test_draw_is_one_draw_of_coeffs_and_member(self, kind):
+        # the slabs of a draw, copied as they come (each overwrites the
+        # last), concatenate to the member's values bit for bit; a
+        # band_limited member comes in slabs of rho rows (one slab
+        # within the default budget, 6 when it is cut to 3 rows of
+        # complex128), a gaussian member as its one sampled array
         g = make_grid(2, 16, 6.0, 6, 10)
         fam = TestFamily(kind, 2, seed=8)
-        for i in range(2):
-            c, values = fam.draw(g, i)
-            f = fam.member(g, i)
-            assert c.data.tobytes() == fam.coeffs(g, i).data.tobytes()
-            assert values.dtype == f.values.dtype == np.float64
-            assert values.tobytes() == f.values.tobytes()
+        for budget, n_slabs in ((grid_module._SLAB_BYTES, 1),
+                                (16 * 3 * g.M ** g.d, 6)):
+            for i in range(2):
+                with mock.patch.object(grid_module, "_SLAB_BYTES", budget):
+                    c, slabs = fam.draw(g, i)
+                    parts = [s.copy() for s in slabs]
+                f = fam.member(g, i)
+                assert c.data.tobytes() == fam.coeffs(g, i).data.tobytes()
+                assert len(parts) == (1 if kind == "gaussian" else n_slabs)
+                values = np.concatenate(parts)
+                assert values.dtype == f.values.dtype == np.float64
+                assert values.tobytes() == f.values.tobytes()
 
     def test_band_limited_member_bits_pinned(self):
         # the bits of d = 1 members on the hls default grid: a change

@@ -14,8 +14,10 @@ box_lp_norm is the streamed box L^q norm (grid._box_lp_norm_coeffs) of
 that member's coefficients, TestFamily.coeffs, at q = 2.5 on the box
 gns norms at that size: 64^2 at d1, the fine 48^4 box at d3;
 box_lp_norm_q4 is the same norm at the hls exponent q = 4.
-measured_box is the box sizing of the gns, hls and hardy checks
-(inequalities._measured_box) on that member's grid values.
+measured_box is the box sizing of the gns check
+(inequalities._measured_box) on that member's grid values as
+TestFamily.draw gives them, slabs of rho rows of its series, so the
+series evaluation is part of the time.
 sigma_stencil is sigma_alpha(-1/2) in the layout of the symbols suite's
 derivative stencil: x and xi of SampleDomain(1, 64.0, 2, 0) as
 (1, P, 1), tau and its two shifted copies as (3, P).  symbols_stencil
@@ -29,8 +31,10 @@ Linf-range demo (alpha = 1/2, p = 4): H^(-1/4) of the borderline
 profile at the origin, with inner cutoff 2^-8, one k_alpha call on the
 radial nodes times the 9 polar-angle orbits.
 Each primitive makes one untimed call (per-grid constants, caches),
-then --repeat timed calls; the JSON holds the median of those in ms,
-keyed "<primitive>.<grid>", with the settings and the Python and numpy
+then --repeat timed calls, then one more untimed call under
+tracemalloc; the JSON holds the median of the timed calls in ms and
+the traced peak of the last in MB (2^20 bytes), both keyed
+"<primitive>.<grid>", with the settings and the Python and numpy
 versions.  quantize, sigma_stencil, symbols_stencil, l1_image and
 center_value are d = 1 only, so they have no d3 entry.
 
@@ -47,6 +51,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -93,7 +98,7 @@ def primitives(g: grid.Grid) -> dict:
         "box_lp_norm": lambda: grid._box_lp_norm_coeffs(fc, norm_box, 2.5),
         "box_lp_norm_q4": lambda: grid._box_lp_norm_coeffs(fc, norm_box, 4.0),
         "measured_box": lambda: inequalities._measured_box(
-            g, [f.values], box.counts),
+            g, [fam.draw(g, 0)[1]], box.counts),
         "k_alpha": lambda: heat_kernel.k_alpha(z, zp, 0.75),
         "sigma_alpha": lambda: symbols.sigma_alpha(x, tau, xi, -0.5, d),
     }
@@ -132,6 +137,16 @@ def time_call(call, repeat: int) -> float:
     return 1e3 * statistics.median(times)
 
 
+def traced_peak(call) -> float:
+    """The tracemalloc peak of one call, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--only", action="append", choices=PRIMITIVES,
@@ -145,7 +160,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
-    p50 = {}
+    p50, peak = {}, {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name in args.grid or sorted(GRIDS):
@@ -154,13 +169,16 @@ def main(argv=None) -> int:
                 if args.only is None or prim in args.only:
                     key = f"{prim}.{name}"
                     p50[key] = time_call(call, args.repeat)
-                    print(f"{key}: {p50[key]:.3f} ms", flush=True)
+                    peak[key] = traced_peak(call)
+                    print(f"{key}: {p50[key]:.3f} ms, peak "
+                          f"{peak[key]:.2f} MB", flush=True)
     doc = {
         "unit": "ms per call, median",
         "repeat": args.repeat,
         "grids": {name: dict(zip(("d", "N_rho", "L_rho", "K", "M"), spec))
                   for name, spec in GRIDS.items()},
         "p50_ms": p50,
+        "peak_mb": peak,
         "environment": {"python": platform.python_version(),
                         "numpy": np.__version__,
                         "machine": platform.machine(),
