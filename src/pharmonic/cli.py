@@ -385,8 +385,8 @@ def _suite_powers(cfg: SuiteConfig) -> Report:
 
 def _suite_commute(cfg: SuiteConfig) -> Report:
     g = _grid(cfg)
-    f = TestFamily("band_limited", 1, seed=cfg.seed).members(g)[0]
-    return commute_matrix_report(f, tol=cfg.tol)
+    c = TestFamily("band_limited", 1, seed=cfg.seed).coeffs(g, 0)
+    return commute_matrix_report(c, tol=cfg.tol)
 
 
 def _suite_kernel_bounds(cfg: SuiteConfig) -> Report:
@@ -413,23 +413,21 @@ def _suite_riesz(cfg: SuiteConfig) -> Report:
     rep = Report(suite="riesz",
                  params={"alpha": cfg.alpha, "p": cfg.p, "d": cfg.d,
                          "seed": cfg.seed})
-    rep.extend(inverse_riesz_check(fam.member(g, 0), cfg.p))
+    rep.extend(inverse_riesz_check(fam.coeffs(g, 0), cfg.p))
     rep.extend(riesz_on_potential_check((0, 1), cfg.alpha, cfg.p, g, fam))
     return rep
 
 
 def _suite_duality(cfg: SuiteConfig) -> Report:
     g = _grid(cfg)
-    fields = TestFamily("band_limited", 20, seed=cfg.seed).members(g)
-    ratios = []
-    ok = True
-    for f in fields:
-        sub = duality_check(f)
-        m = {mm.name: mm for mm in sub.metrics}["sandwich_I_le_S_le_2I"]
-        ratios.append(m.value)
-        ok = ok and m.passed
+    fam = TestFamily("band_limited", 20, seed=cfg.seed)
+    sandwich = [m for i in range(fam.count)
+                for m in duality_check(fam.coeffs(g, i)).metrics
+                if m.name == "sandwich_I_le_S_le_2I"]
+    ratios = [m.value for m in sandwich]
+    ok = all(m.passed for m in sandwich)
     rep = Report(suite="duality",
-                 params={"d": cfg.d, "count": len(fields),
+                 params={"d": cfg.d, "count": fam.count,
                          "seed": cfg.seed})
     rep.add("sandwich_ratio_min", min(ratios), None,
             min(ratios) >= 1.0 - 1e-12, "S/I over the family; >= 1")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ from .errors import (
     InvalidParameterError,
     NonFiniteSampleError,
     TruncationWarning,
+    _warn_at_caller,
 )
 from .hermite import gauss_hermite, hermite_all, multi_indices
 
@@ -437,10 +437,10 @@ def _box_series(coeffs, box: UniformBox
         raise InvalidParameterError("box dimension must be d + 1")
     tail = tail_energy(coeffs)
     if tail > _TAIL_TOL:
-        warnings.warn(
+        _warn_at_caller(
             f"coefficient tail energy {tail:.3e} exceeds {_TAIL_TOL:.1e}; "
             "resampled values limited by series truncation",
-            TruncationWarning, stacklevel=3)
+            TruncationWarning)
     axes = box.axes()
     phases = np.exp(1j * np.outer(axes[0], g.tau))    # (n_rho_box, N_rho)
     rows = _contract_axis(_to_cube(g, coeffs.data), phases, 0)

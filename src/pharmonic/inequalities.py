@@ -21,14 +21,13 @@ synthesized inside the band (band_limited is safe everywhere).
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterable, Iterator
 from itertools import chain
 
 import numpy as np
 
 from .errors import (DomainError, InvalidParameterError, QuadratureError,
-                     ResolutionWarning)
+                     ResolutionWarning, _warn_at_caller)
 from .grid import (_TINY, Field, Grid, UniformBox, _box_lp_norm_coeffs,
                    _exp_floored, lp_norm, make_grid)
 from .heat_kernel import (_frac_power_images, _gl_panels, k_alpha,
@@ -155,15 +154,24 @@ def _boxes(g: Grid, members: Iterable[Iterable[np.ndarray]]
                            tuple(2 * n for n in box.counts))
 
 
-def _family_setup(family: TestFamily, d: int, grid: Grid | None
-                  ) -> tuple[list[Field], Iterator[Field], UniformBox,
-                             UniformBox]:
-    """The base members, the extras of the four-fold family (consumed
-    once), the box measured on the base, and that box with its counts
-    doubled."""
+def _coeff_setup(family: TestFamily, d: int, grid: Grid | None
+                 ) -> tuple[list[SpectralCoeffs], Iterator[SpectralCoeffs],
+                            UniformBox, UniformBox]:
+    """The base members' coefficients, the extras' (drawn as consumed),
+    the box measured on the base and that box with its counts doubled.
+    Each base member is drawn once (TestFamily.draw), its box measured
+    on the slabs of its grid values."""
     g = _family_grid(d, grid)
-    base = family.members(g)
-    return (base, family.extras(g)) + _boxes(g, ([f.values] for f in base))
+    base = []
+
+    def base_slabs() -> Iterator[Iterable[np.ndarray]]:
+        for i in range(family.count):
+            c, slabs = family.draw(g, i)
+            base.append(c)
+            yield slabs
+
+    extras = (family.coeffs(g, i) for i in range(family.count, family.size))
+    return (base, extras) + _boxes(g, base_slabs())
 
 
 def _sup_stats(rep: Report, name: str, base: list[float],
@@ -212,7 +220,9 @@ def _ratio_hls(f: Field, k: Field, alpha: float, p: float, q: float,
 
 def _hls_core(alpha: float, p: float, q: float, d: int, shift: float,
               family: TestFamily, grid: Grid | None) -> Report:
-    base, extra, box, fine = _family_setup(family, d, grid)
+    g = _family_grid(d, grid)
+    base, extra = family.members(g), family.extras(g)
+    box, fine = _boxes(g, ([f.values] for f in base))
     # the kernel images run stacked, one slab of members at a time: the
     # whole default d = 1 family at once, a d = 3 member on its own, so
     # a d = 3 family still never holds more than its base at once
@@ -296,30 +306,16 @@ def gns_check(p: float, q: float, d: int, family: TestFamily,
     image, see ladder._grad_norms).  The q norm uses the auto-sized box
     when q != 2, and plancherel_norm, the same quadrature, when q = 2.
 
-    Every member is scored from its coefficients, and no array the
-    size of a grid field is made for a band_limited family: each base
-    member is drawn once (TestFamily.draw), its coefficients kept and
-    its box measured on the slabs of its real grid series, one slab of
-    rho rows at a time; the extras are drawn as coefficients only
-    (TestFamily.coeffs).  The box norms of band_limited coefficients
-    are summed on real slabs (grid._box_lp_norm_coeffs).  PASS needs a
-    sup that moves by less than STABILITY_LIMIT, as in hls_check.
+    Every member is scored from its coefficients (_coeff_setup), and
+    no array the size of a grid field is made for a band_limited
+    family.  The box norms of band_limited coefficients are summed on
+    real slabs (grid._box_lp_norm_coeffs).  PASS needs a sup that
+    moves by less than STABILITY_LIMIT, as in hls_check.
     """
     check_exponents("gns", 1.0, p, q, d)
-    g = _family_grid(d, grid)
-    n = family.count
-    base = []
-
-    def base_slabs() -> Iterator[Iterable[np.ndarray]]:
-        for i in range(n):
-            c, slabs = family.draw(g, i)
-            base.append(c)
-            yield slabs
-
-    box, fine = _boxes(g, base_slabs())
+    base, extra, box, fine = _coeff_setup(family, d, grid)
     got = [_ratio_gns(c, p, q, box, fine) for c in base]
-    got_e = [_ratio_gns(family.coeffs(g, i), p, q, box, None)
-             for i in range(n, family.size)]
+    got_e = [_ratio_gns(c, p, q, box, None) for c in extra]
     rep = Report(suite="gns",
                  params={"p": p, "q": q, "d": d, "kind": family.kind,
                          "count": family.count, "seed": family.seed})
@@ -348,20 +344,19 @@ def hardy_check(alpha: float, p: float, d: int, family: TestFamily,
 
     Requires p in {2, 4} and 0 < alpha < (d+1)/p.  For alpha = 1 with
     p < d+1 the gradient-controlled variant
-    | |z|^(-1) f |_p / sum_j |A_j f|_p is reported as well.  Each sup
-    passes when it moves by less than STABILITY_LIMIT, as in hls_check.
+    | |z|^(-1) f |_p / sum_j |A_j f|_p is reported as well.  Members are
+    scored as in gns_check, each sup as in hls_check.
     """
     check_exponents("hardy", alpha, p, 2.0, d)
-    base, extra, box, fine = _family_setup(family, d, grid)
+    base, extra, box, fine = _coeff_setup(family, d, grid)
     w0 = _singular_weight(box, alpha)
     w1 = _singular_weight(fine, alpha)
     grad_variant = alpha == 1.0 and p < d + 1
 
-    def worker(f: Field, with_fine: bool):
-        den = potential_norm(f, alpha, p)
+    def worker(c: SpectralCoeffs, with_fine: bool):
+        den = potential_norm(c, alpha, p)
         if den == 0.0:
             raise InvalidParameterError("zero field in family")
-        c = forward(f)
         num0 = _box_lp_norm_coeffs(c, box, p, w0)
         num1 = num0
         if with_fine:
@@ -369,8 +364,8 @@ def hardy_check(alpha: float, p: float, d: int, family: TestFamily,
         gden = sum(_grad_norms(c, p)) if grad_variant else math.inf
         return num0, num1, den, gden
 
-    got = [worker(f, True) for f in base]
-    got_e = [worker(f, False) for f in extra]
+    got = [worker(c, True) for c in base]
+    got_e = [worker(c, False) for c in extra]
     rep = Report(suite="hardy",
                  params={"alpha": alpha, "p": p, "d": d,
                          "kind": family.kind, "count": family.count,
@@ -437,9 +432,9 @@ def _trend(rep: Report, seq: list[float], stem: str, notes: list[str],
                   + ("divergent" if expected_divergent else "bounded")
                   + "; " + threshold_note))
     if expected_divergent and not divergent:
-        warnings.warn(
+        _warn_at_caller(
             "expected divergence plateaued; resolution or level count "
-            "is insufficient", ResolutionWarning, stacklevel=3)
+            "is insufficient", ResolutionWarning)
 
 
 def _gauss_image_axes(sigma: float, t: np.ndarray, amp: np.ndarray,

@@ -9,7 +9,8 @@ A_{-j} = d/dx_j + x_j.  On the eigenbasis they act by
     A_{-j}: contributes sqrt(2 (mu_j + 1)) c[n, mu + e_j] at mu
 
 so every operator in this module is coefficientwise-exact; residual
-checks test identities, not discretization.  Raising pushes the top
+checks test identities, not discretization, and take coefficients.
+Raising pushes the top
 degree shell past the cutoff; that energy is dropped, loudly if it
 matters (see apply_A).
 
@@ -29,16 +30,18 @@ from .errors import (
     SingularMultiplierError,
     TruncationError,
 )
-from .grid import Field, Grid, inner, lp_norm
+from .grid import Field, Grid
 from .report import Report
 from .spectral import (
     SpectralCoeffs,
     _from_cube,
+    _power,
+    _series_norm,
     _to_cube,
     apply_multiplier,
     forward,
     inverse,
-    power_multiplier,
+    plancherel_norm,
 )
 
 __all__ = [
@@ -100,9 +103,7 @@ def apply_A(j: int, coeffs: SpectralCoeffs) -> SpectralCoeffs:
 
 def riesz(j: int, field: Field) -> Field:
     """Riesz transform R_j f = A_j H^(-1/2) f."""
-    c = forward(field)
-    c = apply_multiplier(c, power_multiplier(field.grid, -0.5))
-    return inverse(apply_A(j, c))
+    return inverse(apply_A(j, _power(forward(field), -0.5)))
 
 
 def _grad_coeffs(coeffs: SpectralCoeffs) -> Iterator[SpectralCoeffs]:
@@ -144,7 +145,7 @@ def _grad_norms(coeffs: SpectralCoeffs, p: float) -> list[float]:
     member.
     """
     if p != 2.0:
-        return [lp_norm(inverse(a), p) for a in _grad_coeffs(coeffs)]
+        return [_series_norm(a, p) for a in _grad_coeffs(coeffs)]
     g = coeffs.grid
     e = np.abs(coeffs.data) ** 2
     _check_top_shell(g, e)
@@ -156,11 +157,10 @@ def _grad_norms(coeffs: SpectralCoeffs, p: float) -> list[float]:
     return np.sqrt(2.0 * g.L_rho * sq).tolist()
 
 
-def _rel_residual(a: Field, b: Field) -> float:
-    den = max(lp_norm(a, 2), lp_norm(b, 2))
-    if den == 0.0:
-        return 0.0
-    return lp_norm(a - b, 2) / den
+def _rel_residual(a: SpectralCoeffs, b: SpectralCoeffs) -> float:
+    """Relative L^2 distance of the two series, by Plancherel."""
+    den = max(np.linalg.norm(a.data), np.linalg.norm(b.data))
+    return float(np.linalg.norm(a.data - b.data) / den) if den else 0.0
 
 
 def _power_on_support(coeffs: SpectralCoeffs, alpha: float,
@@ -185,7 +185,7 @@ def _power_on_support(coeffs: SpectralCoeffs, alpha: float,
     return apply_multiplier(coeffs, m)
 
 
-def commute_check(j: int, alpha: float, field: Field,
+def commute_check(j: int, alpha: float, coeffs: SpectralCoeffs,
                   tol: float = 1e-10) -> Report:
     """Residuals of the commutation identities for the index j.
 
@@ -196,29 +196,26 @@ def commute_check(j: int, alpha: float, field: Field,
     d >= 3 for fractional alpha (lambda - 2 >= d - 2 must stay
     positive); the singular-multiplier error propagates otherwise.
     """
-    g = field.grid
-    c = forward(field)
     rep = Report(suite="commute",
-                 params={"j": j, "alpha": alpha, "d": g.d})
+                 params={"j": j, "alpha": alpha, "d": coeffs.grid.d})
 
     def power(cc, shift=0.0):
         return _power_on_support(cc, alpha, shift)
 
     if j == 0:
-        lhs = inverse(apply_A(0, power(c)))
-        rhs = inverse(power(apply_A(0, c)))
-        r = _rel_residual(lhs, rhs)
+        r = _rel_residual(apply_A(0, power(coeffs)),
+                          power(apply_A(0, coeffs)))
         rep.add("A0_commutes", r, tol, r < tol, "spectral route, exact identity")
         return rep
     # A_j H^a f = (H-s)^a A_j f ; H^a A_j f = A_j (H+s)^a f, where
     # raising (j > 0) shifts by s = 2 and lowering by s = -2
     s = 2.0 if j > 0 else -2.0
     tag = "raise" if j > 0 else "lower"
-    cj = apply_A(j, c)
+    cj = apply_A(j, coeffs)
     for name, lhs, rhs in (
-            ("pre_shift", apply_A(j, power(c)), power(cj, shift=-s)),
-            ("post_shift", power(cj), apply_A(j, power(c, shift=s)))):
-        r = _rel_residual(inverse(lhs), inverse(rhs))
+            ("pre_shift", apply_A(j, power(coeffs)), power(cj, shift=-s)),
+            ("post_shift", power(cj), apply_A(j, power(coeffs, shift=s)))):
+        r = _rel_residual(lhs, rhs)
         rep.add(f"{tag}_{name}", r, tol, r < tol,
                 "spectral route, exact identity")
     return rep
@@ -229,33 +226,34 @@ _COMMUTE_ALPHAS = (-1.0, -0.5, 0.5)
 _COMMUTE_JS = (0, 1, -1)
 
 
-def commute_matrix_report(field: Field, tol: float = 1e-10) -> Report:
+def commute_matrix_report(coeffs: SpectralCoeffs,
+                          tol: float = 1e-10) -> Report:
     """All commutation residuals over the (j, alpha) matrix of
     _COMMUTE_JS and _COMMUTE_ALPHAS, one report."""
     rep = Report(suite="commute",
                  params={"alphas": list(_COMMUTE_ALPHAS),
-                         "js": list(_COMMUTE_JS), "d": field.grid.d})
+                         "js": list(_COMMUTE_JS), "d": coeffs.grid.d})
     for a in _COMMUTE_ALPHAS:
         for j in _COMMUTE_JS:
-            sub = commute_check(j, a, field, tol=tol)
+            sub = commute_check(j, a, coeffs, tol=tol)
             rep.metrics.extend(replace(m, name=f"{m.name}[j={j},alpha={a}]")
                                for m in sub.metrics)
     return rep
 
 
-def duality_check(f: Field) -> Report:
+def duality_check(coeffs: SpectralCoeffs) -> Report:
     """Compare I = <f, f> with S = sum_j <R_j f, R_j f>.
 
-    f is transformed once: S sums the squared norms of the ladder
-    images of H^(-1/2) f, read off the coefficients.  Mode-wise S/I is (tau^2 + 4|mu| + 2d)/(tau^2 + 2|mu| + d), which
-    lies in [1, 2], so the two-sided bound I <= S <= 2I is asserted.
-    A constant-2 identity, which the factor only attains at the bottom
-    mode, cannot hold; the report carries that observation.
+    Both are read off the coefficient moduli by Plancherel, S from the
+    ladder images of H^(-1/2) f.  Mode-wise S/I is (tau^2 + 4|mu| +
+    2d)/(tau^2 + 2|mu| + d), which lies in [1, 2], so the two-sided
+    bound I <= S <= 2I is asserted.  A constant-2 identity, which the
+    factor only attains at the bottom mode, cannot hold; the report
+    carries that observation.
     """
-    I = inner(f, f).real
-    c = apply_multiplier(forward(f), power_multiplier(f.grid, -0.5))
-    S = sum(n ** 2 for n in _grad_norms(c, 2.0))
-    rep = Report(suite="duality", params={"d": f.grid.d})
+    I = plancherel_norm(coeffs) ** 2
+    S = sum(n ** 2 for n in _grad_norms(_power(coeffs, -0.5), 2.0))
+    rep = Report(suite="duality", params={"d": coeffs.grid.d})
     rep.add("I", I, None, True, "inner product")
     rep.add("S", S, None, True, "sum over 2d+1 Riesz components")
     if I > 0:
@@ -266,7 +264,7 @@ def duality_check(f: Field) -> Report:
     return rep
 
 
-def inverse_riesz_check(f: Field, p: float) -> Report:
+def inverse_riesz_check(coeffs: SpectralCoeffs, p: float) -> Report:
     """Check ||H^(1/2) f||_p against sum_j ||A_j f||_p.
 
     For p = 2 the mode-wise bound lambda <= tau^2 + 4|mu| + 2d makes
@@ -275,12 +273,11 @@ def inverse_riesz_check(f: Field, p: float) -> Report:
     """
     if p < 1:
         raise InvalidParameterError("p must be >= 1")
-    c = forward(f)
-    lhs = lp_norm(inverse(apply_multiplier(
-        c, power_multiplier(f.grid, 0.5))), p)
-    norms = _grad_norms(c, p)
+    lhs = _series_norm(_power(coeffs, 0.5), p)
+    norms = _grad_norms(coeffs, p)
     rhs = sum(norms)
-    rep = Report(suite="inverse_riesz", params={"p": p, "d": f.grid.d})
+    rep = Report(suite="inverse_riesz",
+                 params={"p": p, "d": coeffs.grid.d})
     rep.add("lhs_half_power_norm", lhs, None, True, "spectral H^(1/2)")
     rep.add("rhs_ladder_sum", rhs, None, True, "2d+1 ladder components")
     ratio = lhs / rhs if rhs > 0 else 0.0

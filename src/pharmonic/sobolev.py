@@ -3,8 +3,9 @@ equivalence, weighted decay, and the strict-inclusion demonstrations.
 
 The potential norm of order alpha is ||H^(alpha/2) f||_p with the power
 applied spectrally; the ladder norm of integer order k sums ||A_j1 ...
-A_jm f||_p over all (2d+1)^m ladder tuples with m <= k.  Both are
-computed by grid quadrature, so p = 4 norms are exact only while
+A_jm f||_p over all (2d+1)^m ladder tuples with m <= k.  Both take the
+coefficients of f; p = 2 norms come by Plancherel and other p by grid
+quadrature (spectral._series_norm), so p = 4 norms are exact only while
 4K <= 2M - 1; the reports only ever compare ratios of the same
 quadrature, which is what the equivalence statements need.
 
@@ -18,22 +19,21 @@ over dyadic radii, never a limit.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .errors import InvalidParameterError, ResolutionWarning
+from .errors import InvalidParameterError, ResolutionWarning, _warn_at_caller
 from .grid import (Field, Grid, UniformBox, _box_lp_norm_coeffs,
-                   _series_slabs, _sum_sq, box_lp_norm, inner, lp_norm,
-                   resample, sample)
+                   _box_series, _series_slabs, _sum_sq, _x_series,
+                   box_lp_norm, lp_norm, sample)
 from .hermite import hermite_eval
-from .ladder import _grad_coeffs, _grad_norms, riesz
+from .ladder import _grad_coeffs, _grad_norms, apply_A
 from .report import Report
-from .spectral import (SpectralCoeffs, _grid_rows, forward, inverse,
-                       spectral_frac_power)
+from .spectral import (SpectralCoeffs, _grid_rows, _power, _series_norm,
+                       forward, inverse)
 
 __all__ = [
     "TestFamily",
@@ -157,25 +157,22 @@ def _make_member(kind: str, grid: Grid, rng) -> Field:
 # ---------------------------------------------------------------------------
 # the two norm families
 
-def potential_norm(field: Field, alpha: float, p: float) -> float:
+def potential_norm(coeffs: SpectralCoeffs, alpha: float, p: float) -> float:
     """||H^(alpha/2) f||_p, the positive power applied spectrally."""
     if alpha < 0:
         raise InvalidParameterError("potential_norm needs alpha >= 0")
-    if alpha == 0:
-        return lp_norm(field, p)
-    return lp_norm(spectral_frac_power(field, alpha / 2.0), p)
+    return _series_norm(_power(coeffs, alpha / 2.0), p)
 
 
-def ladder_norm(field: Field, k: int, p: float) -> float:
+def ladder_norm(coeffs: SpectralCoeffs, k: int, p: float) -> float:
     """||f||_p plus ||A_j1 ... A_jm f||_p over every ladder tuple,
     m <= k, indices in {0, +-1, ..., +-d}: the order-1 norms of f, then,
     at k = 2, those of each of its ladder images (ladder._grad_norms)."""
     if k not in (1, 2):
         raise InvalidParameterError("ladder order k must be 1 or 2")
-    c = forward(field)
-    total = sum(_grad_norms(c, p), lp_norm(field, p))
+    total = sum(_grad_norms(coeffs, p), _series_norm(coeffs, p))
     if k == 2:
-        for first in _grad_coeffs(c):
+        for first in _grad_coeffs(coeffs):
             total = sum(_grad_norms(first, p), total)
     return total
 
@@ -192,8 +189,8 @@ def equivalence_report(grid: Grid, family: TestFamily,
 
     The bracket passes iff the ratios stay in (0, inf) and its width
     grows by less than 2, not STABILITY_LIMIT, when the family is
-    enlarged four-fold (TestFamily.size).  Each member is built once
-    and scored for every pair.
+    enlarged four-fold (TestFamily.size).  Each member is drawn once,
+    as coefficients, and scored for every pair.
 
     The chain ranks three quadratic forms: the rho^2-augmented (full
     Hermite) form dominates the oscillator form <H f, f> termwise, and
@@ -206,16 +203,15 @@ def equivalence_report(grid: Grid, family: TestFamily,
                          "kind": family.kind, "count": family.count,
                          "enlarged": family.size, "seed": family.seed})
 
-    def one(f: Field, k: int, p: float) -> float:
-        denom = potential_norm(f, float(k), p)
+    def one(c: SpectralCoeffs, k: int, p: float) -> float:
+        denom = potential_norm(c, float(k), p)
         if not _nonzero(denom):
             return np.nan
-        return ladder_norm(f, k, p) / denom
+        return ladder_norm(c, k, p) / denom
 
     # one row per member, one column per pair; the base is the head
-    base_members = family.members(grid)
-    vals = np.array([[one(f, k, p) for k, p in pairs] for f in
-                     chain(base_members, family.extras(grid))])
+    members = [family.coeffs(grid, i) for i in range(family.size)]
+    vals = np.array([[one(c, k, p) for k, p in pairs] for c in members])
     for (k, p), col in zip(pairs, vals.T):
         pre = f"k{k}p{p:g}_"
         base = col[:family.count][np.isfinite(col[:family.count])]
@@ -233,9 +229,9 @@ def equivalence_report(grid: Grid, family: TestFamily,
     rho = box.axes()[0].reshape((-1,) + (1,) * (box.ndim - 1))
     sup_h_over_herm = 0.0
     sup_cl_over_h = 0.0
-    for f in base_members:
-        h_form = float(np.real(inner(spectral_frac_power(f, 1.0), f)))
-        on_box = resample(f, box)
+    for c in members[:family.count]:
+        h_form = potential_norm(c, 1.0, 2.0) ** 2
+        on_box = _x_series(*_box_series(c, box))
         hermite_form = h_form + box_lp_norm(rho * on_box, box, 2.0) ** 2
         if hermite_form <= 0:
             continue
@@ -257,23 +253,25 @@ def riesz_on_potential_check(js: tuple[int, ...], alpha: float, p: float,
                              grid: Grid, family: TestFamily) -> Report:
     """Empirical sup of ||R_j f||_(alpha,p) / ||f||_(alpha,p) for each j
     in js, its metrics prefixed j{j}_; PASS iff it grows by less than
-    STABILITY_LIMIT on the enlarged family.  Each member is built once
-    and scored for every j.
+    STABILITY_LIMIT on the enlarged family.  Each member is drawn once,
+    as coefficients, so the modes it leaves empty stay exactly zero
+    under any power, and scored for every j.
     """
     rep = Report(suite="riesz",
                  params={"js": list(js), "alpha": alpha, "p": p,
                          "d": grid.d, "kind": family.kind,
                          "seed": family.seed})
 
-    def ratios(f: Field) -> list[float]:
-        denom = potential_norm(f, alpha, p)
+    def ratios(c: SpectralCoeffs) -> list[float]:
+        denom = potential_norm(c, alpha, p)
         if not _nonzero(denom):
             return [0.0] * len(js)
-        return [potential_norm(riesz(j, f), alpha, p) / denom for j in js]
+        half = _power(c, -0.5)
+        return [potential_norm(apply_A(j, half), alpha, p) / denom
+                for j in js]
 
     # one row per member, the base at the head
-    vals = [ratios(f) for f in
-            chain(family.members(grid), family.extras(grid))]
+    vals = [ratios(family.coeffs(grid, i)) for i in range(family.size)]
     for col, j in enumerate(js):
         base = max(row[col] for row in vals[:family.count])
         wide = max(row[col] for row in vals)
@@ -316,11 +314,10 @@ def weighted_decay_check(alpha: float, p: float, grid: Grid,
         denom = lp_norm(f, p)
         if not _nonzero(denom):
             return 0.0, 0.0
-        op = _box_lp_norm_coeffs(forward(spectral_frac_power(f, -alpha)),
-                                 box, p, w_op) / denom
-        cor = _box_lp_norm_coeffs(
-            forward(spectral_frac_power(f, -alpha / 2.0)),
-            box, p, w_cor) / denom
+        c = forward(f)
+        op = _box_lp_norm_coeffs(_power(c, -alpha), box, p, w_op) / denom
+        cor = _box_lp_norm_coeffs(_power(c, -alpha / 2.0), box, p,
+                                  w_cor) / denom
         return op, cor
 
     # the base family is the head of the enlarged one
@@ -439,9 +436,9 @@ def strict_inclusion_demo(which: str, alpha: float, p: float,
     diffs_increase = norms[0] > 0 and all(b > a for a, b in
                                           zip(norms, norms[1:]))
     if not control and not diffs_increase:
-        warnings.warn("weighted norms are not monotone across the radii; "
-                      "the box resolution is too coarse for this witness",
-                      ResolutionWarning, stacklevel=2)
+        _warn_at_caller("weighted norms are not monotone across the radii; "
+                        "the box resolution is too coarse for this witness",
+                        ResolutionWarning)
     if norms[0] > 0:
         growth_norm = norms[-1] / norms[0]
     else:

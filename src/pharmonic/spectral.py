@@ -13,7 +13,6 @@ fix-ups around the FFT below.  Plancherel on the cylinder reads
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,9 @@ from .errors import (
     InvalidParameterError,
     SingularMultiplierError,
     TruncationWarning,
+    _warn_at_caller,
 )
-from .grid import Field, Grid, _contract_axis, _x_series
+from .grid import Field, Grid, _contract_axis, _x_series, lp_norm
 
 __all__ = [
     "SpectralCoeffs",
@@ -159,8 +159,16 @@ def plancherel_norm(coeffs: SpectralCoeffs) -> float:
     return float(np.sqrt(2.0 * g.L_rho * np.sum(np.abs(coeffs.data) ** 2)))
 
 
-# the tail_energy above which spectral_frac_power (alpha > 0) and the
-# box series (grid.resample, grid._box_lp_norm_coeffs) warn
+def _series_norm(coeffs: SpectralCoeffs, p: float) -> float:
+    """lp_norm(inverse(coeffs), p), by plancherel_norm at p = 2 (the same
+    grid quadrature to rounding, see ladder._grad_norms)."""
+    if p == 2.0:
+        return plancherel_norm(coeffs)
+    return lp_norm(inverse(coeffs), p)
+
+
+# the tail_energy above which _power (alpha > 0) and the box series
+# (grid.resample, grid._box_lp_norm_coeffs) warn
 _TAIL_TOL = 1e-6
 
 
@@ -202,21 +210,24 @@ def power_multiplier(grid: Grid, alpha: float, shift: float = 0.0) -> np.ndarray
     return np.power(base, alpha)
 
 
+def _power(coeffs: SpectralCoeffs, alpha: float, shift: float = 0.0
+           ) -> SpectralCoeffs:
+    """(H + shift)^alpha on coefficients.  For alpha > 0 the top modes
+    are amplified, so a coefficient tail energy above _TAIL_TOL means
+    the answer is truncation-limited; that case warns rather than fails.
+    """
+    if alpha > 0 and (tail := tail_energy(coeffs)) > _TAIL_TOL:
+        _warn_at_caller(
+            f"relative tail energy {tail:.3e} exceeds {_TAIL_TOL:.1e}; "
+            "positive power amplifies truncation error", TruncationWarning)
+    return apply_multiplier(coeffs,
+                            power_multiplier(coeffs.grid, alpha, shift))
+
+
 def spectral_frac_power(field: Field, alpha: float, shift: float = 0.0
                         ) -> Field:
-    """(H + shift)^alpha f through the eigenbasis.
-
-    For alpha > 0 the top modes are amplified, so a coefficient tail
-    energy above _TAIL_TOL means the answer is truncation-limited; that
-    case warns rather than fails.
-    """
-    c = forward(field)
-    if alpha > 0 and tail_energy(c) > _TAIL_TOL:
-        warnings.warn(
-            f"relative tail energy {tail_energy(c):.3e} exceeds "
-            f"{_TAIL_TOL:.1e}; positive power amplifies truncation error",
-            TruncationWarning, stacklevel=2)
-    return inverse(apply_multiplier(c, power_multiplier(field.grid, alpha, shift)))
+    """(H + shift)^alpha f through the eigenbasis (_power)."""
+    return inverse(_power(forward(field), alpha, shift))
 
 
 def heat_spectral(field: Field, t: float) -> Field:

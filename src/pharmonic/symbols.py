@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import grid
-from .errors import AliasingWarning, InvalidParameterError, QuadratureError
+from .errors import (AliasingWarning, InvalidParameterError, QuadratureError,
+                     _warn_at_caller)
 from .grid import UniformBox
 from .heat_kernel import t_quadrature
 from .report import Report
@@ -701,10 +701,9 @@ def quantize(symbol: SymbolFn, values: np.ndarray, box: UniformBox
     ring = (power[n_r // 2, :].sum() + power[:, n_x // 2].sum())
     total = power.sum()
     if total > 0 and ring / total > 1e-6:
-        warnings.warn(
+        _warn_at_caller(
             f"boundary spectral energy {ring / total:.2e} exceeds "
-            "1.0e-06; the box under-resolves the field",
-            AliasingWarning, stacklevel=2)
+            "1.0e-06; the box under-resolves the field", AliasingWarning)
     # axes (x, tau, xi), each variable with its trailing d = 1 axis
     sig = np.broadcast_to(symbol(xs[:, None, None, None], taus[None, :, None],
                                  xis[None, None, :, None]), (n_x, n_r, n_x))

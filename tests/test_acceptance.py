@@ -57,7 +57,7 @@ def metric(rep, name):
     return next(m for m in rep.metrics if m.name == name)
 
 
-def band_limited(g, seed, margin=2):
+def band_limited_coeffs(g, seed, margin=2):
     """Random coefficients vanishing on the top shells and Nyquist ring."""
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((g.N_rho, g.n_mu)) \
@@ -65,7 +65,7 @@ def band_limited(g, seed, margin=2):
     data[:, g.mu_abs > g.K - margin] = 0.0
     n = np.abs(np.fft.fftfreq(g.N_rho, d=1.0 / g.N_rho))
     data[n >= g.N_rho // 2 - margin, :] = 0.0
-    return inverse(SpectralCoeffs(g, data))
+    return SpectralCoeffs(g, data)
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +148,7 @@ def test_criterion_04_power_calculus():
 
 def test_criterion_05_commutation():
     g = make_grid(d=3, N_rho=8, L_rho=4.0, K=6, M=8)
-    rep = commute_matrix_report(band_limited(g, 7))
+    rep = commute_matrix_report(band_limited_coeffs(g, 7))
     worst = max(m.value for m in rep.metrics)
 
     g0 = make_grid(d=3, N_rho=8, L_rho=4.0, K=3, M=5)
@@ -240,8 +240,7 @@ def test_criterion_08_duality_sandwich():
     for d, g in ((1, make_grid(1, 32, 8.0, 8, 12)),
                  (3, make_grid(3, 8, 4.0, 6, 8))):
         for seed in range(10):
-            f = band_limited(g, 100 * d + seed)
-            rep = duality_check(f)
+            rep = duality_check(band_limited_coeffs(g, 100 * d + seed))
             m = metric(rep, "sandwich_I_le_S_le_2I")
             assert m.passed, f"d={d} seed={seed}: ratio {m.value}"
             worst = max(worst, m.value)
@@ -294,9 +293,9 @@ def test_criterion_10_sobolev_equivalence():
     coeffwise = bool(np.all(lam <= mid) and np.all(mid <= 2.0 * lam))
     sandwich = True
     for seed in range(10):
-        f = band_limited(g, 300 + seed)
-        pn2 = potential_norm(f, 1.0, 2.0) ** 2
-        s = sum(lp_norm(c, 2.0) ** 2 for c in grad_H(f))
+        c = band_limited_coeffs(g, 300 + seed)
+        pn2 = potential_norm(c, 1.0, 2.0) ** 2
+        s = sum(lp_norm(a, 2.0) ** 2 for a in grad_H(inverse(c)))
         sandwich &= pn2 <= s * (1 + 1e-12) and s <= 2 * pn2 * (1 + 1e-12)
     verdict(10, stable and coeffwise and sandwich,
             f"bracket growths {', '.join(f'{k} {v:.3f}' for k, v in growths.items())} "

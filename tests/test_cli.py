@@ -6,8 +6,10 @@ suite,metric,value,tolerance,pass,params,provenance; JSON object
 digits so a parse gives back the original float bit for bit; identical
 config gives identical CSV bytes run to run.
 """
+import contextlib
 import json
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from pharmonic import ConfigError, Report, UnknownSuiteError
-from pharmonic import sobolev
+from pharmonic import sobolev, spectral
 from pharmonic.cli import (SUITES, SuiteConfig, build_config, emit, main,
                            run_suite, _parser)
 
@@ -391,14 +393,6 @@ cancel.  The error does not fall with the depth: it reads 2.7e-3 at
 K = 90 and at K = 120, where the tail bound r^(K+1)/(1-r) is below
 1e-27."""
 
-RIESZ_LARGE_ALPHA_ANALYSIS = """At seed 0 and alpha = 60 the riesz
-suite exits 1: j1_refinement_growth reads 1.85 and j0_refinement_growth
-1.72 against the 1.5 limit, and the growth rises with alpha.  A family
-of 5 -> 20 members does not settle the sup of a p = 2 ratio of quadratic
-forms; the band sup of ROADMAP item 4 (a max over modes, since Riesz on
-the potential space is diagonal) is the fix, and it must flip this
-test."""
-
 
 class TestDispatch:
     def test_every_suite_has_a_runner(self):
@@ -428,10 +422,14 @@ class TestDispatch:
         code, _, _ = run_main(["--suite", "mehler", "--d", "3"], capsys)
         assert code == 0
 
-    @pytest.mark.xfail(strict=True, reason=RIESZ_LARGE_ALPHA_ANALYSIS)
-    def test_riesz_alpha_60_passes(self, capsys):
-        code, _, _ = run_main(["--suite", "riesz", "--alpha", "60"], capsys)
-        assert code == 0
+    @pytest.mark.parametrize("seed", [0, 20, 7919])
+    @pytest.mark.parametrize("alpha", [60, 80])
+    def test_riesz_large_alpha_passes(self, alpha, seed, capsys):
+        # lambda^(alpha/2) lifts whatever sits in the modes the family
+        # leaves empty; on coefficients those modes stay exactly zero
+        code, _, err = run_main(["--suite", "riesz", "--alpha", str(alpha),
+                                 "--seed", str(seed)], capsys)
+        assert code == 0, err
 
     def test_duality_flags_displayed_constant(self, capsys):
         _, out, _ = run_main(["--suite", "duality"], capsys)
@@ -448,17 +446,19 @@ class TestDispatch:
 
 # (members built by sobolev._make_member, band_limited coefficient draws
 # by sobolev._band_limited_coeffs) per default suite at seed 0; a check
-# that built its family twice would double its row.  riesz builds member
-# 0 once more, for inverse_riesz_check.
+# that built its family twice would double its row.  riesz draws member
+# 0 once more, for inverse_riesz_check.  Only hls, whose kernel route
+# needs grid values, and weighted-decay, whose denominators are norms
+# of the sampled Gaussians, build Fields.
 _BUILDS = {
-    "sobolev-equivalence": (24, 24),
-    "riesz": (21, 21),
+    "sobolev-equivalence": (0, 24),
+    "riesz": (0, 21),
     "weighted-decay": (20, 0),
     "hls": (40, 40),
-    "hardy": (40, 40),
+    "hardy": (0, 40),
     "gns": (0, 40),
-    "duality": (20, 20),
-    "commute": (1, 1),
+    "duality": (0, 20),
+    "commute": (0, 1),
 }
 
 
@@ -472,6 +472,43 @@ def test_each_member_built_once(suite):
         warnings.simplefilter("ignore")
         run_suite(cfg_for(["--suite", suite]))
     assert (made.call_count, drawn.call_count) == _BUILDS[suite]
+
+
+# (forward, inverse, sobolev._make_member calls) per default suite at
+# seed 0.  The spectral checks take coefficients, so a member is
+# transformed at most once: sobolev-equivalence evaluates on the grid
+# only for its p = 4 pair (potential norm and 3 ladder components of
+# 24 members), and weighted-decay forwards each sampled Gaussian once.
+_TRAFFIC = {
+    "commute": (0, 0, 0),
+    "duality": (0, 0, 0),
+    "riesz": (0, 0, 0),
+    "hardy": (0, 0, 0),
+    "sobolev-equivalence": (0, 120, 0),
+    "weighted-decay": (20, 0, 20),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_TRAFFIC))
+def test_transform_traffic(suite):
+    # every package namespace that imported the function by name is
+    # patched, so calls from any module count
+    calls = {}
+    with contextlib.ExitStack() as stack:
+        for owner, name in ((spectral, "forward"), (spectral, "inverse"),
+                            (sobolev, "_make_member")):
+            real = getattr(owner, name)
+            calls[name] = mock.Mock(wraps=real)
+            for key, mod in list(sys.modules.items()):
+                if key.startswith("pharmonic") \
+                        and getattr(mod, name, None) is real:
+                    stack.enter_context(
+                        mock.patch.object(mod, name, calls[name]))
+        stack.enter_context(warnings.catch_warnings())
+        warnings.simplefilter("ignore")
+        run_suite(cfg_for(["--suite", suite]))
+    assert tuple(calls[n].call_count for n in
+                 ("forward", "inverse", "_make_member")) == _TRAFFIC[suite]
 
 
 class TestReport:

@@ -27,6 +27,8 @@ from pharmonic import (
     b_quadratic,
     b_symbol,
     frac_power_kernel,
+    gns_check,
+    hardy_check,
     heat_apply_kernel,
     heat_kernel_E,
     heat_spectral,
@@ -742,13 +744,17 @@ class TestFracPowerKernel:
 
     @pytest.mark.parametrize("route", ["heat_apply_kernel", "frac_power_kernel",
                                        "frac_power_kernel_complex",
-                                       "hls_check"])
+                                       "hls_check", "gns_check",
+                                       "hardy_check"])
     def test_kernel_warnings_name_the_call_site(self, route):
         # the capped-images TruncationWarning and the resolution-floor
         # ResolutionWarning are raised at different depths of the
         # kernel route; each names the line here that called into the
         # package.  On L_rho = 0.5 a t past 6 needs more than 32
-        # images; on M - K = 2 the time floor is past 0.2.
+        # images; on M - K = 2 the time floor is past 0.2.  The
+        # Gaussian families of gns_check and hardy_check carry a
+        # coefficient tail, which the box series and the positive
+        # power of the potential norm warn about.
         narrow = make_grid(1, 8, 0.5, 4, 6)
         f = TestFamily("band_limited", 2, seed=0).member(narrow, 0)
         with warnings.catch_warnings(record=True) as got:
@@ -759,12 +765,20 @@ class TestFracPowerKernel:
                 frac_power_kernel(f, -0.25)
             elif route == "frac_power_kernel_complex":
                 frac_power_kernel(f + 1j * f, -0.25)
+            elif route == "gns_check":
+                gns_check(2.0, 2.5, 3, TestFamily("gaussian", 2, seed=1),
+                          grid=make_grid(3, 8, 4.0, 16, 18))
+            elif route == "hardy_check":
+                hardy_check(0.75, 2.0, 1, TestFamily("gaussian", 2, seed=1),
+                            grid=make_grid(1, 16, 5.0, 4, 10))
             else:
                 with pytest.raises(QuadratureError):
                     hls_check(0.5, 2.0, 4.0, 1,
                               TestFamily("band_limited", 2, seed=0),
                               grid=make_grid(1, 8, 6.0, 4, 6))
         want = {"heat_apply_kernel": {TruncationWarning},
+                "gns_check": {TruncationWarning},
+                "hardy_check": {TruncationWarning},
                 "hls_check": {ResolutionWarning}}.get(
                     route, {TruncationWarning, ResolutionWarning})
         assert {w.category for w in got} == want

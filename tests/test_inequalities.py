@@ -386,8 +386,9 @@ class TestHardyCheck:
         w = _singular_weight(box, 0.75)
 
         def ratio(f):
-            return _box_lp_norm_coeffs(forward(f), box, 2.0, w) \
-                / potential_norm(f, 0.75, 2.0)
+            c = forward(f)
+            return _box_lp_norm_coeffs(c, box, 2.0, w) \
+                / potential_norm(c, 0.75, 2.0)
 
         assert ratio(center) > 1.5 * ratio(moved)
 

@@ -9,6 +9,7 @@ from pharmonic import (
     SingularMultiplierError,
     SpectralCoeffs,
     TruncationError,
+    TruncationWarning,
     apply_multiplier,
     forward,
     inner,
@@ -32,7 +33,7 @@ from pharmonic.ladder import (
 )
 
 
-def band_limited(g, seed, margin=2):
+def band_limited_coeffs(g, seed, margin=2):
     """Random coefficients vanishing on the top degree shells and Nyquist ring."""
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((g.N_rho, g.n_mu)) \
@@ -40,7 +41,12 @@ def band_limited(g, seed, margin=2):
     data[:, g.mu_abs > g.K - margin] = 0.0
     n = np.abs(np.fft.fftfreq(g.N_rho, d=1.0 / g.N_rho))
     data[n >= g.N_rho // 2 - margin, :] = 0.0
-    return inverse(SpectralCoeffs(g, data))
+    return SpectralCoeffs(g, data)
+
+
+def band_limited(g, seed, margin=2):
+    """The field of band_limited_coeffs(g, seed, margin)."""
+    return inverse(band_limited_coeffs(g, seed, margin))
 
 
 def test_apply_A_single_modes():
@@ -164,8 +170,7 @@ def test_commute_single_mode_oracle():
 
 def test_commute_matrix_d3():
     g = make_grid(d=3, N_rho=8, L_rho=4.0, K=6, M=8)
-    f = band_limited(g, 7)
-    rep = commute_matrix_report(f)
+    rep = commute_matrix_report(band_limited_coeffs(g, 7))
     assert rep.all_passed
     assert max(m.value for m in rep.metrics) < 1e-10
     # five identity families appear across the matrix
@@ -176,25 +181,25 @@ def test_commute_matrix_d3():
 
 def test_commute_low_dimension_needs_d3():
     g = make_grid(d=1, N_rho=8, L_rho=4.0, K=4, M=6)
-    f = band_limited(g, 8)
+    c = band_limited_coeffs(g, 8)
     # lowering after (H-2)^alpha touches lambda - 2 <= 0 modes
     with pytest.raises(SingularMultiplierError):
-        commute_check(-1, -0.5, f)
+        commute_check(-1, -0.5, c)
     # raising identities stay well defined: the shifted power only
     # acts on the image, where the degree is already >= 1
-    rep = commute_check(1, -0.5, f)
+    rep = commute_check(1, -0.5, c)
     assert rep.all_passed
 
 
 def test_duality_mode_ratios():
     g = make_grid(d=1, N_rho=32, L_rho=np.pi, K=4, M=6)
-    ground = mode_field(g, 0, (0,))
+    ground = forward(mode_field(g, 0, (0,)))
     rep = duality_check(ground)
     ratio = [m for m in rep.metrics if m.name.startswith("sandwich")][0]
     assert ratio.value == pytest.approx(2.0, rel=1e-10)  # bottom mode hits 2
     assert ratio.passed
 
-    fast = mode_field(g, 15, (0,))  # tau = 15, factor ~ 1 + d/tau^2
+    fast = forward(mode_field(g, 15, (0,)))  # tau = 15, factor ~ 1 + d/tau^2
     rep2 = duality_check(fast)
     r2 = [m for m in rep2.metrics if m.name.startswith("sandwich")][0]
     assert 1.0 <= r2.value < 1.02
@@ -206,23 +211,26 @@ def test_duality_sandwich_random_fields():
         for seed in range(5):
             f = band_limited(g, 100 + seed)
             f = type(f)(g, np.ascontiguousarray(f.values.real))
-            rep = duality_check(f)
+            rep = duality_check(forward(f))
             assert rep.all_passed
 
 
 def test_duality_with_itself_computes_each_image_once():
-    # duality_check(f) transforms f once and reads the 2d + 1 ladder
-    # norms of H^(-1/2) f off its coefficient moduli: no image is built
+    # duality_check(c) reads I and the 2d + 1 ladder norms of
+    # H^(-1/2) f off the coefficient moduli: no image is built and
+    # nothing is transformed
     for d in (1, 2):
         g = make_grid(d=d, N_rho=16, L_rho=5.0, K=5, M=8)
-        f = band_limited(g, 30 + d)
+        c = band_limited_coeffs(g, 30 + d)
         with mock.patch.object(ladder_module, "apply_A",
                                wraps=apply_A) as spy_a, \
                 mock.patch.object(ladder_module, "forward",
-                                  wraps=forward) as spy_f:
-            rep = duality_check(f)
+                                  wraps=forward) as spy_f, \
+                mock.patch.object(ladder_module, "inverse",
+                                  wraps=inverse) as spy_i:
+            rep = duality_check(c)
         assert spy_a.call_count == 0
-        assert spy_f.call_count == 1
+        assert spy_f.call_count == spy_i.call_count == 0
         assert rep.all_passed
 
 
@@ -274,12 +282,12 @@ def test_p2_grad_norms_keep_the_raising_check():
 
 def test_inverse_riesz_p2():
     g = make_grid(d=1, N_rho=16, L_rho=5.0, K=6, M=8)
-    rep = inverse_riesz_check(band_limited(g, 9), 2)
+    rep = inverse_riesz_check(band_limited_coeffs(g, 9), 2)
     sharp = [m for m in rep.metrics if m.name == "p2_sharp_ratio"][0]
     assert sharp.passed and sharp.value <= 1.0 + 1e-12
 
     ground = mode_field(g, 0, (0,))
-    rep2 = inverse_riesz_check(ground, 2)
+    rep2 = inverse_riesz_check(forward(ground), 2)
     vals = {m.name: m.value for m in rep2.metrics}
     assert vals["lhs_half_power_norm"] == pytest.approx(
         lp_norm(ground, 2), rel=1e-10)
@@ -311,10 +319,12 @@ def test_nyquist_row_keeps_the_factorisation(d):
     # complex A_0 image on the grid
     g = make_grid(d=d, N_rho=16, L_rho=5.0, K=5, M=8)
     for f in _nyquist_fields(g, 40 + d):
-        rep = inverse_riesz_check(f, 2)
+        # the Nyquist ring is the truncation tail H^(1/2) amplifies
+        with pytest.warns(TruncationWarning):
+            rep = inverse_riesz_check(forward(f), 2)
         sharp = [m for m in rep.metrics if m.name == "p2_sharp_ratio"][0]
         assert sharp.passed and sharp.value <= 1.0 + 1e-12
-        assert duality_check(f).all_passed
+        assert duality_check(forward(f)).all_passed
     f = _nyquist_fields(g, 40 + d)[0]
     tau_n = g.tau[g.N_rho // 2]
     lam = tau_n ** 2 + d

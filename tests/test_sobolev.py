@@ -30,10 +30,11 @@ from pharmonic import (
     weighted_decay_check,
 )
 from pharmonic import grid as grid_module
-from pharmonic.grid import Field, UniformBox, _sum_sq
+from pharmonic.grid import UniformBox, _sum_sq
 from pharmonic.ladder import apply_A, riesz
 from pharmonic.sobolev import _bessel_power
-from pharmonic.spectral import SpectralCoeffs, forward, inverse, mode_field
+from pharmonic.spectral import (SpectralCoeffs, _series_norm, forward,
+                                inverse, mode_field, spectral_frac_power)
 
 
 @pytest.fixture(scope="module")
@@ -123,45 +124,73 @@ class TestFamilyType:
 class TestPotentialNorm:
     def test_ground_mode_alpha_two(self, g1):
         f = mode_field(g1, 0, (0,))
-        assert potential_norm(f, 2.0, 2.0) == pytest.approx(
+        assert potential_norm(forward(f), 2.0, 2.0) == pytest.approx(
             lp_norm(f, 2.0), rel=1e-12)
 
     def test_alpha_zero_is_plain_norm(self, g1):
-        f = TestFamily("gaussian", 1, seed=5).members(g1)[0]
+        c = TestFamily("gaussian", 1, seed=5).coeffs(g1, 0)
         for p in (2.0, 4.0):
-            assert potential_norm(f, 0.0, p) == pytest.approx(
-                lp_norm(f, p), rel=1e-14)
+            assert potential_norm(c, 0.0, p) == pytest.approx(
+                lp_norm(inverse(c), p), rel=1e-14)
 
     def test_homogeneity(self, g1):
-        f = TestFamily("band_limited", 1, seed=6).members(g1)[0]
-        scaled = Field(g1, -2.5 * f.values)
+        c = TestFamily("band_limited", 1, seed=6).coeffs(g1, 0)
+        scaled = SpectralCoeffs(g1, -2.5 * c.data)
         assert potential_norm(scaled, 1.0, 2.0) == pytest.approx(
-            2.5 * potential_norm(f, 1.0, 2.0), rel=1e-12)
+            2.5 * potential_norm(c, 1.0, 2.0), rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 3), log2_n=st.integers(1, 4),
+           K=st.integers(1, 5), extra=st.integers(0, 3),
+           L=st.floats(0.5, 10.0), a=st.floats(0.0, 4.0),
+           real=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_field_route(self, d, log2_n, K, extra, L, a,
+                                     real, seed):
+        # on coefficients, with no round trip, the potential norm is
+        # the norm of the spectral power of the field to rounding, and
+        # the p = 2 series norm is the grid L^2 norm of the series
+        g = make_grid(d, 2 ** log2_n, L, K, K + 1 + extra)
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((g.N_rho, g.n_mu)) \
+            + 1j * rng.standard_normal((g.N_rho, g.n_mu))
+        if real:
+            data = 0.5 * (data + np.conj(data[(-np.arange(g.N_rho))
+                                              % g.N_rho]))
+        c = SpectralCoeffs(g, data)
+        f = inverse(c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # the tail is not empty
+            for p in (2.0, 4.0):
+                want = lp_norm(spectral_frac_power(f, a / 2.0), p)
+                assert abs(potential_norm(c, a, p) - want) <= 1e-13 * want
+        want = lp_norm(f, 2.0)
+        assert abs(_series_norm(c, 2.0) - want) <= 1e-14 * want
 
     def test_negative_alpha_rejected(self, g1):
-        f = mode_field(g1, 0, (0,))
+        c = forward(mode_field(g1, 0, (0,)))
         with pytest.raises(InvalidParameterError):
-            potential_norm(f, -1.0, 2.0)
+            potential_norm(c, -1.0, 2.0)
 
 
 class TestLadderNorm:
     def test_ground_mode_value(self, g1):
         f = mode_field(g1, 0, (0,))
-        got = ladder_norm(f, 1, 2.0) / lp_norm(f, 2.0)
+        got = ladder_norm(forward(f), 1, 2.0) / lp_norm(f, 2.0)
         assert got == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-12)
 
     def test_zero_field(self, g1):
-        z = Field(g1, np.zeros(g1.shape, dtype=np.complex128))
+        z = SpectralCoeffs(g1, np.zeros((g1.N_rho, g1.n_mu),
+                                        dtype=np.complex128))
         assert ladder_norm(z, 2, 2.0) == 0.0
 
     def test_monotone_in_k(self, g1):
-        f = TestFamily("band_limited", 1, seed=7).members(g1)[0]
-        assert ladder_norm(f, 2, 2.0) >= ladder_norm(f, 1, 2.0)
+        c = TestFamily("band_limited", 1, seed=7).coeffs(g1, 0)
+        assert ladder_norm(c, 2, 2.0) >= ladder_norm(c, 1, 2.0)
 
     def test_invalid_k(self, g1):
-        f = mode_field(g1, 0, (0,))
+        c = forward(mode_field(g1, 0, (0,)))
         with pytest.raises(InvalidParameterError):
-            ladder_norm(f, 3, 2.0)
+            ladder_norm(c, 3, 2.0)
 
     @settings(max_examples=20, deadline=None)
     @given(d=st.integers(1, 3), log2_n=st.integers(1, 3),
@@ -175,31 +204,32 @@ class TestLadderNorm:
         data = rng.standard_normal((g.N_rho, g.n_mu)) \
             + 1j * rng.standard_normal((g.N_rho, g.n_mu))
         data[:, g.mu_abs >= g.K - 1] = 0.0    # so raising twice drops nothing
-        f = inverse(SpectralCoeffs(g, data))
+        c = SpectralCoeffs(g, data)
         indices = [0] + [j for jj in range(1, d + 1) for j in (jj, -jj)]
-        c = forward(f)
         firsts = {j: apply_A(j, c) for j in indices}
         for p in (2.0, 4.0):
-            want = lp_norm(f, p)
+            want = lp_norm(inverse(c), p)
             for j in indices:
                 want += lp_norm(inverse(firsts[j]), p)
-            assert abs(ladder_norm(f, 1, p) - want) <= 1e-13 * want
+            assert abs(ladder_norm(c, 1, p) - want) <= 1e-13 * want
             for j1 in indices:
                 for j2 in indices:
                     want += lp_norm(inverse(apply_A(j1, firsts[j2])), p)
-            assert abs(ladder_norm(f, 2, p) - want) <= 1e-13 * want
+            assert abs(ladder_norm(c, 2, p) - want) <= 1e-13 * want
 
 
 class TestNormAxioms:
     @pytest.mark.parametrize("p", [2.0, 4.0])
     def test_triangle_and_homogeneity(self, g_quartic, p):
         g = g_quartic
-        fa, fb = TestFamily("band_limited", 2, seed=8).members(g)
+        fam = TestFamily("band_limited", 2, seed=8)
+        ca, cb = fam.coeffs(g, 0), fam.coeffs(g, 1)
         for norm in (lambda h: potential_norm(h, 1.0, p),
                      lambda h: ladder_norm(h, 1, p)):
-            na, nb = norm(fa), norm(fb)
-            assert norm(fa + fb) <= na + nb + 1e-10 * (na + nb)
-            assert norm(Field(g, 3.0 * fa.values)) == pytest.approx(
+            na, nb = norm(ca), norm(cb)
+            assert norm(SpectralCoeffs(g, ca.data + cb.data)) \
+                <= na + nb + 1e-10 * (na + nb)
+            assert norm(SpectralCoeffs(g, 3.0 * ca.data)) == pytest.approx(
                 3.0 * na, rel=1e-12)
 
 
@@ -227,14 +257,14 @@ class TestEquivalence:
              "oscillator_over_hermite_sup"]
 
     def test_ground_mode_ratio_exact(self, g1):
-        f = mode_field(g1, 0, (0,))
-        ratio = ladder_norm(f, 1, 2.0) / potential_norm(f, 1.0, 2.0)
+        c = forward(mode_field(g1, 0, (0,)))
+        ratio = ladder_norm(c, 1, 2.0) / potential_norm(c, 1.0, 2.0)
         assert ratio == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-12)
 
     def test_scaling_leaves_ratios(self, g1):
-        f = TestFamily("band_limited", 1, seed=9).members(g1)[0]
-        big = Field(g1, 10.0 * f.values)
-        r1 = ladder_norm(f, 1, 2.0) / potential_norm(f, 1.0, 2.0)
+        c = TestFamily("band_limited", 1, seed=9).coeffs(g1, 0)
+        big = SpectralCoeffs(g1, 10.0 * c.data)
+        r1 = ladder_norm(c, 1, 2.0) / potential_norm(c, 1.0, 2.0)
         r2 = ladder_norm(big, 1, 2.0) / potential_norm(big, 1.0, 2.0)
         assert r1 == pytest.approx(r2, rel=1e-13)
 
@@ -246,11 +276,9 @@ class TestEquivalence:
 
     def test_p2_sharp_sandwich(self, g1):
         # lambda <= tau^2 + 4|mu| + 2d <= 2 lambda coefficientwise
-        from pharmonic.ladder import apply_A
-        from pharmonic.spectral import inverse
-        for f in TestFamily("band_limited", 6, seed=10).members(g1):
-            pot_sq = potential_norm(f, 1.0, 2.0) ** 2
-            c = forward(f)
+        fam = TestFamily("band_limited", 6, seed=10)
+        for c in (fam.coeffs(g1, i) for i in range(fam.count)):
+            pot_sq = potential_norm(c, 1.0, 2.0) ** 2
             grad_sq = sum(
                 lp_norm(inverse(apply_A(j, c)), 2.0) ** 2
                 for j in (0, 1, -1))
@@ -276,14 +304,23 @@ class TestRieszOnPotential:
         assert [m.name for m in rep.metrics] == \
             ["j1_operator_ratio_sup", "j1_refinement_growth"]
 
+    def test_alpha_60_stable_on_the_riesz_grid(self):
+        # the default riesz grid and family: lambda^30 lifts whatever
+        # sits in the modes the family leaves empty, so those modes must
+        # stay exactly zero from the draw to the norm
+        g = make_grid(1, 64, 10.0, 12, 32)
+        rep = riesz_on_potential_check((0, 1), 60.0, 2.0, g,
+                                       TestFamily("band_limited", 5, seed=0))
+        assert rep.all_passed, rep.failures()
+
     def test_base_sup_is_the_head_of_the_family(self, g1):
         # one base member, so its ratio alone is the base sup; the
         # report's growth must divide by it, not by any other member's
         fam = TestFamily("band_limited", 1, seed=16)
 
         def ratio(f):
-            return (potential_norm(riesz(1, f), 1.0, 2.0)
-                    / potential_norm(f, 1.0, 2.0))
+            return (potential_norm(forward(riesz(1, f)), 1.0, 2.0)
+                    / potential_norm(forward(f), 1.0, 2.0))
 
         base = ratio(fam.member(g1, 0))
         wide = max(ratio(fam.member(g1, i)) for i in range(fam.size))
@@ -309,6 +346,33 @@ class TestWeightedDecay:
                                                               abs=1e-6)
         assert vals["corollary_weighted_sup"] == pytest.approx(1.0,
                                                                abs=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(1, 3), log2_n=st.integers(1, 4),
+           K=st.integers(1, 5), extra=st.integers(0, 3),
+           L=st.floats(0.5, 10.0), a=st.floats(0.0, 4.0),
+           real=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_the_field_route(self, d, log2_n, K, extra, L, a,
+                                     real, seed):
+        # on coefficients, with no round trip, the potential norm is
+        # the norm of the spectral power of the field to rounding, and
+        # the p = 2 series norm is the grid L^2 norm of the series
+        g = make_grid(d, 2 ** log2_n, L, K, K + 1 + extra)
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((g.N_rho, g.n_mu)) \
+            + 1j * rng.standard_normal((g.N_rho, g.n_mu))
+        if real:
+            data = 0.5 * (data + np.conj(data[(-np.arange(g.N_rho))
+                                              % g.N_rho]))
+        c = SpectralCoeffs(g, data)
+        f = inverse(c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # the tail is not empty
+            for p in (2.0, 4.0):
+                want = lp_norm(spectral_frac_power(f, a / 2.0), p)
+                assert abs(potential_norm(c, a, p) - want) <= 1e-13 * want
+        want = lp_norm(f, 2.0)
+        assert abs(_series_norm(c, 2.0) - want) <= 1e-14 * want
 
     def test_negative_alpha_rejected(self, g1):
         with pytest.raises(InvalidParameterError):
