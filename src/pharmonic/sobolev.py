@@ -26,9 +26,9 @@ from itertools import chain
 import numpy as np
 
 from .errors import InvalidParameterError, ResolutionWarning, _warn_at_caller
-from .grid import (Field, Grid, UniformBox, _box_lp_norm_coeffs,
-                   _box_series, _series_slabs, _sum_sq, _x_series,
-                   box_lp_norm, lp_norm, sample)
+from .grid import (_SLAB_BYTES, Field, Grid, UniformBox,
+                   _box_lp_norm_coeffs, _box_series, _series_slabs, _sum_sq,
+                   _x_series, box_lp_norm, lp_norm, sample)
 from .hermite import hermite_eval
 from .ladder import _grad_coeffs, _grad_norms, apply_A
 from .report import Report
@@ -352,13 +352,41 @@ def _bessel_power(a: np.ndarray, b: np.ndarray, box: UniformBox,
     The spectrum of the product is the outer product of the line
     spectra, fft(a) and rfft(b): b is real, so its half spectrum holds
     all of it.  The multiplier is real and even, so it applies on the
-    half spectrum and irfft2 returns the real result.
+    half spectrum, and the inverse is irfft2's, ifft in rho then irfft
+    in x, with the same bits.  The one box-sized array is a complex
+    (n_rho, n_x/2 + 1) buffer G, and the blocks fit in _SLAB_BYTES:
+    column blocks of the spectrum are built and rho-transformed into G
+    one at a time, then each row block of G is x-transformed into G's
+    own bytes, the real rows packed from the start.  A real row takes
+    n_x float64 and a complex row n_x + 2, so a block's output ends
+    before any unread row of G begins.  Returns that (n_rho, n_x)
+    C-contiguous float64 view of G.
     """
+    n_rho, n_x = box.counts
     tau, xi = box.freq_axes()
-    fhat = np.outer(np.fft.fft(a), np.fft.rfft(b))
-    fhat *= (1.0 + tau[:, None] ** 2
-             + xi[None, :fhat.shape[1]] ** 2) ** (alpha / 2.0)
-    return np.fft.irfft2(fhat, s=box.counts)
+    fa, fb = np.fft.fft(a), np.fft.rfft(b)
+    m = fb.size
+    g = np.empty((n_rho, m), dtype=np.complex128)
+    step = max(1, _SLAB_BYTES // (16 * n_rho))
+    for j in range(0, m, step):
+        cols = slice(j, min(j + step, m))
+        block = np.outer(fa, fb[cols])
+        block *= (1.0 + tau[:, None] ** 2
+                  + xi[None, cols] ** 2) ** (alpha / 2.0)
+        g[:, cols] = np.fft.ifft(block, axis=0)
+    f = g.view(np.float64).reshape(-1)[:n_rho * n_x].reshape(n_rho, n_x)
+    step = max(1, _SLAB_BYTES // (16 * m))
+    for i in range(0, n_rho, step):
+        f[i:i + step] = np.fft.irfft(g[i:i + step], n=n_x, axis=1)
+    return f
+
+
+def _window(axes, R: float) -> tuple[slice, ...]:
+    """The index ranges of |z_i| <= R on the increasing axes: the
+    elements, in order, that the mask of |z_i| <= R selects."""
+    return tuple(slice(np.searchsorted(ax, -R),
+                       np.searchsorted(ax, R, side="right"))
+                 for ax in axes)
 
 
 def strict_inclusion_demo(which: str, alpha: float, p: float,
@@ -397,15 +425,16 @@ def strict_inclusion_demo(which: str, alpha: float, p: float,
 
     if which == "f1":
         box = UniformBox((_HALF_WIDTH, _HALF_WIDTH), (n_points, n_points))
-        rho_ax, x_ax = box.axes()
-        rr, xx = rho_ax[:, None], x_ax[None, :]
+        axes = box.axes()
+        rho_ax, x_ax = axes
         if control:
             line = lambda v: np.exp(-v ** 2 / 2.0)
         else:
             line = lambda v: (1.0 + np.abs(v)) ** -decay
         f = _bessel_power(line(rho_ax), line(x_ax), box, -alpha)
-        weighted = np.abs(xx) ** alpha * np.abs(f)
-        inside = lambda R: (np.abs(rr) <= R) & (np.abs(xx) <= R)
+        # |x|^alpha |f1|, in f1's own buffer
+        weighted = np.abs(f, out=f)
+        weighted *= np.abs(x_ax) ** alpha
         cell = box.cell_volume
     else:
         h = 2.0 * _HALF_WIDTH / n_points
@@ -422,14 +451,14 @@ def strict_inclusion_demo(which: str, alpha: float, p: float,
         phi = hermite_eval(0, xg)
         phi_p = (np.trapezoid(np.abs(phi) ** p, xg)) ** (1.0 / p)
         weighted = np.abs(rho) ** alpha * np.abs(line) * phi_p
-        rr = rho
-        inside = lambda R: np.abs(rr) <= R
+        axes = (rho,)
         cell = h
 
     norms = []
     for R in radii:
-        mass = float(np.sum(weighted[inside(R)] ** p) * cell)
-        norms.append(mass ** (1.0 / p))
+        part = weighted[_window(axes, R)].flatten()
+        part **= p
+        norms.append(float(np.sum(part) * cell) ** (1.0 / p))
     for k, (R, v) in enumerate(zip(radii, norms)):
         rep.add(f"weighted_norm_R{int(R)}", v, None, np.isfinite(v),
                 f"box radius {R}")

@@ -138,7 +138,13 @@ _PHASE_EXACT = 2.0 ** -27
 _GEMM_BYTES = 16 << 20
 
 
-def _fill(nodes: _TimeNodes, sq, dot, out):
+def _take(buf, shape):
+    """The first prod(shape) elements of the flat buffer buf, as a
+    C-contiguous array of that shape."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _fill(nodes: _TimeNodes, sq, dot, out, work):
     """out[..., 0, :] + i out[..., 1, :] = w_k e^(logc_k - sq A_k - i dot B_k)
     for sq and dot with a trailing node axis of length 1.
 
@@ -152,21 +158,30 @@ def _fill(nodes: _TimeNodes, sq, dot, out):
     vectorized).  That runs only on the nodes where the block's largest
     |phase| reaches _PHASE_EXACT: B_k rises with t_k, so those nodes
     are a suffix, and on the rest cos and sin round to 1 and to the
-    phase itself."""
-    mag = np.multiply(sq, -nodes.A)
+    phase itself.  The magnitude, the phase, u, u^2 and v are the
+    leading parts of the five rows of work, a float64 (5, n) buffer
+    with n at least out.size / 2, so a caller that fills many slabs
+    makes them once.  (Built in out's strided planes instead, each
+    ufunc runs as many short inner loops of K, and the symbols stencil
+    was measured a fifth slower.)"""
+    shape = out.shape[:-2] + (nodes.t.size,)
+    mag, phase = _take(work[0], shape), _take(work[1], shape)
+    np.multiply(sq, -nodes.A, out=mag)
     mag += nodes.logc
     grid._exp_floored(mag)
     mag *= nodes.w
-    phase = np.multiply(dot, -nodes.B)
+    np.multiply(dot, -nodes.B, out=phase)
     k = int(np.searchsorted(float(np.abs(dot).max(initial=0.0)) * nodes.B,
                             _PHASE_EXACT))
     re = out[..., 0, :]
     re[..., :k] = mag[..., :k]
     if k < nodes.t.size:
-        u = np.multiply(phase[..., k:], 0.5)
+        u, u2, inv = (_take(w, shape[:-1] + (nodes.t.size - k,))
+                      for w in work[2:])
+        np.multiply(phase[..., k:], 0.5, out=u)
         np.tan(u, out=u)
-        u2 = np.square(u)
-        inv = u2 + 1.0
+        np.square(u, out=u2)
+        np.add(u2, 1.0, out=inv)
         np.divide(1.0, inv, out=inv)
         np.subtract(1.0, u2, out=u2)
         u2 *= inv
@@ -235,16 +250,24 @@ def _node_sums(nodes: _TimeNodes, x, tau, xi, factors=(None,)) -> list:
         return _gemm_sums(nodes, x, tau, xi, sq, dot, factors)
     shape = np.broadcast_shapes(sq.shape, tau.shape)
     sums = [np.empty(shape, dtype=np.complex128) for _ in factors]
-    step = max(1, grid._SLAB_BYTES // (8 * nodes.t.size * (
+    n_t = nodes.t.size
+    step = max(1, grid._SLAB_BYTES // (8 * n_t * (
         2 * math.prod(sq.shape[:-1]) + math.prod(tau.shape[:-1]))))
+    # the first slab is the largest: its E, G and _fill work, made once
+    first = slice(0, step)
+    n_pts, n_tau = _slab(sq, first, -1).size, _slab(tau, first, -1).size
+    e_buf, g_buf = np.empty(n_tau * n_t), np.empty(2 * n_pts * n_t)
+    work = np.empty((5, n_pts * n_t))
     for i in range(0, shape[-1], step):
         sl = slice(i, i + step)
         x_s, xi_s = _slab(x, sl, -2), _slab(xi, sl, -2)
         sq_s = _slab(sq, sl, -1)[..., None]
         dot_s = _slab(dot, sl, -1)[..., None]
-        e = grid._exp_floored(-nodes.t * _slab(tau, sl, -1)[..., None] ** 2)
-        g = np.empty(sq_s.shape[:-1] + (2, nodes.t.size))
-        _fill(nodes, sq_s, dot_s, g)
+        tau_s = _slab(tau, sl, -1)[..., None]
+        e = _take(e_buf, tau_s.shape[:-1] + (n_t,))
+        grid._exp_floored(np.multiply(-nodes.t, tau_s ** 2, out=e))
+        g = _take(g_buf, sq_s.shape[:-1] + (2, n_t))
+        _fill(nodes, sq_s, dot_s, g, work)
         for out, f in zip(sums, factors):
             if f is not None:
                 _times(g, f(x_s, xi_s, sq_s, dot_s))
@@ -267,17 +290,20 @@ def _gemm_sums(nodes: _TimeNodes, x, tau, xi, sq, dot, factors) -> list:
     e = grid._exp_floored(-nodes.t * tau.reshape(-1, 1) ** 2)
     g = np.empty((sq.shape[0], 2, nodes.t.size))
     step = max(1, grid._SLAB_BYTES // (16 * nodes.t.size))
+    work = np.empty((5, min(step, sq.shape[0]) * nodes.t.size))
+    for i in range(0, sq.shape[0], step):
+        sl = slice(i, i + step)
+        _fill(nodes, sq[sl], dot[sl], g[sl], work)
+    del work
     # axes (tau_0, pts_0, tau_1, pts_1, ...): of each pair at most one
     # is longer than 1, so merging the pairs gives the point shape
     pairs = np.arange(2 * n).reshape(2, n).T.ravel()
     shape = np.broadcast_shapes(pts, tau.shape)
     sums = []
-    for j, f in enumerate(factors):
-        for i in range(0, sq.shape[0], step):
-            sl = slice(i, i + step)
-            if j == 0:
-                _fill(nodes, sq[sl], dot[sl], g[sl])
-            if f is not None:
+    for f in factors:
+        if f is not None:
+            for i in range(0, sq.shape[0], step):
+                sl = slice(i, i + step)
                 _times(g[sl], f(x[sl], xi[sl], sq[sl], dot[sl]))
         r = np.matmul(e, g.reshape(-1, nodes.t.size).T).view(np.complex128)
         r = r.reshape((1,) * (n - tau.ndim) + tau.shape

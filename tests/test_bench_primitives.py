@@ -55,11 +55,15 @@ def test_d1_only_primitives(tmp_path):
     out = tmp_path / "BENCH_primitives.json"
     assert tool.main(["--only", "sigma_stencil", "--only", "l1_image",
                       "--only", "center_value", "--only", "symbols_stencil",
+                      "--only", "bessel_power",
                       "--repeat", "1", "--out", str(out)]) == 0
-    p50 = json.loads(out.read_text())["p50_ms"]
-    assert sorted(p50) == ["center_value.d1", "l1_image.d1",
-                           "sigma_stencil.d1", "symbols_stencil.d1"]
+    doc = json.loads(out.read_text())
+    p50 = doc["p50_ms"]
+    assert sorted(p50) == ["bessel_power.d1", "center_value.d1",
+                           "l1_image.d1", "sigma_stencil.d1",
+                           "symbols_stencil.d1"]
     assert all(v > 0.0 for v in p50.values())
+    assert sorted(doc["peak_mb"]) == sorted(p50)
 
 
 def test_stencil_and_image_calls_return_their_arrays():
@@ -76,6 +80,9 @@ def test_stencil_and_image_calls_return_their_arrays():
     # one image value per mirror orbit of the 512-point axes
     assert calls["l1_image"]().shape == (257, 257)
     assert calls["center_value"]() > 0.0
+    f1 = calls["bessel_power"]()
+    assert f1.shape == (1024, 1024) and f1.dtype == np.float64
+    assert f1.flags.c_contiguous
 
 
 def test_complex_apply_on_both_grids(tmp_path):
@@ -97,6 +104,10 @@ def test_every_primitive_has_a_call():
     tool = load_tool()
     g = tool.grid.make_grid(*tool.GRIDS["d1"])
     assert tuple(tool.primitives(g)) == tool.PRIMITIVES
+    d1_only = {"quantize", "sigma_stencil", "symbols_stencil", "l1_image",
+               "center_value", "bessel_power"}
+    g = tool.grid.make_grid(*tool.GRIDS["d3"])
+    assert set(tool.PRIMITIVES) - set(tool.primitives(g)) == d1_only
 
 
 def test_bad_repeat_rejected(tmp_path):

@@ -8,6 +8,7 @@ control.
 """
 import hashlib
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -30,6 +31,7 @@ from pharmonic import (
     weighted_decay_check,
 )
 from pharmonic import grid as grid_module
+from pharmonic import sobolev as sobolev_module
 from pharmonic.grid import UniformBox, _sum_sq
 from pharmonic.ladder import apply_A, riesz
 from pharmonic.sobolev import _bessel_power
@@ -393,13 +395,38 @@ class TestInclusionChain:
         assert 0 < chain["classical_over_oscillator_sup"] <= 2
 
 
+def bessel_power_by_irfft2(a, b, box, alpha):
+    """The one-shot formula that _bessel_power runs in blocks: the whole
+    half spectrum times the multiplier, then irfft2."""
+    tau, xi = box.freq_axes()
+    fhat = np.outer(np.fft.fft(a), np.fft.rfft(b))
+    fhat *= (1.0 + tau[:, None] ** 2
+             + xi[None, :fhat.shape[1]] ** 2) ** (alpha / 2.0)
+    return np.fft.irfft2(fhat, s=box.counts)
+
+
 def assert_bessel_power_matches(a, b, box, alpha):
     fhat = np.fft.fftn(np.outer(a, b))
     fhat *= (1.0 + _sum_sq(box.freq_axes())) ** (alpha / 2.0)
     want = np.fft.ifftn(fhat)
     got = _bessel_power(a, b, box, alpha)
     assert got.dtype == np.float64 and got.shape == box.counts
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, bessel_power_by_irfft2(a, b, box, alpha))
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def blocked_sizes(rng):
+    """Even box counts (n_rho, n_x) and a slab byte count whose column
+    blocks (of the n_x/2 + 1 spectrum columns) and row blocks (of the
+    n_rho rows) are each more than one, and divide neither axis."""
+    while True:
+        n_rho, n_x = (2 * int(k) for k in rng.integers(4, 150, size=2))
+        m = n_x // 2 + 1
+        slab = 16 * n_rho * int(rng.integers(2, m))
+        cols, rows = slab // (16 * n_rho), slab // (16 * m)
+        if m % cols and 1 < rows < n_rho and n_rho % rows:
+            return (n_rho, n_x), slab
 
 
 class TestStrictInclusion:
@@ -456,6 +483,27 @@ class TestStrictInclusion:
         box = UniformBox(tuple(rng.uniform(1.0, 20.0, size=2)), counts)
         a, b = (rng.standard_normal(n) for n in counts)
         assert_bessel_power_matches(a, b, box, rng.uniform(-2.0, 2.0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bessel_power_blocks_keep_the_bits(self, seed):
+        rng = np.random.default_rng([29, seed])
+        counts, slab = blocked_sizes(rng)
+        box = UniformBox(tuple(rng.uniform(1.0, 20.0, size=2)), counts)
+        a, b = (rng.standard_normal(n) for n in counts)
+        with mock.patch.object(sobolev_module, "_SLAB_BYTES", slab):
+            assert_bessel_power_matches(a, b, box, rng.uniform(-2.0, 2.0))
+
+    def test_f1_holds_one_spectrum_sized_buffer(self):
+        # the complex (1024, 513) buffer is 8.0 MB; the spectrum,
+        # irfft2's column transform and the real result held 24.1 MB
+        tracemalloc.start()
+        try:
+            rep = strict_inclusion_demo("f1", 0.5, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.all_passed, rep.failures()
+        assert peak <= 14 * 2 ** 20
 
     def test_coarse_resolution_warns(self):
         # radii spaced below the grid spacing share the same cells, so

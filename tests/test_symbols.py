@@ -810,7 +810,7 @@ class TestFillPhase:
                            np.zeros(b.size), np.zeros(b.size), b)
         dot = np.array([[-1.0], [1.0]])
         out = np.empty((2, 2, b.size))
-        _fill(nodes, np.zeros((2, 1)), dot, out)
+        _fill(nodes, np.zeros((2, 1)), dot, out, np.empty((5, 2 * b.size)))
         phase = -dot * b
         assert np.all(out[:, 0, :k] == 1.0)
         assert np.array_equal(out[:, 1, :k], phase[:, :k])

@@ -29,14 +29,18 @@ mirror-orbit representatives of its 512^2 outer box, 257^2 points: two
 closed-form factors and one GEMM.  center_value is one level of the
 Linf-range demo (alpha = 1/2, p = 4): H^(-1/4) of the borderline
 profile at the origin, with inner cutoff 2^-8, one k_alpha call on the
-radial nodes times the 9 polar-angle orbits.
+radial nodes times the 9 polar-angle orbits.  bessel_power is the f1
+witness of the inclusions suite (alpha = 1/2, p = 2): the Bessel
+potential of order -alpha of the slow product profile
+(1 + |v|)^-(1/p + alpha) on the 1024^2 box (sobolev._bessel_power).
 Each primitive makes one untimed call (per-grid constants, caches),
 then --repeat timed calls, then one more untimed call under
 tracemalloc; the JSON holds the median of the timed calls in ms and
 the traced peak of the last in MB (2^20 bytes), both keyed
 "<primitive>.<grid>", with the settings and the Python and numpy
-versions.  quantize, sigma_stencil, symbols_stencil, l1_image and
-center_value are d = 1 only, so they have no d3 entry.
+versions.  quantize, sigma_stencil, symbols_stencil, l1_image,
+center_value and bessel_power are d = 1 only, so they have no d3
+entry.
 
 Warnings (truncation, resolution) are silenced: the script measures
 time, not accuracy.  It imports pharmonic from the `src/` next to this
@@ -60,7 +64,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
 from pharmonic import grid, heat_kernel, inequalities, spectral  # noqa: E402
-from pharmonic import symbols  # noqa: E402
+from pharmonic import sobolev, symbols  # noqa: E402
 from pharmonic.sobolev import TestFamily  # noqa: E402
 
 GRIDS = {"d1": (1, 64, 10.0, 8, 40), "d3": (3, 32, 8.0, 8, 32)}
@@ -68,7 +72,8 @@ PRIMITIVES = ("forward", "inverse", "heat_apply_kernel",
               "heat_apply_kernel_complex", "frac_power_kernel",
               "resample", "box_lp_norm", "box_lp_norm_q4", "measured_box",
               "k_alpha", "sigma_alpha", "quantize", "sigma_stencil",
-              "symbols_stencil", "l1_image", "center_value")
+              "symbols_stencil", "l1_image", "center_value",
+              "bessel_power")
 
 
 def primitives(g: grid.Grid) -> dict:
@@ -123,6 +128,11 @@ def primitives(g: grid.Grid) -> dict:
         kappa = 0.25 * (1.0 + inequalities._PROFILE_EPS)
         calls["center_value"] = lambda: inequalities._center_value(
             lambda r: r ** -0.5 * np.log(1.0 / r) ** -kappa, 2.0 ** -8, 0.5)
+        wbox = grid.UniformBox((sobolev._HALF_WIDTH,) * 2, (1024, 1024))
+        a, b = ((1.0 + np.abs(ax)) ** -(1.0 / 2.0 + 0.5)
+                for ax in wbox.axes())
+        calls["bessel_power"] = lambda: sobolev._bessel_power(a, b, wbox,
+                                                              -0.5)
     return calls
 
 
